@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bidiag import BidiagState
+from .bidiag import BidiagState, lower_bidiagonal
 from .csvio import write_csv
 from .gallery import SpectrumModel
 from .linalg import SvdFactorization, spectral_norm
@@ -55,27 +55,115 @@ class IllConditionedError(ValueError):
 
 
 # Low-rank approximation gap ==================================================
+# Both routes take a dense SVD on small inputs and an iterative method with an
+# error certificate on large ones.  The crossovers are the block sizes at which
+# the iterative routes became faster than the dense SVD (see README).
+
+#: Trailing blocks with at least this many columns take the bisection route.
+GK_BISECTION_MIN = 128
+#: ``gamma_exact`` iterates when n - k is at least this; below, a dense SVD.
+LANCZOS_MIN = 96
+#: Lanczos stops once the Ritz residual is at most this multiple of ||A||_F.
+LANCZOS_RTOL = 1e-14
+#: Lanczos iterations before ``gamma_exact`` falls back to the dense SVD.
+LANCZOS_MAX_ITER = 100
+
+_EPS = float(np.finfo(float).eps)
+_PIVMIN = float(np.finfo(float).tiny)
+
+
 def gamma_exact(A, Q) -> float:
-    """||A (I - Q Q')|| via SVD of the explicit residual matrix.
+    """||A (I - Q Q')|| from A and an orthonormal basis Q.
 
     ``Q`` may be an (n, k) orthonormal basis or a :class:`BidiagState`,
     in which case its full current Krylov basis is used.
+
+    For n - k >= ``LANCZOS_MIN`` the value is the top Ritz value of
+    Golub-Kahan-Lanczos on the operator x -> A (x - Q Q'x), certified to
+    ``LANCZOS_RTOL * ||A||_F`` (see :func:`_deflated_norm_lanczos`); if the
+    certificate is not reached, and for smaller n - k, it is the largest
+    singular value of the explicit residual matrix.  This route never reads
+    the recurrence coefficients.
     """
     if isinstance(Q, BidiagState):
         Q = Q.Q_k(Q.max_k)
-    resid = A - (A @ Q) @ Q.T
-    return spectral_norm(resid)
+    if A.shape[1] - Q.shape[1] >= LANCZOS_MIN:
+        gamma = _deflated_norm_lanczos(A, Q)
+        if gamma is not None:
+            return gamma
+    return spectral_norm(A - (A @ Q) @ Q.T)
+
+
+def _deflated_norm_lanczos(A, Q) -> float | None:
+    """Largest singular value of M: x -> A (x - Q Q'x), or None if uncertified.
+
+    Golub-Kahan-Lanczos from a fixed-seed Gaussian vector projected off Q,
+    with two-pass full reorthogonalization of both bases, builds
+    M V_j = U_j B_j and M' U_j = V_j B_j' + beta_{j+1} v_{j+1} e_j' with B_j
+    upper bidiagonal.  For the top singular triple (theta, x, y) of B_j,
+    M V_j y = theta U_j x exactly and M' U_j x - theta V_j y has norm
+    beta_{j+1} |x_j|.  Once that residual is at most
+    ``tol = LANCZOS_RTOL * ||A||_F``, a singular value of M lies within tol
+    of theta, and theta, a Ritz value, is at most ||M||.  If a later
+    alpha_{j+1} falls to tol or below, it is set to zero: the top triple of
+    B_{j+1} then has its residual, at most alpha_{j+1}, in M V_{j+1} y
+    instead.  Returns None when the residual stays above tol for
+    ``LANCZOS_MAX_ITER`` iterations or M maps the start vector to zero.
+    """
+    m, n = A.shape
+    tol = LANCZOS_RTOL * float(np.linalg.norm(A))
+    v = np.random.default_rng(0).standard_normal(n)
+    v -= Q @ (Q.T @ v)
+    v /= np.linalg.norm(v)
+    U = np.empty((m, LANCZOS_MAX_ITER))
+    V = np.empty((n, LANCZOS_MAX_ITER))
+    B = np.zeros((LANCZOS_MAX_ITER, LANCZOS_MAX_ITER + 1))
+    beta = 0.0
+    for j in range(LANCZOS_MAX_ITER):
+        V[:, j] = v
+        w = A @ (v - Q @ (Q.T @ v))
+        if j:
+            w -= beta * U[:, j - 1]
+            for _ in range(2):
+                w -= U[:, :j] @ (U[:, :j].T @ w)
+        alpha = float(np.linalg.norm(w))
+        if j and alpha <= tol:
+            return float(np.linalg.svd(B[:j, : j + 1], compute_uv=False)[0])
+        if alpha == 0.0:
+            return None
+        U[:, j] = w / alpha
+        r = A.T @ U[:, j]
+        r -= Q @ (Q.T @ r)
+        r -= alpha * v
+        for _ in range(2):
+            r -= V[:, : j + 1] @ (V[:, : j + 1].T @ r)
+        beta = float(np.linalg.norm(r))
+        B[j, j] = alpha
+        X, s, _ = np.linalg.svd(B[: j + 1, : j + 1])
+        if beta * abs(X[j, 0]) <= tol:
+            return float(s[0])
+        B[j, j + 1] = beta
+        v = r / beta
+    return None
 
 
 def gamma_via_Gk(state: BidiagState, k: int) -> float:
     """The same gap from the trailing block of the bidiagonal matrix.
 
-    For a complete factorization, deleting the leading (k+1) x k part of
-    the full bidiagonal matrix leaves the (n-k+1) x (n-k) block G_k with
-    diagonal alpha_{k+1}..alpha_n and subdiagonal beta_{k+2}..beta_{n+1},
-    and ||G_k|| equals gamma_k exactly.  On a breakdown-truncated run the
-    missing trailing entries are below the breakdown tolerance, so the
-    value is accurate to roughly n * 1e-14 * ||A||.
+    Deleting the first k rows and columns of the full lower bidiagonal
+    matrix leaves the block G_k with diagonal alpha_{k+1}, alpha_{k+2}, ...
+    and subdiagonal beta_{k+2}, beta_{k+3}, ...  For a complete
+    factorization it is (n-k+1) x (n-k), with beta_{n+1} = 0 when A is
+    square, and ||G_k|| = gamma_k.  A breakdown-truncated run ends the block
+    at its last computed entry: square after a beta breakdown, one row
+    taller after an alpha breakdown.  The reached Krylov space is then
+    invariant to within the breakdown tolerance 1e-14 * ||A||, so ||G_k|| is
+    the gap on that space; it equals gamma_k to within that tolerance unless
+    A acts more strongly on the unreached complement.
+
+    Blocks with at least ``GK_BISECTION_MIN`` columns take bisection on
+    the Golub-Kahan tridiagonal (see :func:`_bidiagonal_norm`), smaller ones
+    a dense SVD.  This route never reads A or the Krylov basis.
     """
     if not state.terminal:
         raise ValueError("gamma_via_Gk needs a complete or broken-down factorization")
@@ -83,15 +171,61 @@ def gamma_via_Gk(state: BidiagState, k: int) -> float:
     b = state.beta[k + 1 :]
     if a.size == 0:
         raise ValueError(f"no trailing block at k={k} (have {len(state.alphas)} alphas)")
-    if b.size == a.size:
-        G = np.zeros((a.size + 1, a.size))
-    elif b.size == a.size - 1:
-        G = np.zeros((a.size, a.size))
-    else:
+    if b.size not in (a.size, a.size - 1):
         raise ValueError("inconsistent coefficient arrays")
-    G[np.arange(a.size), np.arange(a.size)] = a
-    G[np.arange(1, b.size + 1), np.arange(b.size)] = b
-    return spectral_norm(G)
+    if a.size >= GK_BISECTION_MIN:
+        return _bidiagonal_norm(a, b)
+    return spectral_norm(lower_bidiagonal(a, b))
+
+
+def _bidiagonal_norm(a, b) -> float:
+    """Largest singular value of the lower bidiagonal matrix diag(a) + subdiag(b).
+
+    It is the largest eigenvalue of the Golub-Kahan tridiagonal: zero
+    diagonal and off-diagonal a_1, b_1, a_2, b_2, ...  Bisection keeps it in
+    [lo, hi], starting from the largest column norm (a lower bound) and the
+    largest Gershgorin row sum (an upper bound, within a factor 2), and
+    stops once hi - lo <= 2 eps max|entry|.  Each step counts the positive
+    pivots of the LDL' factorization of T - x I (Sylvester's inertia); the
+    computed count is exact for a tridiagonal within a few eps of T
+    entrywise, and the form never squares the matrix, so the error stays a
+    few eps * max|entry| absolute even for blocks at the roundoff floor.
+    """
+    e = np.empty(a.size + b.size)
+    e[0::2] = a
+    e[1::2] = b
+    scale = float(np.max(np.abs(e)))
+    if scale == 0.0:
+        return 0.0
+    e = np.abs(e) / scale
+    pairs = np.append(e, 0.0)[: 2 * a.size].reshape(-1, 2)
+    lo = float(np.max(np.hypot(pairs[:, 0], pairs[:, 1])))
+    hi = float(np.max(np.append(e, 0.0) + np.append(0.0, e)))
+    e2 = (e * e).tolist()
+    while hi - lo > 2.0 * _EPS:
+        x = 0.5 * (lo + hi)
+        if _has_eigenvalue_above(e2, x):
+            lo = x
+        else:
+            hi = x
+    return 0.5 * (lo + hi) * scale
+
+
+def _has_eigenvalue_above(e2, x) -> bool:
+    """Whether the zero-diagonal tridiagonal with squared off-diagonal ``e2``
+    has an eigenvalue above x > 0, i.e. T - x I has a positive pivot.
+
+    Pivots within ``_PIVMIN`` of zero count as negative (LAPACK's rule).
+    """
+    negx = -x
+    d = negx
+    for s in e2:
+        d = negx - s / d
+        if d > -_PIVMIN:
+            if d >= _PIVMIN:
+                return True
+            d = -_PIVMIN
+    return False
 
 
 # Ritz values ================================================================

@@ -142,6 +142,16 @@ class BidiagState:
         return len(self.betas) - 1
 
     @property
+    def max_trailing_k(self) -> int:
+        """Largest k with B_k formed and a non-empty trailing block, i.e.
+        alpha_{k+1} computed: the last step the gap analysis can reach.
+
+        It is ``max_k - 1`` after a breakdown at an alpha entry, and
+        ``max_k`` otherwise, except n - 1 for a complete factorization.
+        """
+        return min(self.max_k, len(self.alphas) - 1)
+
+    @property
     def terminal(self) -> bool:
         """True once the run completed or broke down; the coefficient
         arrays then describe the whole numerically reachable factorization."""

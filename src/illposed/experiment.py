@@ -340,7 +340,7 @@ def _analysis_records(problem, instance, picard, state, kmax):
     slack = 1e-12 * sigma[0]
     model, source = _spectrum_for_bounds(problem)
     navail = min(len(state.alphas) - 1, len(state.betas) - 2)
-    K = min(kmax, state.max_k, problem.n - 1)
+    K = min(kmax, state.max_trailing_k)
     records, reports = [], []
     for k in range(1, K + 1):
         Q = state.Q_k(k)

@@ -1,5 +1,6 @@
 """Unit tests for the spectral diagnostics."""
 
+import copy
 import dataclasses
 import math
 
@@ -8,8 +9,10 @@ import pytest
 
 from conftest import poly, severe
 
+from illposed import analysis
 from illposed.analysis import (
     ANALYSIS_COLUMNS,
+    LANCZOS_RTOL,
     AnalysisRecord,
     BoundReport,
     IllConditionedError,
@@ -31,10 +34,11 @@ from illposed.analysis import (
     write_ritz_csv,
     xi_factor,
 )
-from illposed.bidiag import bidiag_run
+from illposed.bidiag import bidiag_run, lower_bidiagonal
 from illposed.csvio import read_csv
 from illposed.gallery import (
     SpectrumModel,
+    make_deriv2,
     make_picard_synthetic,
     make_prescribed,
     make_shaw,
@@ -136,6 +140,124 @@ def test_gamma_via_Gk_rejects_bad_states():
     full, _ = bidiag_run(prob.A, prob.b_true, norm_A=float(prob.svd.sigma[0]))
     with pytest.raises(ValueError, match="no trailing block"):
         gamma_via_Gk(full, 8)
+
+
+# Both gamma routes against their dense oracles, on either side of the
+# crossovers: n = 64 stays dense, n = 300 takes bisection and Lanczos.
+def dense_gap(A, Q):
+    return spectral_norm(A - (A @ Q) @ Q.T)
+
+
+def _planted_rig(n, rank, alpha_breakdown):
+    """Diagonal A with b supported on its first ``rank`` coordinates, so the
+    recurrence breaks down after ``rank`` steps (exact zeros keep both bases
+    inside those coordinates).  With ``alpha_breakdown`` A is singular and b
+    gains a component in its null space, so the q basis runs out first and
+    an alpha entry vanishes."""
+    rng = np.random.default_rng(n + rank)
+    s = 1.0 / (1.0 + np.arange(n))
+    b = np.zeros(n)
+    b[:rank] = 1.0 + rng.random(rank)
+    if alpha_breakdown:
+        s[rank:] = 0.0
+        b[rank] = 1.0
+    A = np.diag(s)
+    state, err = bidiag_run(A, b, norm_A=1.0)
+    assert err is not None
+    assert err.entry == f"{'alpha' if alpha_breakdown else 'beta'}_{rank + 1}"
+    return A, state
+
+
+def _rigs(n):
+    prob = make_deriv2(n)
+    complete, err = bidiag_run(
+        prob.A, add_noise(prob, 1e-3, 0).b, norm_A=float(prob.svd.sigma[0])
+    )
+    assert err is None
+    rank = 2 * n // 3
+    return [
+        ("complete", prob.A, complete),
+        ("beta breakdown", *_planted_rig(n, rank, alpha_breakdown=False)),
+        ("alpha breakdown", *_planted_rig(n, rank, alpha_breakdown=True)),
+    ]
+
+
+@pytest.mark.parametrize("n", [64, 300])
+def test_gamma_routes_match_dense_oracles(n):
+    for name, A, state in _rigs(n):
+        s1 = spectral_norm(A)
+        tol = LANCZOS_RTOL * np.linalg.norm(A) + 1e-15 * s1
+        K = state.max_trailing_k
+        assert K == (n - 1 if name == "complete" else 2 * n // 3 - 1)
+        for k in (1, K // 4, K - 1, K):
+            a, b = state.alpha[k:], state.beta[k + 1 :]
+            block = spectral_norm(lower_bidiagonal(a, b))
+            assert gamma_via_Gk(state, k) == pytest.approx(block, abs=1e-14 * s1), (name, k)
+            Q = state.Q_k(k)
+            assert gamma_exact(A, Q) == pytest.approx(dense_gap(A, Q), abs=tol), (name, k)
+
+
+@pytest.mark.parametrize("n", [64, 300])
+def test_gamma_exact_repeated_top_singular_value(n):
+    # Deflating the top right singular vector of diag(10, 5, 5, 5, 1, ...)
+    # leaves an operator whose top singular value 5 is triple.
+    rng = np.random.default_rng(3)
+    U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    s = np.concatenate(([10.0, 5.0, 5.0, 5.0], 1.0 / np.arange(1, n - 3)))
+    A = (U * s) @ V.T
+    Q = V[:, :1]
+    tol = LANCZOS_RTOL * np.linalg.norm(A)
+    gamma = gamma_exact(A, Q)
+    assert gamma == pytest.approx(5.0, abs=tol)
+    assert gamma == pytest.approx(dense_gap(A, Q), abs=tol)
+
+
+def test_gamma_routes_last_step_closed_form_on_iterative_paths(monkeypatch):
+    # Force both iterative routes onto the one-column case k = n-1.
+    monkeypatch.setattr(analysis, "GK_BISECTION_MIN", 1)
+    monkeypatch.setattr(analysis, "LANCZOS_MIN", 1)
+    prob = make_prescribed(6, severe(2.0), seed=2, m=10)
+    state, err = bidiag_run(
+        prob.A, noiseless_instance(prob).b, norm_A=float(prob.svd.sigma[0])
+    )
+    assert err is None
+    expected = math.hypot(state.alphas[-1], state.betas[-1])
+    assert gamma_via_Gk(state, 5) == pytest.approx(expected, rel=1e-15)
+    assert gamma_exact(prob.A, state.Q_k(5)) == pytest.approx(expected, rel=1e-13)
+
+
+def test_gamma_exact_full_space_on_iterative_path(monkeypatch):
+    # With Q spanning R^n only rounding is left of the start vector; the
+    # certified value stays within the tolerance of zero.
+    monkeypatch.setattr(analysis, "LANCZOS_MIN", 0)
+    prob = make_picard_synthetic(8, severe(2.0), seed=0)
+    state, err = bidiag_run(prob.A, prob.b_true, norm_A=float(prob.svd.sigma[0]))
+    assert err is None
+    assert 0.0 <= gamma_exact(prob.A, state) <= LANCZOS_RTOL * np.linalg.norm(prob.A)
+
+
+def test_gamma_exact_dense_fallback_when_uncertified(monkeypatch):
+    prob = make_deriv2(300)
+    state, _ = bidiag_run(prob.A, prob.b_true, steps=5)
+    Q = state.Q_k(5)
+    certified = gamma_exact(prob.A, Q)
+    monkeypatch.setattr(analysis, "LANCZOS_MAX_ITER", 1)
+    assert analysis._deflated_norm_lanczos(prob.A, Q) is None
+    assert gamma_exact(prob.A, Q) == dense_gap(prob.A, Q)
+    assert gamma_exact(prob.A, Q) == pytest.approx(
+        certified, abs=LANCZOS_RTOL * np.linalg.norm(prob.A)
+    )
+
+
+def test_gamma_via_Gk_reads_only_the_coefficients():
+    prob = make_deriv2(300)
+    state, err = bidiag_run(prob.A, prob.b_true, norm_A=float(prob.svd.sigma[0]))
+    assert err is None
+    expected = [gamma_via_Gk(state, k) for k in (1, 200)]
+    bare = copy.copy(state)
+    bare.A = bare._P = bare._Q = None
+    assert [gamma_via_Gk(bare, k) for k in (1, 200)] == expected
 
 
 # Ritz values -----------------------------------------------------------------

@@ -3,8 +3,14 @@
 import os
 import shutil
 import subprocess
+import sys
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import illposed
 
 from illposed.cli import main as cli_main
 from illposed.csvio import read_csv
@@ -294,30 +300,31 @@ def test_compare_missing_file_is_a_diff(base_run, tmp_path):
 
 
 # Command-line interface ---------------------------------------------------------
+def _cli(*args):
+    """Run ``python -m illposed`` on this package, installed or not."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(illposed.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "illposed", *args], capture_output=True, text=True, env=env
+    )
+
+
 def test_cli_run_and_compare_subprocess(tmp_path):
     out1 = tmp_path / "c1"
     out2 = tmp_path / "c2"
     for out in (out1, out2):
-        proc = subprocess.run(
-            ["illposed", "run", "--problem", "deriv2", "--n", "32",
-             "--kmax", "8", "--out", str(out)],
-            capture_output=True, text=True,
-        )
+        proc = _cli("run", "--problem", "deriv2", "--n", "32", "--kmax", "8", "--out", str(out))
         assert proc.returncode == 0, proc.stderr
         assert f"artifacts written to {out}" in proc.stdout
         assert "kstar=" in proc.stdout
-    cmp_ok = subprocess.run(
-        ["illposed", "compare", str(out1), str(out2)], capture_output=True, text=True
-    )
+    cmp_ok = _cli("compare", str(out1), str(out2))
     assert cmp_ok.returncode == 0
     assert "RESULT match" in cmp_ok.stdout
 
 
 def test_cli_bad_config_exits_2(tmp_path):
-    proc = subprocess.run(
-        ["illposed", "run", "--noise", "2", "--out", str(tmp_path / "x")],
-        capture_output=True, text=True,
-    )
+    proc = _cli("run", "--noise", "2", "--out", str(tmp_path / "x"))
     assert proc.returncode == 2
     assert proc.stderr.startswith("config error:")
     assert not (tmp_path / "x").exists()
@@ -346,3 +353,26 @@ def test_cli_invariant_violation_exits_1(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("invariant violation:")
     assert sorted(os.listdir(outdir)) == sorted(ALL_ARTIFACTS)
+
+
+# A valid configuration never crashes -----------------------------------------
+@settings(max_examples=20, deadline=None)
+@given(
+    problem=st.sampled_from(["shaw", "gravity", "deriv2", "heat", "prescribed", "picard_synthetic"]),
+    decay=st.sampled_from(["severe", "moderate", "mild"]),
+    n=st.integers(16, 256),
+    noise=st.sampled_from([1e-2, 1e-3, 1e-5]),
+    seed=st.integers(0, 1000),
+)
+# Breakdown at an alpha entry used to leave an empty trailing block.
+@example(problem="shaw", decay="severe", n=64, noise=1e-3, seed=0)
+@example(problem="heat", decay="severe", n=16, noise=1e-2, seed=0)
+def test_run_returns_or_raises_only_documented_errors(problem, decay, n, noise, seed):
+    with tempfile.TemporaryDirectory() as out:
+        config = ExperimentConfig(
+            problem=problem, decay=decay, n=n, noise=noise, seed=seed, out=out
+        )
+        try:
+            run(config)
+        except (ConfigError, InvariantViolation):
+            pass
