@@ -21,6 +21,8 @@ The same pipeline, with CSV/SVG artifacts and an invariant audit, runs from
 the command line as ``illposed run`` / ``illposed compare``.
 """
 
+import types as _types
+
 from .analysis import (
     AnalysisRecord,
     BoundReport,
@@ -71,8 +73,6 @@ from .gallery import (
     make_picard_synthetic,
     make_prescribed,
     make_shaw,
-    read_matrix,
-    write_matrix,
 )
 from .linalg import (
     RankDeficientError,
@@ -94,69 +94,9 @@ from .tsvd import TsvdSweep, tsvd_solution, tsvd_sweep
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnalysisRecord",
-    "BidiagState",
-    "BoundReport",
-    "BreakdownError",
-    "ConfigError",
-    "ExperimentConfig",
-    "IllConditionedError",
-    "IllPosedProblem",
-    "InvariantViolation",
-    "LsqrTrace",
-    "NoisyInstance",
-    "PicardDiagnostic",
-    "RankDeficientError",
-    "SpectrumModel",
-    "SvdFactorization",
-    "TsvdSweep",
-    "add_noise",
-    "bidiag_complete",
-    "bidiag_run",
-    "bidiag_start",
-    "bidiag_step",
-    "bound_report",
-    "build_problem",
-    "cauchy_interlace_check",
-    "compare",
-    "decay_diagnostic",
-    "default_kmax",
-    "delta_direct",
-    "delta_matrix_via_projection",
-    "delta_norm_via_angles",
-    "fit_spectrum_model",
-    "gamma_exact",
-    "gamma_via_Gk",
-    "lagrange_factor",
-    "least_squares",
-    "load_config",
-    "lower_bidiagonal",
-    "lsqr_iterate",
-    "lsqr_sweep",
-    "make_deriv2",
-    "make_gravity",
-    "make_heat",
-    "make_picard_synthetic",
-    "make_prescribed",
-    "make_shaw",
-    "mirsky_gap_check",
-    "natural_order_check",
-    "near_best_predicate",
-    "noiseless_instance",
-    "orthonormalize",
-    "picard_diagnostic",
-    "read_matrix",
-    "recurrence_residuals",
-    "render_panels",
-    "ritz_values",
-    "run",
-    "sigma_delta_norm",
-    "spectral_norm",
-    "svd",
-    "tsvd_solution",
-    "tsvd_sweep",
-    "write_matrix",
-    "xi_factor",
-    "__version__",
-]
+#: Every name imported above; the submodules the imports load are left out.
+__all__ = sorted(
+    name
+    for name, obj in globals().items()
+    if not name.startswith("_") and not isinstance(obj, _types.ModuleType)
+) + ["__version__"]

@@ -11,7 +11,7 @@ the a-priori bounds assembling all of them into per-step reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -576,50 +576,22 @@ def bound_report(
 
 # Decay of the recurrence coefficients =======================================
 def decay_diagnostic(state: BidiagState, kmax: int | None = None):
-    """Pairs (alpha_{k+1} + beta_{k+2}, gamma_k via the trailing block).
+    """The cheap in-run proxy alpha_{k+1} + beta_{k+2} for gamma_k.
 
-    Returns a list of ``(k, coefficient_sum, gamma_Gk)`` rows; the trailing
-    block norm is nan when the factorization is still running.
+    Returns ``(k, coefficient_sum)`` pairs for k = 1..``state.max_proxy_k``,
+    capped at ``kmax``.  The pair forms the first column of the trailing
+    block G_k, so the sum lies within a factor sqrt(2) of its norm.
     """
-    navail = min(len(state.alphas) - 1, len(state.betas) - 2)
-    if kmax is not None:
-        navail = min(navail, kmax)
-    rows = []
-    for k in range(1, navail + 1):
-        coeff_sum = state.alphas[k] + state.betas[k + 1]
-        gk = gamma_via_Gk(state, k) if state.terminal else math.nan
-        rows.append((k, coeff_sum, gk))
-    return rows
+    K = state.max_proxy_k if kmax is None else min(kmax, state.max_proxy_k)
+    return [(k, state.alphas[k] + state.betas[k + 1]) for k in range(1, K + 1)]
 
 
 # CSV export =================================================================
-ANALYSIS_COLUMNS = [
-    "k",
-    "gamma",
-    "gamma_Gk",
-    "sigma_k1",
-    "delta_norm",
-    "sin_theta",
-    "sigma_delta",
-    "lagrange_max",
-    "near_best",
-    "natural_order",
-    "alpha_beta_sum",
-    "regime",
-    "k0_used",
-    "ratio_realized",
-    "ratio_asymptotic",
-    "xi_k",
-    "eta_k",
-    "eta_k_asymptotic",
-    "epsilon_k_bound",
-    "delta_bound",
-    "delta_bound_asymptotic",
-    "sigma_delta_bound",
-    "sigma_delta_bound_asymptotic",
-    "near_best_condition",
-    "natural_order_condition",
-]
+_RECORD_COLUMNS = [f.name for f in fields(AnalysisRecord) if f.name != "ritz"]
+_BOUND_COLUMNS = [f.name for f in fields(BoundReport) if f.name != "k"]
+ANALYSIS_COLUMNS = _RECORD_COLUMNS + _BOUND_COLUMNS
+#: Bound columns of a step without a bound report.
+_NO_BOUNDS = dict.fromkeys(_BOUND_COLUMNS, math.nan) | {"regime": "none", "k0_used": -1}
 
 
 def write_analysis_csv(records, reports, path) -> None:
@@ -630,39 +602,8 @@ def write_analysis_csv(records, reports, path) -> None:
     """
     rows = []
     for rec, rep in zip(records, reports):
-        row = [
-            rec.k,
-            rec.gamma,
-            rec.gamma_Gk,
-            rec.sigma_k1,
-            rec.delta_norm,
-            rec.sin_theta,
-            rec.sigma_delta,
-            rec.lagrange_max,
-            rec.near_best,
-            rec.natural_order,
-            rec.alpha_beta_sum,
-        ]
-        if rep is None:
-            row += ["none", -1] + [math.nan] * 10 + ["nan", "nan"]
-        else:
-            row += [
-                rep.regime,
-                rep.k0_used,
-                rep.ratio_realized,
-                rep.ratio_asymptotic,
-                rep.xi_k,
-                rep.eta_k,
-                rep.eta_k_asymptotic,
-                rep.epsilon_k_bound,
-                rep.delta_bound,
-                rep.delta_bound_asymptotic,
-                rep.sigma_delta_bound,
-                rep.sigma_delta_bound_asymptotic,
-                rep.near_best_condition,
-                rep.natural_order_condition,
-            ]
-        rows.append(row)
+        cells = {**(_NO_BOUNDS if rep is None else vars(rep)), **vars(rec)}
+        rows.append([cells[name] for name in ANALYSIS_COLUMNS])
     write_csv(path, "analysis", ANALYSIS_COLUMNS, rows)
 
 

@@ -152,6 +152,12 @@ class BidiagState:
         return min(self.max_k, len(self.alphas) - 1)
 
     @property
+    def max_proxy_k(self) -> int:
+        """Largest k with both alpha_{k+1} and beta_{k+2} computed: the last
+        step of the decay proxy alpha_{k+1} + beta_{k+2}."""
+        return min(self.max_trailing_k, self.max_k - 1)
+
+    @property
     def terminal(self) -> bool:
         """True once the run completed or broke down; the coefficient
         arrays then describe the whole numerically reachable factorization."""
@@ -293,10 +299,10 @@ def bidiag_complete(A, b, reorth: bool = True, norm_A: float | None = None) -> B
     value must vanish within ``1e-12 * ||A||`` and is recorded as zero.
     Breakdown before completion propagates as ``BreakdownError``.
     """
-    state = bidiag_start(A, b, reorth=reorth, norm_A=norm_A)
-    while state.steps < state.n - 1:
-        bidiag_step(state)
-    return _finish(state)
+    state, err = bidiag_run(A, b, reorth=reorth, norm_A=norm_A)
+    if err is not None:
+        raise err
+    return state
 
 
 def bidiag_run(A, b, steps: int | None = None, reorth: bool = True, norm_A: float | None = None):

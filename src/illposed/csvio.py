@@ -8,8 +8,6 @@ files byte for byte.
 
 from __future__ import annotations
 
-import math
-
 __all__ = [
     "SCHEMA_VERSION",
     "format_value",
@@ -34,17 +32,8 @@ def format_value(v) -> str:
         return v
     if isinstance(v, int):
         return str(v)
-    if v is None:
-        return "nan"
-    x = float(v)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    if x == int(x) and abs(x) < 1e16:
-        # repr(2.0) == '2.0'; keep that form, it round-trips.
-        return repr(x)
-    return repr(x)
+    # repr spells the non-finite floats nan, inf and -inf.
+    return "nan" if v is None else repr(float(v))
 
 
 def write_csv(path, kind, header, rows) -> None:

@@ -30,6 +30,7 @@ from .analysis import (
     AnalysisRecord,
     bound_report,
     cauchy_interlace_check,
+    decay_diagnostic,
     delta_norm_via_angles,
     gamma_exact,
     gamma_via_Gk,
@@ -99,32 +100,11 @@ ARTIFACT_CSVS = (
     "ritz.csv",
 )
 
-#: Columns that must agree between two runs differing only in the noise seed.
+#: CSV columns and summary keys that must agree between two runs differing
+#: only in the noise seed; every other name is noise-dependent.
 NOISE_INDEPENDENT_COLUMNS = frozenset(
-    {"i", "k", "index", "sigma_i", "abs_uiTbtrue", "sigma_k1", "lagrange_max", "regime"}
-)
-
-#: Summary keys that may differ between two runs with different noise seeds.
-_NOISE_DEPENDENT_SUMMARY_KEYS = frozenset(
-    {
-        "seed",
-        "epsilon",
-        "eta",
-        "kstar",
-        "semi_convergent",
-        "k0_windowed",
-        "k0_naive",
-        "k0_realized",
-        "best_lsqr_error",
-        "best_tsvd_error",
-        "first_natural_order_failure",
-        "first_near_best_failure",
-        "breakdown",
-        "breakdown_step",
-        "analysis_rows",
-        "invariant_violations",
-        "invariant_detail",
-    }
+    {"i", "k", "index", "sigma_i", "abs_uiTbtrue", "sigma_k1", "lagrange_max", "regime",
+     "problem", "m", "n", "generator", "reorth", "kmax", "bound_model", "bound_model_source"}
 )
 
 
@@ -248,8 +228,8 @@ def parse_config_file(path) -> dict:
     try:
         with open(path, "r", encoding="ascii") as fh:
             lines = fh.readlines()
-    except OSError as err:
-        raise ConfigError(f"cannot read config file: {err}") from err
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"cannot read {path}: {err}") from err
     for lineno, ln in enumerate(lines, start=1):
         text = ln.strip()
         if not text or text.startswith("#"):
@@ -339,8 +319,8 @@ def _analysis_records(problem, instance, picard, state, kmax):
     sigma = fact.sigma
     slack = 1e-12 * sigma[0]
     model, source = _spectrum_for_bounds(problem)
-    navail = min(len(state.alphas) - 1, len(state.betas) - 2)
     K = min(kmax, state.max_trailing_k)
+    proxy = dict(decay_diagnostic(state, K))
     records, reports = [], []
     for k in range(1, K + 1):
         Q = state.Q_k(k)
@@ -353,7 +333,6 @@ def _analysis_records(problem, instance, picard, state, kmax):
             lag = lagrange_factor(sigma, k)[1]
         except ValueError:
             lag = math.nan
-        ab = state.alphas[k] + state.betas[k + 1] if k <= navail else math.nan
         records.append(
             AnalysisRecord(
                 k=k,
@@ -367,7 +346,7 @@ def _analysis_records(problem, instance, picard, state, kmax):
                 lagrange_max=lag,
                 near_best=near_best_predicate(gamma, sigma[k - 1], sigma[k], tol=slack),
                 natural_order=natural_order_check(theta, sigma),
-                alpha_beta_sum=ab,
+                alpha_beta_sum=proxy.get(k, math.nan),
             )
         )
         report = None
@@ -391,12 +370,11 @@ def _check_invariants(records, sigma, state, lsqr, tsvd, reorth):
                 f"gap not strictly decreasing at k={rec.k}: "
                 f"{rec.gamma!r} vs {prev.gamma!r}"
             )
-    navail = min(len(state.alphas) - 1, len(state.betas) - 2)
     for rec in records:
         k = rec.k
         if not rec.gamma >= rec.sigma_k1 - slack:
             viol.append(f"gap below sigma_{k + 1} at k={k}")
-        if k <= navail:
+        if k <= state.max_proxy_k:
             a, b = state.alphas[k], state.betas[k + 1]
             if not a < rec.gamma + slack:
                 viol.append(f"alpha_{k + 1} = {a!r} not below gap {rec.gamma!r}")
@@ -663,18 +641,6 @@ class CompareReport:
         return out
 
 
-def _parse_kv_file(path) -> dict:
-    out = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for ln in fh:
-            ln = ln.rstrip("\n")
-            if not ln:
-                continue
-            key, _, value = ln.partition("=")
-            out[key] = value
-    return out
-
-
 def _cells_differ(a: str, b: str, tol: float):
     """(differs, relative difference) for two CSV cells."""
     if a == b:
@@ -738,7 +704,7 @@ def compare(dir_a, dir_b, tolerances: dict | None = None) -> CompareReport:
                 )
     sa, sb = os.path.join(dir_a, "summary.txt"), os.path.join(dir_b, "summary.txt")
     if os.path.exists(sa) and os.path.exists(sb):
-        kva, kvb = _parse_kv_file(sa), _parse_kv_file(sb)
+        kva, kvb = parse_config_file(sa), parse_config_file(sb)
         for key in sorted(set(kva) | set(kvb)):
             va, vb = kva.get(key), kvb.get(key)
             if va != vb:
@@ -746,7 +712,7 @@ def compare(dir_a, dir_b, tolerances: dict | None = None) -> CompareReport:
                 if differs:
                     diffs.append(
                         ColumnDiff("summary.txt", key, 1, rel, tolerances.get(key, 0.0),
-                                   key in _NOISE_DEPENDENT_SUMMARY_KEYS)
+                                   key not in NOISE_INDEPENDENT_COLUMNS)
                     )
     for column, tol in sorted(tolerances.items()):
         notes.append(f"column {column}: tolerance relaxed to {tol:g}")

@@ -15,7 +15,6 @@ oracles can evaluate them independently.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,8 +31,6 @@ __all__ = [
     "make_prescribed",
     "make_picard_synthetic",
     "fit_spectrum_model",
-    "write_matrix",
-    "read_matrix",
 ]
 
 #: Relative gap under which two singular values are reported as degenerate.
@@ -106,13 +103,6 @@ class IllPosedProblem:
     @property
     def n(self) -> int:
         return self.A.shape[1]
-
-    def export(self, directory) -> None:
-        """Write A, x_true, b_true as plain-text matrices into a directory."""
-        os.makedirs(directory, exist_ok=True)
-        write_matrix(os.path.join(directory, "A.txt"), self.A)
-        write_matrix(os.path.join(directory, "x_true.txt"), self.x_true[:, None])
-        write_matrix(os.path.join(directory, "b_true.txt"), self.b_true[:, None])
 
 
 def _finalize(name, A, x_true, spectrum, b_true=None) -> IllPosedProblem:
@@ -359,28 +349,3 @@ def fit_spectrum_model(sigma, floor_rel: float = 1e-13) -> SpectrumModel:
     if not candidates:
         raise ValueError("no admissible decay model fits this spectrum")
     return min(candidates, key=lambda c: c[0])[1]
-
-
-# Plain-text matrix format ====================================================
-def write_matrix(path, M) -> None:
-    """Write a matrix as ``rows cols`` header plus row-major ASCII floats."""
-    M = as_matrix(M, "M")
-    r, c = M.shape
-    lines = [f"{r} {c}"]
-    for row in M:
-        lines.append(" ".join(repr(float(v)) for v in row))
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_matrix(path) -> np.ndarray:
-    """Read a matrix written by :func:`write_matrix`."""
-    with open(path, "r", encoding="ascii") as fh:
-        tokens = fh.read().split()
-    if len(tokens) < 2:
-        raise ValueError(f"{path}: truncated matrix file")
-    r, c = int(tokens[0]), int(tokens[1])
-    vals = tokens[2:]
-    if len(vals) != r * c:
-        raise ValueError(f"{path}: expected {r * c} entries, found {len(vals)}")
-    return np.array([float(v) for v in vals]).reshape(r, c)

@@ -410,8 +410,8 @@ def test_criterion_8_decay_proxy_fidelity(cache):
             if len(rows) < 2:
                 failures.append(f"{tag}: only {len(rows)} usable steps")
                 continue
-            sums = np.array([r[1] for r in rows])
-            gams = np.array([r[2] for r in rows])
+            sums = np.array([s for _, s in rows])
+            gams = np.array([gamma_via_Gk(run.state, k) for k, _ in rows])
             corr = float(np.corrcoef(np.log(sums), np.log(gams))[0, 1])
             ratios = sums / gams
             min_corr = min(min_corr, corr)

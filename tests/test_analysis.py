@@ -197,6 +197,28 @@ def test_gamma_routes_match_dense_oracles(n):
             assert gamma_exact(A, Q) == pytest.approx(dense_gap(A, Q), abs=tol), (name, k)
 
 
+def test_max_proxy_k_is_the_last_step_with_both_coefficients():
+    # alpha_{k+1} and beta_{k+2} both exist for k = max_proxy_k, not beyond.
+    def has_pair(state, k):
+        return k + 1 <= len(state.alphas) and k + 2 <= len(state.betas)
+
+    n = 64
+    rank = 2 * n // 3
+    shaw = make_shaw(n)
+    shaw_state, err = bidiag_run(
+        shaw.A, add_noise(shaw, 1e-3, 0).b, norm_A=float(shaw.svd.sigma[0])
+    )
+    assert err.entry == "alpha_20"
+    states = [(name, state) for name, _, state in _rigs(n)] + [("shaw", shaw_state)]
+    expected = {"complete": n - 1, "beta breakdown": rank - 2,
+                "alpha breakdown": rank - 1, "shaw": 18}
+    for name, state in states:
+        K = state.max_proxy_k
+        assert K == expected[name], name
+        assert has_pair(state, K) and not has_pair(state, K + 1), name
+        assert [k for k, _ in decay_diagnostic(state)] == list(range(1, K + 1)), name
+
+
 @pytest.mark.parametrize("n", [64, 300])
 def test_gamma_exact_repeated_top_singular_value(n):
     # Deflating the top right singular vector of diag(10, 5, 5, 5, 1, ...)
@@ -599,25 +621,24 @@ def test_decay_diagnostic_rows():
     assert err is None
     rows = decay_diagnostic(state)
     assert [r[0] for r in rows] == list(range(1, 12))
-    for k, coeff_sum, gk in rows:
+    for k, coeff_sum in rows:
         assert coeff_sum == state.alphas[k] + state.betas[k + 1]
-        assert gk == pytest.approx(gamma_via_Gk(state, k), rel=1e-13)
+        gk = gamma_via_Gk(state, k)
         # The pair forms the first column of the trailing block, so the sum
         # can exceed its norm by at most sqrt(2).
         assert math.hypot(state.alphas[k], state.betas[k + 1]) <= gk * (1 + 1e-12)
         assert coeff_sum <= math.sqrt(2.0) * gk * (1 + 1e-12)
     # At k = n-1 the block is the single column itself.
-    k, coeff_sum, gk = rows[-1]
-    assert 1.0 - 1e-12 <= coeff_sum / gk <= math.sqrt(2.0) + 1e-12
+    k, coeff_sum = rows[-1]
+    assert 1.0 - 1e-12 <= coeff_sum / gamma_via_Gk(state, k) <= math.sqrt(2.0) + 1e-12
     assert len(decay_diagnostic(state, kmax=5)) == 5
 
 
-def test_decay_diagnostic_running_state_has_nan_gamma():
+def test_decay_diagnostic_on_running_state():
     prob = make_picard_synthetic(12, severe(2.0), seed=5)
     state, _ = bidiag_run(prob.A, prob.b_true, steps=4)
     rows = decay_diagnostic(state)
     assert len(rows) == 3
-    assert all(math.isnan(r[2]) for r in rows)
 
 
 # CSV export ------------------------------------------------------------------

@@ -330,6 +330,27 @@ def test_cli_bad_config_exits_2(tmp_path):
     assert not (tmp_path / "x").exists()
 
 
+def test_cli_non_ascii_config_exits_2(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# noise level \u03c3\nproblem=deriv2\n", encoding="utf-8")
+    proc = _cli("run", "--config", str(cfg), "--out", str(tmp_path / "x"))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error:")
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "x").exists()
+
+
+def test_cli_compare_non_ascii_summary_exits_2(base_run, tmp_path):
+    other = tmp_path / "other"
+    shutil.copytree(base_run.outdir, other)
+    with open(other / "summary.txt", "ab") as fh:
+        fh.write("note=\u03c3\n".encode("utf-8"))
+    proc = _cli("compare", base_run.outdir, str(other))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error:")
+    assert "Traceback" not in proc.stderr
+
+
 def test_cli_compare_mismatch_exits_1(base_run, tmp_path):
     other = tmp_path / "other"
     run(small_config(other, seed=1))

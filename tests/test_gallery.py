@@ -21,8 +21,6 @@ from illposed.gallery import (
     make_picard_synthetic,
     make_prescribed,
     make_shaw,
-    read_matrix,
-    write_matrix,
 )
 
 
@@ -174,15 +172,3 @@ def test_fit_spectrum_model_on_deriv2():
     fitted = fit_spectrum_model(make_deriv2(64).svd.sigma)
     assert fitted.kind == "moderate_or_mild"
     assert 1.5 <= fitted.alpha <= 2.5
-
-
-def test_export_and_matrix_round_trip(tmp_path):
-    prob = make_deriv2(5)
-    prob.export(tmp_path)
-    A = read_matrix(tmp_path / "A.txt")
-    np.testing.assert_array_equal(A, prob.A)
-    x = read_matrix(tmp_path / "x_true.txt")
-    np.testing.assert_array_equal(x.ravel(), prob.x_true)
-    M = np.array([[0.1, -2.0], [float(np.pi), 1e-17]])
-    write_matrix(tmp_path / "m.txt", M)
-    np.testing.assert_array_equal(read_matrix(tmp_path / "m.txt"), M)
