@@ -62,89 +62,168 @@ class IllConditionedError(ValueError):
 #: Trailing blocks with at least this many columns take the bisection route.
 GK_BISECTION_MIN = 128
 #: ``gamma_exact`` iterates when n - k is at least this; below, a dense SVD.
-LANCZOS_MIN = 96
+LANCZOS_MIN = 72
 #: Lanczos stops once the Ritz residual is at most this multiple of ||A||_F.
 LANCZOS_RTOL = 1e-14
 #: Lanczos iterations before ``gamma_exact`` falls back to the dense SVD.
 LANCZOS_MAX_ITER = 100
+#: Lanczos processes (one per k) run in lockstep blocks of at most this many.
+LANCZOS_BLOCK = 8
 
 _EPS = float(np.finfo(float).eps)
 _PIVMIN = float(np.finfo(float).tiny)
 
 
-def gamma_exact(A, Q) -> float:
+def gamma_exact(A, Q, all_k: bool = False):
     """||A (I - Q Q')|| from A and an orthonormal basis Q.
 
-    ``Q`` may be an (n, k) orthonormal basis or a :class:`BidiagState`,
-    in which case its full current Krylov basis is used.
+    ``Q`` may be an (n, K) orthonormal basis or a :class:`BidiagState`,
+    in which case its full current Krylov basis is used.  With ``all_k``
+    the result is the array of gaps gamma_1..gamma_K of the leading blocks
+    Q[:, :k], k = 1..K, from one lockstep run; otherwise the float gamma_K.
 
-    For n - k >= ``LANCZOS_MIN`` the value is the top Ritz value of
-    Golub-Kahan-Lanczos on the operator x -> A (x - Q Q'x), certified to
-    ``LANCZOS_RTOL * ||A||_F`` (see :func:`_deflated_norm_lanczos`); if the
+    For n - k >= ``LANCZOS_MIN`` the gap is the top Ritz value of
+    Golub-Kahan-Lanczos on the operator x -> A (x - Q_k Q_k'x), certified to
+    ``LANCZOS_RTOL * ||A||_F`` (see :func:`_lanczos_gaps`); if the
     certificate is not reached, and for smaller n - k, it is the largest
     singular value of the explicit residual matrix.  This route never reads
     the recurrence coefficients.
     """
     if isinstance(Q, BidiagState):
         Q = Q.Q_k(Q.max_k)
-    if A.shape[1] - Q.shape[1] >= LANCZOS_MIN:
-        gamma = _deflated_norm_lanczos(A, Q)
-        if gamma is not None:
-            return gamma
-    return spectral_norm(A - (A @ Q) @ Q.T)
+    K = Q.shape[1]
+    ks = list(range(1, K + 1)) if all_k else [K]
+    iterative = [k for k in ks if A.shape[1] - k >= LANCZOS_MIN]
+    certified = dict(zip(iterative, _lanczos_gaps(A, Q, iterative)))
+    gammas = []
+    for k in ks:
+        gamma = certified.get(k)
+        if gamma is None:
+            Qk = Q[:, :k]
+            gamma = spectral_norm(A - (A @ Qk) @ Qk.T)
+        gammas.append(gamma)
+    return np.array(gammas) if all_k else gammas[0]
 
 
-def _deflated_norm_lanczos(A, Q) -> float | None:
-    """Largest singular value of M: x -> A (x - Q Q'x), or None if uncertified.
+def _lanczos_gaps(A, Q, ks) -> list:
+    """Largest singular value of M_k: x -> A (x - Q_k Q_k'x), Q_k = Q[:, :k],
+    for each k in ``ks``; None where it is not certified.
 
-    Golub-Kahan-Lanczos from a fixed-seed Gaussian vector projected off Q,
-    with two-pass full reorthogonalization of both bases, builds
-    M V_j = U_j B_j and M' U_j = V_j B_j' + beta_{j+1} v_{j+1} e_j' with B_j
-    upper bidiagonal.  For the top singular triple (theta, x, y) of B_j,
-    M V_j y = theta U_j x exactly and M' U_j x - theta V_j y has norm
-    beta_{j+1} |x_j|.  Once that residual is at most
-    ``tol = LANCZOS_RTOL * ||A||_F``, a singular value of M lies within tol
-    of theta, and theta, a Ritz value, is at most ||M||.  If a later
-    alpha_{j+1} falls to tol or below, it is set to zero: the top triple of
-    B_{j+1} then has its residual, at most alpha_{j+1}, in M V_{j+1} y
-    instead.  Returns None when the residual stays above tol for
-    ``LANCZOS_MAX_ITER`` iterations or M maps the start vector to zero.
+    One Golub-Kahan-Lanczos process per k, all from the same fixed-seed
+    Gaussian vector projected off Q_k, with two-pass full
+    reorthogonalization of both bases, builds M_k V_j = U_j B_j and
+    M_k' U_j = V_j B_j' + beta_{j+1} v_{j+1} e_j' with B_j upper bidiagonal.
+    For the top singular triple (theta, x, y) of B_j, M_k V_j y = theta U_j x
+    exactly and M_k' U_j x - theta V_j y has norm beta_{j+1} |x_j|.  Once
+    that residual is at most ``tol = LANCZOS_RTOL * ||A||_F``, a singular
+    value of M_k lies within tol of theta, and theta, a Ritz value, is at
+    most ||M_k||.  If a later alpha_{j+1} falls to tol or below, it is set
+    to zero: the top triple of B_{j+1} then has its residual, at most
+    alpha_{j+1}, in M_k V_{j+1} y instead.  A process is uncertified when
+    its residual stays above tol for ``LANCZOS_MAX_ITER`` iterations or M_k
+    maps the start vector to zero.
+
+    The processes run in lockstep blocks of ``LANCZOS_BLOCK`` consecutive k:
+    each step applies A and A' to the whole block with one product each,
+    and a process leaves its block once it has its value.
     """
-    m, n = A.shape
     tol = LANCZOS_RTOL * float(np.linalg.norm(A))
-    v = np.random.default_rng(0).standard_normal(n)
-    v -= Q @ (Q.T @ v)
-    v /= np.linalg.norm(v)
-    U = np.empty((m, LANCZOS_MAX_ITER))
-    V = np.empty((n, LANCZOS_MAX_ITER))
-    B = np.zeros((LANCZOS_MAX_ITER, LANCZOS_MAX_ITER + 1))
-    beta = 0.0
+    start = np.random.default_rng(0).standard_normal(A.shape[1])
+    out = []
+    for i in range(0, len(ks), LANCZOS_BLOCK):
+        block = ks[i : i + LANCZOS_BLOCK]
+        out += _lanczos_block(A, Q[:, : block[-1]], block, start, tol)
+    return out
+
+
+def _lanczos_block(A, Q, ks, start, tol) -> list:
+    """The lockstep processes of :func:`_lanczos_gaps` for one block of k."""
+    m, n = A.shape
+    p = len(ks)
+    # Row c of every per-process array belongs to process ks[live[c]].
+    live = np.arange(p)
+    own = np.arange(Q.shape[1]) < np.asarray(ks)[:, None]  # Q_k's columns per k
+
+    def deflate(X):
+        """Each row x of X minus its projection on its own process's Q_k."""
+        return X - ((X @ Q) * own[live]) @ Q.T
+
+    v = deflate(np.broadcast_to(start, (p, n)))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    # The bases grow on demand: most processes certify within 32 iterations,
+    # and rows preallocated for LANCZOS_MAX_ITER would cost memory and
+    # allocation time that they never use.
+    U = np.empty((p, 16, m))
+    V = np.empty((p, 16, n))
+    ab = np.zeros((p, LANCZOS_MAX_ITER, 2))  # alpha_i and beta_{i+1} of B_j
+    beta = np.zeros(p)
+    out = [None] * p
     for j in range(LANCZOS_MAX_ITER):
+        if j == U.shape[1]:
+            U, V = (_grown(a, j) for a in (U, V))
         V[:, j] = v
-        w = A @ (v - Q @ (Q.T @ v))
+        w = deflate(v) @ A.T
         if j:
-            w -= beta * U[:, j - 1]
-            for _ in range(2):
-                w -= U[:, :j] @ (U[:, :j].T @ w)
-        alpha = float(np.linalg.norm(w))
-        if j and alpha <= tol:
-            return float(np.linalg.svd(B[:j, : j + 1], compute_uv=False)[0])
-        if alpha == 0.0:
-            return None
-        U[:, j] = w / alpha
-        r = A.T @ U[:, j]
-        r -= Q @ (Q.T @ r)
-        r -= alpha * v
-        for _ in range(2):
-            r -= V[:, : j + 1] @ (V[:, : j + 1].T @ r)
-        beta = float(np.linalg.norm(r))
-        B[j, j] = alpha
-        X, s, _ = np.linalg.svd(B[: j + 1, : j + 1])
-        if beta * abs(X[j, 0]) <= tol:
-            return float(s[0])
-        B[j, j + 1] = beta
-        v = r / beta
-    return None
+            w -= beta[:, None] * U[:, j - 1]
+            w = _reorthogonalize(w, U[:, :j])
+        alpha = np.linalg.norm(w, axis=1)
+        # alpha_{j+1} <= tol ends a process with the value of B_{j+1} at
+        # alpha_{j+1} = 0; alpha_1 = 0 ends it uncertified.
+        broke = alpha <= tol if j else alpha == 0.0
+        alpha[broke] = 0.0
+        U[:, j] = w / np.where(broke, 1.0, alpha)[:, None]
+        r = deflate(U[:, j] @ A) - alpha[:, None] * v
+        r = _reorthogonalize(r, V[:, : j + 1])
+        beta = np.linalg.norm(r, axis=1)
+        ab[:, j, 0] = alpha
+        X, s, _ = np.linalg.svd(_upper_bidiagonal(ab[:, : j + 1, 0], ab[:, :j, 1]))
+        done = broke | (beta * np.abs(X[:, j, 0]) <= tol)
+        for c in np.nonzero(done)[0]:
+            out[live[c]] = None if j == 0 and broke[c] else float(s[c, 0])
+        if done.all():
+            break
+        if done.any():
+            keep = ~done
+            live, beta, r = live[keep], beta[keep], r[keep]
+            U, V, ab = (_compact(a, keep, j + 1) for a in (U, V, ab))
+        ab[:, j, 1] = beta
+        v = r / beta[:, None]
+    return out
+
+
+def _upper_bidiagonal(d, e):
+    """Stack of square upper bidiagonal matrices, diagonals ``d[c]`` and
+    superdiagonals ``e[c]``."""
+    p, j = d.shape
+    B = np.zeros((p, j, j))
+    i = np.arange(j)
+    B[:, i, i] = d
+    B[:, i[:-1], i[1:]] = e
+    return B
+
+
+def _reorthogonalize(W, bases):
+    """Two passes of classical Gram-Schmidt of each row W[c] against the
+    orthonormal rows of ``bases[c]``."""
+    for _ in range(2):
+        W = W - (np.matmul(bases, W[:, :, None]).transpose(0, 2, 1) @ bases)[:, 0]
+    return W
+
+
+def _grown(a, used):
+    """``a`` with twice the room along axis 1 (at most ``LANCZOS_MAX_ITER``),
+    its first ``used`` entries copied."""
+    out = np.empty((a.shape[0], min(2 * used, LANCZOS_MAX_ITER)) + a.shape[2:])
+    out[:, :used] = a[:, :used]
+    return out
+
+
+def _compact(a, keep, used):
+    """Move the rows ``a[keep]`` to the front, their first ``used`` entries
+    along axis 1 only, and return a view of them."""
+    p = int(keep.sum())
+    a[:p, :used] = a[keep, :used]
+    return a[:p]
 
 
 def gamma_via_Gk(state: BidiagState, k: int) -> float:
@@ -287,7 +366,7 @@ def mirsky_gap_check(theta, sigma, gamma, tol: float | None = None) -> bool:
 
 
 # Subspace distance ==========================================================
-def delta_norm_via_angles(V, Q):
+def delta_norm_via_angles(V, Q, *, VQ=None):
     """Largest principal angle between span(V_k) and the Krylov space.
 
     Parameters
@@ -296,6 +375,9 @@ def delta_norm_via_angles(V, Q):
         Right singular vectors (columns 1..k are used).
     Q : (n, k) ndarray
         Orthonormal Krylov basis.
+    VQ : (>=k, >=k) ndarray, optional
+        V'Q_K for a basis Q_K whose leading k columns are Q.  One such
+        projection serves every k <= K; without it V_k'Q is formed here.
 
     Returns
     -------
@@ -306,22 +388,25 @@ def delta_norm_via_angles(V, Q):
     """
     k = Q.shape[1]
     Vk = V[:, :k]
-    sin_theta = min(spectral_norm(Vk - Q @ (Q.T @ Vk)), 1.0)
+    QtVk = Q.T @ Vk if VQ is None else VQ[:k, :k].T
+    sin_theta = min(spectral_norm(Vk - Q @ QtVk), 1.0)
     if sin_theta >= SIN_SATURATION:
         return sin_theta, math.inf
     return sin_theta, sin_theta / math.sqrt((1.0 - sin_theta) * (1.0 + sin_theta))
 
 
-def delta_matrix_via_projection(V, Q):
+def delta_matrix_via_projection(V, Q, *, VQ=None):
     """The (n-k) x k distance matrix Delta_k recovered from the Krylov basis.
 
     Writing the coordinates of Q in the right singular basis as
     M = V' Q = [M1; M2], the Krylov space equals the graph subspace
     spanned by V_k + V_perp Delta_k exactly when Delta_k = M2 M1^{-1}.
-    Returns ``None`` when M1 is numerically singular (a right angle).
+    ``VQ`` may hold V'Q_K for a basis whose leading k columns are Q (see
+    :func:`delta_norm_via_angles`).  Returns ``None`` when M1 is
+    numerically singular (a right angle).
     """
     k = Q.shape[1]
-    M = V.T @ Q
+    M = V.T @ Q if VQ is None else VQ[:, :k]
     M1 = M[:k]
     M2 = M[k:]
     try:
@@ -368,17 +453,18 @@ def delta_direct(fact: SvdFactorization, b, k: int) -> np.ndarray:
     return (d[k:, None] * M) / d[None, :k]
 
 
-def sigma_delta_norm(fact: SvdFactorization, b, k: int, Q=None) -> float:
+def sigma_delta_norm(fact: SvdFactorization, b, k: int, Q=None, *, VQ=None) -> float:
     """||Delta_k Sigma_k|| (equivalently ||Sigma_k Delta_k'||).
 
     Uses the defining small-scale formula by default; pass the Krylov basis
     ``Q`` to use the projection route, which stays well-conditioned at
-    scale.  Returns ``inf`` when the projection route meets a right angle.
+    scale (``VQ`` as in :func:`delta_matrix_via_projection`).  Returns
+    ``inf`` when the projection route meets a right angle.
     """
     if Q is None:
         delta = delta_direct(fact, b, k)
     else:
-        delta = delta_matrix_via_projection(fact.V, Q)
+        delta = delta_matrix_via_projection(fact.V, Q, VQ=VQ)
         if delta is None:
             return math.inf
     return spectral_norm(delta * fact.sigma[:k])

@@ -106,6 +106,11 @@ NOISE_INDEPENDENT_COLUMNS = frozenset(
     {"i", "k", "index", "sigma_i", "abs_uiTbtrue", "sigma_k1", "lagrange_max", "regime",
      "problem", "m", "n", "generator", "reorth", "kmax", "bound_model", "bound_model_source"}
 )
+#: Summary ``problem`` names of the synthetic problems (prescribed and
+#: picard_synthetic), whose singular vectors the config seed draws together
+#: with the noise: for them the computed spectrum columns depend on the seed.
+SEEDED_PROBLEM_PREFIXES = ("prescribed-", "picard-")
+SPECTRUM_COLUMNS = frozenset({"sigma_i", "abs_uiTbtrue", "sigma_k1", "lagrange_max"})
 
 
 # Configuration ===============================================================
@@ -322,13 +327,17 @@ def _analysis_records(problem, instance, picard, state, kmax):
     K = min(kmax, state.max_trailing_k)
     proxy = dict(decay_diagnostic(state, K))
     records, reports = [], []
+    if K:
+        QK = state.Q_k(K)
+        gammas = gamma_exact(problem.A, QK, all_k=True)
+        VQ = fact.V.T @ QK
     for k in range(1, K + 1):
         Q = state.Q_k(k)
-        gamma = gamma_exact(problem.A, Q)
+        gamma = float(gammas[k - 1])
         gamma_gk = gamma_via_Gk(state, k) if state.terminal else math.nan
         theta = ritz_values(state, k)
-        sin_theta, delta = delta_norm_via_angles(fact.V, Q)
-        sd = sigma_delta_norm(fact, instance.b, k, Q=Q)
+        sin_theta, delta = delta_norm_via_angles(fact.V, Q, VQ=VQ)
+        sd = sigma_delta_norm(fact, instance.b, k, Q=Q, VQ=VQ)
         try:
             lag = lagrange_factor(sigma, k)[1]
         except ValueError:
@@ -669,6 +678,13 @@ def compare(dir_a, dir_b, tolerances: dict | None = None) -> CompareReport:
     """
     tolerances = dict(tolerances or {})
     diffs, notes = [], []
+    summaries = []
+    for d in (dir_a, dir_b):
+        path = os.path.join(d, "summary.txt")
+        summaries.append(parse_config_file(path) if os.path.exists(path) else None)
+    independent = NOISE_INDEPENDENT_COLUMNS
+    if any(kv and kv.get("problem", "").startswith(SEEDED_PROBLEM_PREFIXES) for kv in summaries):
+        independent = independent - SPECTRUM_COLUMNS
     for name in ARTIFACT_CSVS:
         pa, pb = os.path.join(dir_a, name), os.path.join(dir_b, name)
         have_a, have_b = os.path.exists(pa), os.path.exists(pb)
@@ -699,12 +715,12 @@ def compare(dir_a, dir_b, tolerances: dict | None = None) -> CompareReport:
                     worst = max(worst, rel)
             if count:
                 diffs.append(
-                    ColumnDiff(name, column, count, worst, tol,
-                               column not in NOISE_INDEPENDENT_COLUMNS)
+                    ColumnDiff(name, column, count, worst, tol, column not in independent)
                 )
-    sa, sb = os.path.join(dir_a, "summary.txt"), os.path.join(dir_b, "summary.txt")
-    if os.path.exists(sa) and os.path.exists(sb):
-        kva, kvb = parse_config_file(sa), parse_config_file(sb)
+    kva, kvb = summaries
+    if (kva is None) != (kvb is None):
+        diffs.append(ColumnDiff("summary.txt", "<file>", 1, math.inf, 0.0, True))
+    elif kva is not None:
         for key in sorted(set(kva) | set(kvb)):
             va, vb = kva.get(key), kvb.get(key)
             if va != vb:
@@ -712,7 +728,7 @@ def compare(dir_a, dir_b, tolerances: dict | None = None) -> CompareReport:
                 if differs:
                     diffs.append(
                         ColumnDiff("summary.txt", key, 1, rel, tolerances.get(key, 0.0),
-                                   key not in NOISE_INDEPENDENT_COLUMNS)
+                                   key not in independent)
                     )
     for column, tol in sorted(tolerances.items()):
         notes.append(f"column {column}: tolerance relaxed to {tol:g}")

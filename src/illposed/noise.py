@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .csvio import write_csv
 from .gallery import IllPosedProblem
@@ -138,12 +139,8 @@ def picard_diagnostic(instance: NoisyInstance, noise_floor: float | None = None)
     coef_true = np.abs(fact.coefficients(instance.problem.b_true))
     n = coef.size
 
-    k0 = 0
-    for k in range(1, n + 1):
-        lo = max(1, k - WINDOW_HALF)
-        hi = min(n, k + WINDOW_HALF)
-        if np.median(coef[lo - 1 : hi]) > FLOOR_FACTOR * floor:
-            k0 = k
+    above = np.nonzero(_window_medians(coef) > FLOOR_FACTOR * floor)[0]
+    k0 = int(above[-1]) + 1 if above.size else 0
 
     below = np.nonzero(coef <= floor)[0]
     k0_naive = int(below[0]) if below.size else n
@@ -171,6 +168,26 @@ def picard_diagnostic(instance: NoisyInstance, noise_floor: float | None = None)
         beta_fit=beta_fit,
         warnings=tuple(warnings),
     )
+
+
+def _window_medians(coef) -> np.ndarray:
+    """Median of coef over the window k-WINDOW_HALF..k+WINDOW_HALF, clamped
+    to 1..n, for every k = 1..n; bit-identical to ``np.median`` per window.
+
+    Each window is sorted with +inf in place of the indices past either
+    end, so its real entries come first; the median is the middle one of
+    those, or the mean of the middle two.
+    """
+    n = coef.size
+    width = 2 * WINDOW_HALF + 1
+    padded = np.full(n + width - 1, np.inf)
+    padded[WINDOW_HALF : WINDOW_HALF + n] = coef
+    windows = np.sort(sliding_window_view(padded, width), axis=1)
+    k = np.arange(1, n + 1)
+    size = np.minimum(n, k + WINDOW_HALF) - np.maximum(1, k - WINDOW_HALF) + 1
+    lo = windows[k - 1, (size - 1) // 2]
+    hi = windows[k - 1, size // 2]
+    return np.where(size % 2 == 1, lo, (lo + hi) / 2)
 
 
 def write_picard_csv(diag: PicardDiagnostic, path) -> None:

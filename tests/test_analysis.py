@@ -3,9 +3,12 @@
 import copy
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import poly, severe
 
@@ -265,11 +268,71 @@ def test_gamma_exact_dense_fallback_when_uncertified(monkeypatch):
     Q = state.Q_k(5)
     certified = gamma_exact(prob.A, Q)
     monkeypatch.setattr(analysis, "LANCZOS_MAX_ITER", 1)
-    assert analysis._deflated_norm_lanczos(prob.A, Q) is None
+    assert analysis._lanczos_gaps(prob.A, Q, [5]) == [None]
     assert gamma_exact(prob.A, Q) == dense_gap(prob.A, Q)
     assert gamma_exact(prob.A, Q) == pytest.approx(
         certified, abs=LANCZOS_RTOL * np.linalg.norm(prob.A)
     )
+
+
+# All gaps of one run: the lockstep Lanczos processes against the dense oracle.
+def _rig(kind, n):
+    if kind == "complete":
+        prob = make_deriv2(n)
+        state, err = bidiag_run(
+            prob.A, add_noise(prob, 1e-3, 0).b, norm_A=float(prob.svd.sigma[0])
+        )
+        assert err is None
+        return prob.A, state
+    return _planted_rig(n, 2 * n // 3, alpha_breakdown=kind == "alpha breakdown")
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(["complete", "beta breakdown", "alpha breakdown"]),
+    n=st.integers(12, 60),
+    split=st.integers(1, 39),
+    max_iter=st.sampled_from([3, 6, analysis.LANCZOS_MAX_ITER]),
+)
+def test_all_k_gaps_match_dense_oracle(kind, n, split, max_iter):
+    # k <= split iterates and the larger k take the dense route; a small
+    # LANCZOS_MAX_ITER leaves some processes uncertified (dense fallback).
+    A, state = _rig(kind, n)
+    K = min(40, state.max_trailing_k)
+    split = min(split, K - 1)
+    Q = state.Q_k(K)
+    with mock.patch.object(analysis, "LANCZOS_MIN", n - split), \
+            mock.patch.object(analysis, "LANCZOS_MAX_ITER", max_iter):
+        gammas = gamma_exact(A, Q, all_k=True)
+        lanczos = analysis._lanczos_gaps(A, Q, list(range(1, split + 1)))
+    tol = LANCZOS_RTOL * np.linalg.norm(A)
+    assert gammas.shape == (K,)
+    for k in range(1, K + 1):
+        oracle = dense_gap(A, Q[:, :k])
+        assert gammas[k - 1] == pytest.approx(oracle, abs=tol), (kind, k)
+        if k > split:
+            assert gammas[k - 1] == oracle, (kind, k)
+        elif lanczos[k - 1] is not None:
+            assert lanczos[k - 1] == gammas[k - 1], (kind, k)
+
+
+def test_uncertified_process_falls_back_while_the_others_certify(monkeypatch):
+    # Process k deflates k columns of a 24 x 24 matrix, so for k = 21..23 its
+    # operator has rank <= 3 and certifies within 3 iterations; k = 1 needs
+    # more than that and leaves the block uncertified.
+    A, state = _rig("complete", 24)
+    Q = state.Q_k(23)
+    ks = [1, 21, 22, 23]
+    monkeypatch.setattr(analysis, "LANCZOS_MAX_ITER", 3)
+    got = analysis._lanczos_gaps(A, Q, ks)
+    assert got[0] is None and None not in got[1:]
+    tol = LANCZOS_RTOL * np.linalg.norm(A)
+    for k, gamma in zip(ks[1:], got[1:]):
+        assert gamma == pytest.approx(dense_gap(A, Q[:, :k]), abs=tol), k
+    monkeypatch.setattr(analysis, "LANCZOS_MIN", 1)
+    gammas = gamma_exact(A, Q, all_k=True)
+    assert gammas[0] == dense_gap(A, Q[:, :1])
+    np.testing.assert_allclose(gammas[20:], got[1:], rtol=0, atol=tol)
 
 
 def test_gamma_via_Gk_reads_only_the_coefficients():

@@ -299,6 +299,50 @@ def test_compare_missing_file_is_a_diff(base_run, tmp_path):
     assert any(d.file == "ritz.csv" and d.column == "<file>" for d in report.diffs)
 
 
+def test_compare_missing_summary_is_a_diff(base_run, tmp_path):
+    partial = tmp_path / "no-summary"
+    shutil.copytree(base_run.outdir, partial)
+    os.remove(partial / "summary.txt")
+    for a, b in ((base_run.outdir, str(partial)), (str(partial), base_run.outdir)):
+        report = compare(a, b)
+        assert not report.ok
+        assert [(d.file, d.column) for d in report.diffs] == [("summary.txt", "<file>")]
+        assert report.lines()[-1] == "RESULT mismatch"
+    assert compare(str(partial), str(partial)).ok
+
+
+@pytest.mark.parametrize("problem", ["prescribed", "picard_synthetic"])
+def test_compare_spectrum_columns_follow_the_seed_of_synthetic_problems(problem, tmp_path):
+    # The seed draws the singular vectors of the synthetic problems, so the
+    # computed singular values move with it (at roundoff).
+    runs = [tmp_path / f"seed{seed}" for seed in (0, 1)]
+    for out, seed in zip(runs, (0, 1)):
+        run(small_config(out, problem=problem, seed=seed))
+    report = compare(str(runs[0]), str(runs[1]))
+    spectrum = {"sigma_i", "abs_uiTbtrue", "sigma_k1", "lagrange_max"}
+    moved = {d.column for d in report.diffs} & spectrum
+    assert "sigma_i" in moved
+    assert all(d.noise_dependent for d in report.diffs)
+    assert all("(noise-dependent)" in ln for ln in report.lines() if ln.startswith("DIFF"))
+
+
+def test_compare_kernel_spectrum_stays_noise_independent(base_run, tmp_path):
+    # A kernel problem's spectrum ignores the seed; a doctored singular
+    # value is reported as a noise-independent difference.
+    other = tmp_path / "doctored"
+    shutil.copytree(base_run.outdir, other)
+    picard = other / "picard.csv"
+    lines = picard.read_text(encoding="ascii").splitlines()
+    cells = lines[2].split(",")
+    cells[1] = repr(float(cells[1]) * 2.0)
+    lines[2] = ",".join(cells)
+    picard.write_text("\n".join(lines) + "\n", encoding="ascii")
+    report = compare(base_run.outdir, str(other))
+    assert [(d.file, d.column, d.noise_dependent) for d in report.diffs] == [
+        ("picard.csv", "sigma_i", False)
+    ]
+
+
 # Command-line interface ---------------------------------------------------------
 def _cli(*args):
     """Run ``python -m illposed`` on this package, installed or not."""

@@ -10,6 +10,9 @@ from conftest import severe
 from illposed.csvio import read_csv
 from illposed.gallery import make_picard_synthetic, make_shaw
 from illposed.noise import (
+    FLOOR_FACTOR,
+    WINDOW_HALF,
+    _window_medians,
     add_noise,
     noiseless_instance,
     picard_diagnostic,
@@ -107,6 +110,42 @@ def test_beta_fit_recovers_model_exponent():
     prob = make_picard_synthetic(20, severe(2.0, beta=beta), seed=2)
     diag = picard_diagnostic(noiseless_instance(prob), noise_floor=1e-5)
     assert diag.beta_fit == pytest.approx(beta, abs=1e-6)
+
+
+def _loop_window_medians(coef):
+    """The windowed medians one np.median call at a time (the reference)."""
+    n = coef.size
+    return np.array([
+        np.median(coef[max(1, k - WINDOW_HALF) - 1 : min(n, k + WINDOW_HALF)])
+        for k in range(1, n + 1)
+    ])
+
+
+def _loop_k0(coef, floor):
+    medians = _loop_window_medians(coef)
+    above = [k for k in range(1, coef.size + 1) if medians[k - 1] > FLOOR_FACTOR * floor]
+    return max(above, default=0)
+
+
+def test_window_medians_match_the_per_window_loop():
+    rng = np.random.default_rng(7)
+    inputs = [np.array([x]) for x in (0.0, 3.0)]
+    inputs += [rng.random(n) for n in range(1, 5) for _ in range(20)]  # every window clamped
+    inputs += [rng.integers(0, 3, size=n).astype(float) for n in range(1, 12) for _ in range(10)]
+    inputs += [np.abs(rng.standard_normal(n)) * 10.0 ** rng.integers(-8, 8, size=n)
+               for n in (5, 6, 7, 50, 257)]
+    for coef in inputs:
+        assert np.array_equal(_window_medians(coef), _loop_window_medians(coef)), coef
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 9, 64])
+def test_picard_k0_matches_the_per_window_loop(n):
+    prob = make_picard_synthetic(n, severe(2.0), seed=n)
+    for seed in range(3):
+        inst = add_noise(prob, 1e-2, seed)
+        for floor in (None, 1e-4, 1e-2, 0.1, 10.0):
+            diag = picard_diagnostic(inst, noise_floor=floor)
+            assert diag.k0 == _loop_k0(diag.coef, diag.noise_floor), (seed, floor)
 
 
 def test_write_picard_csv(tmp_path):
