@@ -60,7 +60,11 @@ class IllConditionedError(ValueError):
 # the iterative routes became faster than the dense SVD (see README).
 
 #: Trailing blocks with at least this many columns take the bisection route.
-GK_BISECTION_MIN = 128
+GK_BISECTION_MIN = 64
+#: Golub-Kahan-Lanczos steps of the estimate that prunes the bisection.
+GK_ESTIMATE_STEPS = 20
+#: The bisection first counts at the estimate -+ this many eps * max|entry|.
+GK_ESTIMATE_SLACK = 8.0
 #: ``gamma_exact`` iterates when n - k is at least this; below, a dense SVD.
 LANCZOS_MIN = 72
 #: Lanczos stops once the Ritz residual is at most this multiple of ||A||_F.
@@ -226,7 +230,7 @@ def _compact(a, keep, used):
     return a[:p]
 
 
-def gamma_via_Gk(state: BidiagState, k: int) -> float:
+def gamma_via_Gk(state: BidiagState, k: int, all_k: bool = False):
     """The same gap from the trailing block of the bidiagonal matrix.
 
     Deleting the first k rows and columns of the full lower bidiagonal
@@ -240,24 +244,91 @@ def gamma_via_Gk(state: BidiagState, k: int) -> float:
     the gap on that space; it equals gamma_k to within that tolerance unless
     A acts more strongly on the unreached complement.
 
-    Blocks with at least ``GK_BISECTION_MIN`` columns take bisection on
-    the Golub-Kahan tridiagonal (see :func:`_bidiagonal_norm`), smaller ones
-    a dense SVD.  This route never reads A or the Krylov basis.
+    With ``all_k`` the result is the array of gaps gamma_1..gamma_k from one
+    call; otherwise the float gamma_k.  Blocks with at least
+    ``GK_BISECTION_MIN`` columns take bisection on the Golub-Kahan
+    tridiagonal (see :func:`_bidiagonal_norm`), pruned by one lockstep
+    estimate for all of them (see :func:`_norm_estimates`); smaller ones a
+    dense SVD.  The estimate changes how many Sturm counts a bisection
+    takes, never its result.  This route never reads A or the Krylov basis.
     """
     if not state.terminal:
         raise ValueError("gamma_via_Gk needs a complete or broken-down factorization")
-    a = state.alpha[k:]
-    b = state.beta[k + 1 :]
-    if a.size == 0:
-        raise ValueError(f"no trailing block at k={k} (have {len(state.alphas)} alphas)")
-    if b.size not in (a.size, a.size - 1):
-        raise ValueError("inconsistent coefficient arrays")
-    if a.size >= GK_BISECTION_MIN:
-        return _bidiagonal_norm(a, b)
-    return spectral_norm(lower_bidiagonal(a, b))
+    alpha, beta = state.alpha, state.beta
+    ks = list(range(1, k + 1)) if all_k else [k]
+    blocks = []
+    for j in ks:
+        a, b = alpha[j:], beta[j + 1 :]
+        if a.size == 0:
+            raise ValueError(f"no trailing block at k={j} (have {alpha.size} alphas)")
+        if b.size not in (a.size, a.size - 1):
+            raise ValueError("inconsistent coefficient arrays")
+        blocks.append((a, b))
+    bisected = [j for j in ks if alpha.size - j >= GK_BISECTION_MIN]
+    estimates = dict(zip(bisected, _norm_estimates(alpha, beta[1:], bisected)))
+    gammas = []
+    for j, (a, b) in zip(ks, blocks):
+        if j in estimates:
+            gammas.append(_bidiagonal_norm(a, b, estimates[j]))
+        else:
+            gammas.append(spectral_norm(lower_bidiagonal(a, b)))
+    return np.array(gammas) if all_k else gammas[0]
 
 
-def _bidiagonal_norm(a, b) -> float:
+def _norm_estimates(a, b, ks) -> np.ndarray:
+    """Uncertified estimates of ||G_k|| for every k in ``ks``, with G_k the
+    trailing block of the lower bidiagonal matrix B = diag(a) + subdiag(b).
+
+    Setting the first k columns of B to zero leaves a matrix with the same
+    nonzero singular values as G_k, and all of these matrices share the
+    shape of B.  So one lockstep run of ``GK_ESTIMATE_STEPS`` Golub-Kahan-
+    Lanczos steps, without reorthogonalization, serves every k: each step is
+    a few elementwise products on (len(ks), len(b) + 1) arrays.  Each row is
+    scaled by the max|entry| of its block, as the bisection is, and the
+    estimate is the top singular value of the projected bidiagonal matrix.
+    A step whose new vector vanishes leaves it zero, which keeps the
+    projection exact.
+    """
+    if not ks:
+        return np.empty(0)
+    n, nb = a.size, b.size  # nb is n or n - 1: B is (nb + 1) x n
+    first = np.asarray(ks)[:, None]  # the first column each row keeps
+    e = np.empty(n + nb)
+    e[0::2] = np.abs(a)
+    e[1::2] = np.abs(b)
+    scale = np.maximum.accumulate(e[::-1])[::-1][2 * first]
+    scale[scale == 0.0] = 1.0
+    # Both vectors have nb + 1 entries; a zero diagonal entry pads a
+    # rectangular B, so v stays zero past its n columns.
+    keep = np.arange(nb + 1) >= first
+    da = np.where(keep, np.append(a, 0.0)[: nb + 1], 0.0) / scale
+    db = np.where(keep[:, :nb], b, 0.0) / scale
+    v = np.where(keep, np.random.default_rng(1).standard_normal(nb + 1), 0.0)
+    v[:, n:] = 0.0
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    steps = GK_ESTIMATE_STEPS
+    coef = np.zeros((len(ks), steps, 2))  # alpha_j and beta_{j+1} of the projection
+    for j in range(steps):
+        u_next = da * v  # B v - beta_j u
+        u_next[:, 1:] += db * v[:, :-1]
+        if j:
+            u_next -= coef[:, j - 1, 1:] * u
+        u = u_next
+        coef[:, j, 0] = np.sqrt(np.einsum("ij,ij->i", u, u))
+        u /= np.where(coef[:, j, :1] == 0.0, 1.0, coef[:, j, :1])
+        if j == steps - 1:
+            break
+        v_next = da * u  # B'u - alpha_j v
+        v_next -= coef[:, j, :1] * v
+        v_next[:, :-1] += db * u[:, 1:]
+        v = v_next
+        coef[:, j, 1] = np.sqrt(np.einsum("ij,ij->i", v, v))
+        v /= np.where(coef[:, j, 1:] == 0.0, 1.0, coef[:, j, 1:])
+    top = np.linalg.svd(_upper_bidiagonal(coef[:, :, 0], coef[:, :-1, 1]), compute_uv=False)
+    return top[:, 0] * scale[:, 0]
+
+
+def _bidiagonal_norm(a, b, estimate: float = math.nan) -> float:
     """Largest singular value of the lower bidiagonal matrix diag(a) + subdiag(b).
 
     It is the largest eigenvalue of the Golub-Kahan tridiagonal: zero
@@ -269,6 +340,14 @@ def _bidiagonal_norm(a, b) -> float:
     computed count is exact for a tridiagonal within a few eps of T
     entrywise, and the form never squares the matrix, so the error stays a
     few eps * max|entry| absolute even for blocks at the roundoff floor.
+
+    The computed count is monotone in the shift x, so a count at one shift
+    settles every midpoint on one side of it.  Before bisecting, the shifts
+    ``estimate -+ GK_ESTIMATE_SLACK * eps * max|entry|`` are counted; a
+    midpoint that such a count settles takes its known outcome without a
+    count.  Every midpoint thus gets the outcome of its own count, and the
+    result is the same for every estimate: a good one (within the slack)
+    leaves about six counts, a poor one or nan only costs counts.
     """
     e = np.empty(a.size + b.size)
     e[0::2] = a
@@ -281,9 +360,19 @@ def _bidiagonal_norm(a, b) -> float:
     lo = float(np.max(np.hypot(pairs[:, 0], pairs[:, 1])))
     hi = float(np.max(np.append(e, 0.0) + np.append(0.0, e)))
     e2 = (e * e).tolist()
+    # Shifts with a counted outcome: an eigenvalue lies above ``below`` and
+    # none above ``above``.
+    below, above = -math.inf, math.inf
+    t = estimate / scale
+    for x in (t - GK_ESTIMATE_SLACK * _EPS, t + GK_ESTIMATE_SLACK * _EPS):
+        if max(lo, below) < x < min(hi, above):
+            if _has_eigenvalue_above(e2, x):
+                below = x
+            else:
+                above = x
     while hi - lo > 2.0 * _EPS:
         x = 0.5 * (lo + hi)
-        if _has_eigenvalue_above(e2, x):
+        if x <= below or (x < above and _has_eigenvalue_above(e2, x)):
             lo = x
         else:
             hi = x

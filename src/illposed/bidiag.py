@@ -107,7 +107,8 @@ class BidiagState:
     ``betas[0] = beta_1 = ||b||``.  After ``steps`` complete steps the state
     holds steps+1 columns in each basis, and ``B(k)`` is available for every
     ``k <= max_k = steps``.  Completing the factorization appends the final
-    subdiagonal entry beta_{n+1} (recorded as exactly zero when m = n).
+    subdiagonal entry beta_{n+1} (recorded as exactly zero when m = n under
+    full reorthogonalization).
     """
 
     def __init__(self, A, atol, reorth):
@@ -272,10 +273,15 @@ def bidiag_step(state: BidiagState) -> BidiagState:
 
 
 def _finish(state: BidiagState) -> BidiagState:
-    """Record the trailing entry beta_{n+1} and mark the state complete."""
+    """Record the trailing entry beta_{n+1} and mark the state complete.
+
+    Without reorthogonalization the bases lose orthogonality, so a square
+    factorization's beta_{n+1} need not vanish; its computed value is then
+    recorded as it is, and no (n+1)-th basis vector is kept.
+    """
     beta, w = state._left_half()
     n = state.n
-    if state.m == state.n:
+    if state.m == state.n and state.reorth:
         limit = FINAL_BETA_REL * (state.atol / BREAKDOWN_REL)
         if beta > limit:
             raise RuntimeError(
@@ -285,7 +291,7 @@ def _finish(state: BidiagState) -> BidiagState:
         state.betas.append(0.0)
     else:
         state.betas.append(beta)
-        if beta >= state.atol:
+        if state.m != state.n and beta >= state.atol:
             state._P.append(w / beta)
     state.completed = True
     return state
@@ -295,8 +301,9 @@ def bidiag_complete(A, b, reorth: bool = True, norm_A: float | None = None) -> B
     """Run the recurrence to the full factorization P' A Q = B.
 
     Performs n-1 steps plus the trailing half-step for beta_{n+1}.  For a
-    square matrix the dimension count forces beta_{n+1} = 0; the computed
-    value must vanish within ``1e-12 * ||A||`` and is recorded as zero.
+    square matrix the dimension count forces beta_{n+1} = 0; under full
+    reorthogonalization the computed value must vanish within
+    ``1e-12 * ||A||`` and is recorded as zero.
     Breakdown before completion propagates as ``BreakdownError``.
     """
     state, err = bidiag_run(A, b, reorth=reorth, norm_A=norm_A)

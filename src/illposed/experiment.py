@@ -151,6 +151,9 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown problem {self.problem!r}; choose from {', '.join(PROBLEMS)}"
             )
+        for key in _FLOAT_KEYS:
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite, got {getattr(self, key)!r}")
         if self.scale <= 0.0:
             raise ConfigError("scale must be positive")
         n = self.effective_n
@@ -330,11 +333,12 @@ def _analysis_records(problem, instance, picard, state, kmax):
     if K:
         QK = state.Q_k(K)
         gammas = gamma_exact(problem.A, QK, all_k=True)
+        gammas_gk = gamma_via_Gk(state, K, all_k=True) if state.terminal else None
         VQ = fact.V.T @ QK
     for k in range(1, K + 1):
         Q = state.Q_k(k)
         gamma = float(gammas[k - 1])
-        gamma_gk = gamma_via_Gk(state, k) if state.terminal else math.nan
+        gamma_gk = math.nan if gammas_gk is None else float(gammas_gk[k - 1])
         theta = ritz_values(state, k)
         sin_theta, delta = delta_norm_via_angles(fact.V, Q, VQ=VQ)
         sd = sigma_delta_norm(fact, instance.b, k, Q=Q, VQ=VQ)
@@ -468,15 +472,24 @@ def _write_kv(path, pairs) -> None:
 def run(config: ExperimentConfig) -> RunResult:
     """Execute one configured experiment and write its artifact directory.
 
-    Raises :class:`ConfigError` before any computation on an invalid
-    configuration, and :class:`InvariantViolation` -- after all artifacts
-    are written -- when a universal inequality fails beyond slack.
+    Raises :class:`ConfigError` on an invalid configuration, an output
+    directory that cannot be created or a noise level so small that the
+    noise draw underflows to zero, all before the recurrence runs, and
+    :class:`InvariantViolation` -- after all artifacts are written -- when
+    a universal inequality fails beyond slack.
     Breakdown of the recurrence is not an error: the sweeps and analysis
     are truncated at the breakdown step, which the summary records.
     """
     config.validate()
+    outdir = config.out
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot create output directory {outdir}: {err}") from err
     problem = build_problem(config)
     instance = add_noise(problem, config.noise, config.seed)
+    if instance.eta == 0.0:
+        raise ConfigError(f"noise = {config.noise!r} underflows to a zero noise draw")
     picard = picard_diagnostic(instance)
     sigma1 = float(problem.svd.sigma[0])
     kmax = config.effective_kmax(problem.n)
@@ -492,9 +505,6 @@ def run(config: ExperimentConfig) -> RunResult:
     violations = _check_invariants(
         records, problem.svd.sigma, state, lsqr, tsvd, config.reorth
     )
-
-    outdir = config.out
-    os.makedirs(outdir, exist_ok=True)
 
     def path(name):
         return os.path.join(outdir, name)
@@ -673,9 +683,16 @@ def compare(dir_a, dir_b, tolerances: dict | None = None) -> CompareReport:
     """Column-wise diff of two artifact directories.
 
     ``tolerances`` maps column names to relative tolerances (default exact).
-    Returns a :class:`CompareReport`; raises :class:`ConfigError` when an
-    artifact is unreadable or the schemas disagree.
+    Returns a :class:`CompareReport`; raises :class:`ConfigError` when a
+    path is not a directory, when neither directory holds an artifact, or
+    when an artifact is unreadable or the schemas disagree.
     """
+    for d in (dir_a, dir_b):
+        if not os.path.isdir(d):
+            raise ConfigError(f"not a directory: {d}")
+    names = ARTIFACT_CSVS + ("summary.txt",)
+    if not any(os.path.exists(os.path.join(d, n)) for d in (dir_a, dir_b) for n in names):
+        raise ConfigError(f"no artifacts in {dir_a} or {dir_b}")
     tolerances = dict(tolerances or {})
     diffs, notes = [], []
     summaries = []

@@ -69,6 +69,9 @@ def add_noise(problem: IllPosedProblem, epsilon: float, seed: int) -> NoisyInsta
     e = g * (epsilon * float(np.linalg.norm(problem.b_true)) / ng)
     b = problem.b_true + e
     eta = float(np.linalg.norm(e)) / np.sqrt(problem.m)
+    if eta == 0.0 and np.any(e):  # the squares underflowed; rescale first
+        top = float(np.max(np.abs(e)))
+        eta = top * float(np.linalg.norm(e / top)) / np.sqrt(problem.m)
     return NoisyInstance(
         problem=problem, epsilon=float(epsilon), seed=int(seed), e=e, b=b, eta=eta
     )

@@ -70,13 +70,17 @@ class _Axis:
         self.lo = math.inf
         self.hi = -math.inf
 
-    def admits(self, v: float) -> bool:
-        return math.isfinite(v) and (not self.log or v > 0.0)
+    def admitted(self, values) -> list:
+        """Whether each value can be drawn: finite, and positive on a log axis."""
+        if self.log:
+            return [math.isfinite(v) and v > 0.0 for v in values]
+        return [math.isfinite(v) for v in values]
 
-    def include(self, v: float):
-        if self.admits(v):
-            self.lo = min(self.lo, v)
-            self.hi = max(self.hi, v)
+    def include(self, values):
+        """Widen the range to admitted values."""
+        if values:
+            self.lo = min(self.lo, min(values))
+            self.hi = max(self.hi, max(values))
 
     def finish(self):
         if self.lo > self.hi:  # no admissible data at all
@@ -84,16 +88,22 @@ class _Axis:
         if self.log:
             if self.lo == self.hi:
                 self.lo, self.hi = self.lo / 10.0, self.hi * 10.0
-        elif self.lo == self.hi:
-            pad = 0.5 * max(1.0, abs(self.lo))
-            self.lo, self.hi = self.lo - pad, self.hi + pad
+            # units() maps log10(v) with the offset and span fixed here.
+            self._origin = math.log10(self.lo)
+            self._span = math.log10(self.hi) - math.log10(self.lo)
+        else:
+            if self.lo == self.hi:
+                pad = 0.5 * max(1.0, abs(self.lo))
+                self.lo, self.hi = self.lo - pad, self.hi + pad
+            self._origin = self.lo
+            self._span = self.hi - self.lo
 
-    def unit(self, v: float) -> float:
+    def units(self, values) -> list:
+        """Positions of admitted values on the finished axis: 0 at lo, 1 at hi."""
+        origin, span = self._origin, self._span
         if self.log:
-            return (math.log10(v) - math.log10(self.lo)) / (
-                math.log10(self.hi) - math.log10(self.lo)
-            )
-        return (v - self.lo) / (self.hi - self.lo)
+            return [(math.log10(v) - origin) / span for v in values]
+        return [(v - origin) / span for v in values]
 
     def ticks(self):
         return _decade_ticks(self.lo, self.hi) if self.log else _nice_linear_ticks(self.lo, self.hi)
@@ -115,24 +125,28 @@ class Chart:
 
     def add_series(self, label, xs, ys, marker=False, dashed=False, scatter=False):
         pts = [(float(x), float(y)) for x, y in zip(xs, ys)]
-        for x, y in pts:
-            if self.xaxis.admits(x) and self.yaxis.admits(y):
-                self.xaxis.include(x)
-                self.yaxis.include(y)
-        self._series.append((str(label), pts, marker or scatter, dashed, scatter))
+        # ok[i]: both coordinates of point i lie on their axes.
+        ok = [a and b for a, b in zip(self.xaxis.admitted([x for x, _ in pts]),
+                                      self.yaxis.admitted([y for _, y in pts]))]
+        self.xaxis.include([x for (x, _), keep in zip(pts, ok) if keep])
+        self.yaxis.include([y for (_, y), keep in zip(pts, ok) if keep])
+        self._series.append((str(label), pts, ok, marker or scatter, dashed, scatter))
 
     def add_vline(self, x, label=None):
-        self._vlines.append((float(x), label))
-        self.xaxis.include(float(x))
+        x = float(x)
+        ok = self.xaxis.admitted([x])[0]
+        if ok:
+            self.xaxis.include([x])
+        self._vlines.append((x, label, ok))
 
     # Rendering ------------------------------------------------------------
-    def _x(self, v: float) -> float:
+    def _xs(self, values) -> list:
         plot_w = self.width - MARGIN_L - MARGIN_R
-        return MARGIN_L + self.xaxis.unit(v) * plot_w
+        return [MARGIN_L + u * plot_w for u in self.xaxis.units(values)]
 
-    def _y(self, v: float) -> float:
+    def _ys(self, values) -> list:
         plot_h = self.height - MARGIN_T - MARGIN_B
-        return MARGIN_T + (1.0 - self.yaxis.unit(v)) * plot_h
+        return [MARGIN_T + (1.0 - u) * plot_h for u in self.yaxis.units(values)]
 
     def render(self) -> str:
         self.xaxis.finish()
@@ -148,8 +162,8 @@ class Chart:
             f'font-family="sans-serif" font-size="14">{self.title}</text>',
         ]
         # Grid and ticks.
-        for t in self.xaxis.ticks():
-            px = self._x(t)
+        xticks = self.xaxis.ticks()
+        for t, px in zip(xticks, self._xs(xticks)):
             out.append(
                 f'<line x1="{_fmt(px)}" y1="{y0}" x2="{_fmt(px)}" y2="{y1}" '
                 'stroke="#dddddd" stroke-width="1"/>'
@@ -158,8 +172,8 @@ class Chart:
                 f'<text x="{_fmt(px)}" y="{y1 + 16}" text-anchor="middle" '
                 f'font-family="sans-serif" font-size="11">{_tick_label(t)}</text>'
             )
-        for t in self.yaxis.ticks():
-            py = self._y(t)
+        yticks = self.yaxis.ticks()
+        for t, py in zip(yticks, self._ys(yticks)):
             out.append(
                 f'<line x1="{x0}" y1="{_fmt(py)}" x2="{x1}" y2="{_fmt(py)}" '
                 'stroke="#dddddd" stroke-width="1"/>'
@@ -183,10 +197,10 @@ class Chart:
             f'transform="rotate(-90 16 {(y0 + y1) / 2:.1f})">{self.ylabel}</text>'
         )
         # Reference lines.
-        for x, label in self._vlines:
-            if not self.xaxis.admits(x):
+        for x, label, ok in self._vlines:
+            if not ok:
                 continue
-            px = self._x(x)
+            px = self._xs([x])[0]
             out.append(
                 f'<line x1="{_fmt(px)}" y1="{y0}" x2="{_fmt(px)}" y2="{y1}" '
                 'stroke="#444444" stroke-width="1" stroke-dasharray="2,3"/>'
@@ -197,12 +211,14 @@ class Chart:
                     f'font-size="11">{label}</text>'
                 )
         # Series.
-        for idx, (label, pts, marker, dashed, scatter) in enumerate(self._series):
+        for idx, (label, pts, ok, marker, dashed, scatter) in enumerate(self._series):
             color = PALETTE[idx % len(PALETTE)]
+            kept = [p for p, keep in zip(pts, ok) if keep]
+            coords = iter(zip(self._xs([x for x, _ in kept]), self._ys([y for _, y in kept])))
             segments, current = [], []
-            for x, y in pts:
-                if self.xaxis.admits(x) and self.yaxis.admits(y):
-                    current.append((self._x(x), self._y(y)))
+            for keep in ok:
+                if keep:
+                    current.append(next(coords))
                 elif current:
                     segments.append(current)
                     current = []
@@ -217,20 +233,20 @@ class Chart:
                             f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="2.5" fill="{color}"/>'
                         )
                         continue
-                    path = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in seg)
+                    path = " ".join(f"{x:.2f},{y:.2f}" for x, y in seg)
                     out.append(
                         f'<polyline points="{path}" fill="none" stroke="{color}" '
                         f'stroke-width="1.5"{dash}/>'
                     )
             if marker:
                 for seg in segments:
-                    for x, y in seg:
-                        out.append(
-                            f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="2.5" fill="{color}"/>'
-                        )
+                    out.extend(
+                        f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2.5" fill="{color}"/>'
+                        for x, y in seg
+                    )
         # Legend.
         lx, ly = x0 + 10, y0 + 10
-        for idx, (label, _, _, dashed, _) in enumerate(self._series):
+        for idx, (label, _, _, _, dashed, _) in enumerate(self._series):
             color = PALETTE[idx % len(PALETTE)]
             dash = ' stroke-dasharray="6,4"' if dashed else ""
             out.append(

@@ -37,7 +37,7 @@ from illposed.analysis import (
     write_ritz_csv,
     xi_factor,
 )
-from illposed.bidiag import bidiag_run, lower_bidiagonal
+from illposed.bidiag import BidiagState, bidiag_run, lower_bidiagonal
 from illposed.csvio import read_csv
 from illposed.gallery import (
     SpectrumModel,
@@ -333,6 +333,111 @@ def test_uncertified_process_falls_back_while_the_others_certify(monkeypatch):
     gammas = gamma_exact(A, Q, all_k=True)
     assert gammas[0] == dense_gap(A, Q[:, :1])
     np.testing.assert_allclose(gammas[20:], got[1:], rtol=0, atol=tol)
+
+
+# Route A for all k at once: the pruned bisection against the full one. -------
+def _coefficient_state(alphas, betas):
+    """A terminal state that holds only recurrence coefficients."""
+    state = BidiagState(np.zeros((1, 1)), atol=0.0, reorth=True)
+    state.alphas, state.betas, state.completed = list(alphas), list(betas), True
+    return state
+
+
+@st.composite
+def _bidiagonal_states(draw):
+    kind = draw(st.sampled_from(["complete", "beta breakdown", "alpha breakdown", "random"]))
+    if kind != "random":
+        return _rig(kind, draw(st.integers(12, 90)))[1]
+    # Random positive coefficients; from index ``cut`` on every entry is
+    # zero or scaled down to the roundoff floor (or near underflow).
+    n = draw(st.integers(2, 90))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    alphas = rng.random(n) + 0.01
+    betas = rng.random(n + draw(st.sampled_from([0, 1]))) + 0.01
+    cut = draw(st.integers(1, n))
+    tail = draw(st.sampled_from([1.0, 0.0, 1e-16, 1e-300]))
+    alphas[cut:] *= tail
+    betas[cut + 1 :] *= tail
+    return _coefficient_state(alphas, betas)
+
+
+_ESTIMATE_MAPS = {
+    "as is": lambda t: t,
+    "zero": np.zeros_like,
+    "inf": lambda t: np.full_like(t, math.inf),
+    "nan": lambda t: np.full_like(t, math.nan),
+    "low": lambda t: t * (1.0 - 1e-3),
+    "high": lambda t: t * (1.0 + 1e-3),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    state=_bidiagonal_states(),
+    estimate=st.sampled_from(sorted(_ESTIMATE_MAPS)),
+    bisection_min=st.sampled_from([1, 8]),
+)
+def test_all_k_route_a_is_the_full_bisection_bit_for_bit(state, estimate, bisection_min):
+    # The estimate only decides which midpoints get a Sturm count; every
+    # skipped midpoint must take the outcome its own count would give.
+    K = min(40, state.max_trailing_k)
+    a, b = state.alpha, state.beta
+    calls = []
+    count = analysis._has_eigenvalue_above
+    estimates = analysis._norm_estimates
+
+    def recorded(e2, x):
+        calls.append((len(e2), x, count(e2, x)))
+        return calls[-1][2]
+
+    with mock.patch.object(analysis, "GK_BISECTION_MIN", bisection_min), \
+            mock.patch.object(analysis, "_has_eigenvalue_above", recorded), \
+            mock.patch.object(analysis, "_norm_estimates",
+                              lambda *args: _ESTIMATE_MAPS[estimate](estimates(*args))):
+        gammas = gamma_via_Gk(state, K, all_k=True)
+        pruned, calls[:] = calls[:], []
+        assert gammas.shape == (K,)
+        for k in range(1, K + 1):
+            assert gammas[k - 1] == gamma_via_Gk(state, k), (estimate, k)
+        calls.clear()
+        for k in range(1, K + 1):
+            ak, bk = a[k:], b[k + 1 :]
+            if ak.size < bisection_min:
+                assert gammas[k - 1] == spectral_norm(lower_bidiagonal(ak, bk)), k
+                continue
+            assert gammas[k - 1] == analysis._bidiagonal_norm(ak, bk), (estimate, k)
+            lane = ak.size + bk.size
+            full, calls[:] = [(x, r) for _, x, r in calls], []
+            counted = [(x, r) for size, x, r in pruned if size == lane]
+            assert len(counted) <= len(full) + 2
+            done = {x for x, _ in counted}
+            for x, r in full:
+                if x in done:
+                    continue
+                # A count at x' with outcome r' settles x on one side of x'.
+                assert any((r2 and x <= x2) or (not r2 and x >= x2) for x2, r2 in counted)
+                assert all(r2 == r for x2, r2 in counted if (x <= x2 if r2 else x >= x2))
+
+
+def test_all_k_route_a_needs_few_counts():
+    # With the lockstep estimate each gap takes a handful of Sturm counts
+    # instead of the ~50 of the full bisection.
+    _, state = _rig("complete", 300)
+    calls = []
+    count = analysis._has_eigenvalue_above
+
+    def counted(e2, x):
+        calls.append(x)
+        return count(e2, x)
+
+    with mock.patch.object(analysis, "_has_eigenvalue_above", counted):
+        gamma_via_Gk(state, 40, all_k=True)
+        pruned = len(calls)
+        calls.clear()
+        for k in range(1, 41):
+            analysis._bidiagonal_norm(state.alpha[k:], state.beta[k + 1 :])
+    assert len(calls) >= 40 * 45
+    assert pruned <= 40 * 8
 
 
 def test_gamma_via_Gk_reads_only_the_coefficients():

@@ -8,7 +8,7 @@ import pytest
 from conftest import severe
 
 from illposed.csvio import read_csv
-from illposed.gallery import make_picard_synthetic, make_shaw
+from illposed.gallery import make_deriv2, make_picard_synthetic, make_shaw
 from illposed.bidiag import (
     BreakdownError,
     bidiag_complete,
@@ -73,6 +73,20 @@ def test_complete_square_forces_zero_trailing_beta():
     assert state.completed
     assert state.betas[-1] == 0.0
     assert len(state.alphas) == 12 and len(state.betas) == 13
+
+
+def test_complete_square_without_reorthogonalization_keeps_computed_beta():
+    # The plain recurrence loses orthogonality, so beta_{n+1} of a square
+    # factorization need not vanish: it is recorded, and no (n+1)-th left
+    # vector is kept.  With reorthogonalization it is still exactly zero.
+    prob = make_deriv2(16)
+    b = prob.b_true + 1e-3
+    plain, err = bidiag_run(prob.A, b, reorth=False)
+    assert err is None and plain.completed
+    assert len(plain.alphas) == 16 and len(plain.betas) == 17
+    assert plain.betas[-1] > 0.0
+    assert plain._P.count == 16
+    assert bidiag_complete(prob.A, b).betas[-1] == 0.0
 
 
 def test_complete_rectangular_keeps_trailing_beta():

@@ -97,6 +97,9 @@ def test_load_config_rejects_bad_values():
         ({"alpha": "0.5"}, "alpha"),
         ({"beta": "-1"}, "beta"),
         ({"scale": "0"}, "scale"),
+        ({"scale": "nan"}, "scale must be finite"),
+        ({"scale": "inf"}, "scale must be finite"),
+        ({"depth": "nan"}, "depth must be finite"),
         ({"n": "1"}, "outside"),
         ({"bogus_key": "1"}, "unknown config key"),
         ({"reorth": "maybe"}, "bad value for reorth"),
@@ -395,6 +398,69 @@ def test_cli_compare_non_ascii_summary_exits_2(base_run, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("noise", ["1e-200", "1e-300"])
+def test_cli_noise_below_the_square_underflow_runs(noise, tmp_path):
+    # ||e|| of entries below ~1e-162 underflows when squared; the floor
+    # eta must stay positive and the run must write its artifacts.
+    out = tmp_path / "tiny"
+    proc = _cli("run", "--problem", "shaw", "--n", "32", "--noise", noise, "--out", str(out))
+    assert proc.returncode in (0, 1), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert float(read_summary(out)["eta"]) > 0.0
+
+
+def test_cli_noise_draw_that_underflows_to_zero_exits_2(tmp_path):
+    # deriv2's ||b_true|| is small enough that 5e-324 times it rounds to 0.
+    proc = _cli("run", "--problem", "deriv2", "--n", "16", "--noise", "5e-324",
+                "--out", str(tmp_path / "zero"))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error:")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("args", [["--scale", "nan"], ["--scale", "inf"]])
+def test_cli_non_finite_scale_exits_2(args, tmp_path):
+    proc = _cli("run", *args, "--out", str(tmp_path / "x"))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_output_below_a_regular_file_exits_2(tmp_path, monkeypatch):
+    (tmp_path / "f").write_text("not a directory\n", encoding="ascii")
+    import illposed.experiment as experiment
+
+    def never(config):
+        raise AssertionError("the problem was built before the output check")
+
+    monkeypatch.setattr(experiment, "build_problem", never)
+    rc = cli_main(["run", "--problem", "deriv2", "--n", "32", "--out", str(tmp_path / "f" / "out")])
+    assert rc == 2
+    proc = _cli("run", "--problem", "deriv2", "--n", "32", "--out", str(tmp_path / "f" / "out"))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_compare_needs_two_directories_with_artifacts(base_run, tmp_path):
+    empty_a, empty_b = tmp_path / "a", tmp_path / "b"
+    empty_a.mkdir()
+    empty_b.mkdir()
+    for pair in ((str(tmp_path / "missing"), str(tmp_path / "alsonot")),
+                 (base_run.outdir, str(tmp_path / "missing")),
+                 (str(empty_a), str(empty_b))):
+        proc = _cli("compare", *pair)
+        assert proc.returncode == 2, pair
+        assert proc.stderr.startswith("config error:"), pair
+        assert "RESULT" not in proc.stdout and "Traceback" not in proc.stderr
+    # One side empty is still a comparison: every artifact is a <file> diff.
+    report = compare(base_run.outdir, str(empty_a))
+    assert not report.ok
+    assert {(d.file, d.column) for d in report.diffs} == {
+        (name, "<file>") for name in ARTIFACT_CSVS + ("summary.txt",)
+    }
+
+
 def test_cli_compare_mismatch_exits_1(base_run, tmp_path):
     other = tmp_path / "other"
     run(small_config(other, seed=1))
@@ -428,14 +494,18 @@ def test_cli_invariant_violation_exits_1(tmp_path, monkeypatch, capsys):
     n=st.integers(16, 256),
     noise=st.sampled_from([1e-2, 1e-3, 1e-5]),
     seed=st.integers(0, 1000),
+    reorth=st.booleans(),
 )
 # Breakdown at an alpha entry used to leave an empty trailing block.
-@example(problem="shaw", decay="severe", n=64, noise=1e-3, seed=0)
-@example(problem="heat", decay="severe", n=16, noise=1e-2, seed=0)
-def test_run_returns_or_raises_only_documented_errors(problem, decay, n, noise, seed):
+@example(problem="shaw", decay="severe", n=64, noise=1e-3, seed=0, reorth=True)
+@example(problem="heat", decay="severe", n=16, noise=1e-2, seed=0, reorth=True)
+# Without reorthogonalization a square run used to die at its last step.
+@example(problem="deriv2", decay="severe", n=16, noise=1e-3, seed=0, reorth=False)
+def test_run_returns_or_raises_only_documented_errors(problem, decay, n, noise, seed, reorth):
     with tempfile.TemporaryDirectory() as out:
         config = ExperimentConfig(
-            problem=problem, decay=decay, n=n, noise=noise, seed=seed, out=out
+            problem=problem, decay=decay, n=n, noise=noise, seed=seed, out=out,
+            reorth=reorth,
         )
         try:
             run(config)

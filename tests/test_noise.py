@@ -32,6 +32,22 @@ def test_add_noise_exact_scaling():
     assert inst.seed == 11 and inst.epsilon == 1e-3
 
 
+@pytest.mark.parametrize("epsilon", [1e-200, 1e-300])
+def test_add_noise_floor_survives_underflowing_squares(epsilon):
+    # The squares of entries below ~1e-162 underflow, so ||e|| is formed
+    # from the rescaled draw; it still matches the requested level.
+    prob = make_shaw(32)
+    inst = add_noise(prob, epsilon, 11)
+    assert np.linalg.norm(inst.e) == 0.0
+    top = np.max(np.abs(inst.e))
+    assert inst.eta == pytest.approx(
+        top * np.linalg.norm(inst.e / top) / math.sqrt(prob.m), rel=1e-14
+    )
+    assert inst.eta == pytest.approx(
+        epsilon * np.linalg.norm(prob.b_true) / math.sqrt(prob.m), rel=1e-12
+    )
+
+
 def test_add_noise_deterministic_by_seed():
     prob = make_shaw(16)
     a = add_noise(prob, 1e-2, 3)
