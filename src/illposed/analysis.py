@@ -665,13 +665,16 @@ def bound_report(
     spectrum: SpectrumModel,
     delta_norm: float,
     k: int,
+    lagrange_max: float | None = None,
 ) -> BoundReport:
     """Evaluate the decay-regime bounds at step k with realized quantities.
 
     Requires a non-empirical spectrum model (fit one first for
     kernel-defined problems) and a positive transition index in the
     diagnostic.  Raises ``ValueError`` when a leading coefficient
-    vanishes exactly (names the index).
+    vanishes exactly (names the index).  ``lagrange_max`` is
+    ``lagrange_factor(sigma, k)[1]`` when the caller has it; None computes
+    it here (and raises, for moderate and mild decay, on tied values).
     """
     if spectrum.kind == "empirical":
         raise ValueError("bound_report needs a decay model; fit one for empirical spectra")
@@ -708,7 +711,7 @@ def bound_report(
         natural_cond = spectrum.rho >= 1.0 + math.sqrt(2.0)
     else:
         alpha = spectrum.alpha
-        lag = 1.0 if k == 1 else lagrange_factor(s, k)[1]
+        lag = lagrange_factor(s, k)[1] if lagrange_max is None else lagrange_max
         if k == 1:
             poly_plain = math.sqrt(1.0 / (2.0 * alpha - 1.0))
             poly_split = poly_plain

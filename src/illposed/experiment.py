@@ -344,8 +344,8 @@ def _analysis_records(problem, instance, picard, state, kmax):
         sd = sigma_delta_norm(fact, instance.b, k, Q=Q, VQ=VQ)
         try:
             lag = lagrange_factor(sigma, k)[1]
-        except ValueError:
-            lag = math.nan
+        except ValueError:  # tied values: undefined, and bound_report says so
+            lag = None
         records.append(
             AnalysisRecord(
                 k=k,
@@ -356,7 +356,7 @@ def _analysis_records(problem, instance, picard, state, kmax):
                 delta_norm=delta,
                 sin_theta=sin_theta,
                 sigma_delta=sd,
-                lagrange_max=lag,
+                lagrange_max=math.nan if lag is None else lag,
                 near_best=near_best_predicate(gamma, sigma[k - 1], sigma[k], tol=slack),
                 natural_order=natural_order_check(theta, sigma),
                 alpha_beta_sum=proxy.get(k, math.nan),
@@ -365,7 +365,7 @@ def _analysis_records(problem, instance, picard, state, kmax):
         report = None
         if model is not None:
             try:
-                report = bound_report(fact, picard, model, delta, k)
+                report = bound_report(fact, picard, model, delta, k, lagrange_max=lag)
             except ValueError:
                 report = None
         reports.append(report)

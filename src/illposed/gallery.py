@@ -35,6 +35,8 @@ __all__ = [
 
 #: Relative gap under which two singular values are reported as degenerate.
 DEGENERACY_GAP = 1e-12
+#: Largest sigma_1 whose square is finite; the pipeline squares sigma_1 and ||b||.
+SQRT_FLOAT_MAX = float(np.sqrt(np.finfo(float).max))
 
 
 # Spectrum models =============================================================
@@ -106,22 +108,31 @@ class IllPosedProblem:
 
 
 def _finalize(name, A, x_true, spectrum, b_true=None) -> IllPosedProblem:
-    """Validate invariants shared by all constructors and attach the SVD."""
+    """Validate invariants shared by all constructors and attach the SVD.
+
+    The SVD sets a run's peak memory, so constructors release their n x n
+    temporaries before calling this: only A is alive when it runs.
+    """
     A = as_matrix(A)
     x_true = as_vector(x_true, "x_true")
     if b_true is None:
         b_true = A @ x_true
     else:
         b_true = as_vector(b_true, "b_true")
-    nb = float(np.linalg.norm(b_true))
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        nb = float(np.linalg.norm(b_true))
     if nb == 0.0:
         raise ValueError(f"{name}: b_true is identically zero")
+    if not np.isfinite(nb):
+        raise ValueError(f"{name}: ||b_true||^2 overflows float64")
     resid = float(np.linalg.norm(A @ x_true - b_true))
     if resid > 1e-12 * nb:
         raise ValueError(f"{name}: A @ x_true differs from b_true ({resid:.3e})")
     fact = svd(A)
     warnings = []
     s = fact.sigma
+    if s[0] > SQRT_FLOAT_MAX:
+        raise ValueError(f"{name}: sigma_1^2 overflows float64")
     if s.size > 1:
         gaps = (s[:-1] - s[1:]) / s[0]
         tied = np.nonzero(gaps < DEGENERACY_GAP)[0]
@@ -165,6 +176,7 @@ def make_shaw(n: int) -> IllPosedProblem:
     u = np.pi * (np.sin(s)[:, None] + np.sin(s)[None, :])
     # np.sinc(x) = sin(pi x)/(pi x), so sinc(u/pi) = sin(u)/u with the 0 limit.
     A = h * cos_sum**2 * np.sinc(u / np.pi) ** 2
+    del cos_sum, u
     x_true = 2.0 * np.exp(-6.0 * (s - 0.8) ** 2) + np.exp(-2.0 * (s + 0.5) ** 2)
     return _finalize("shaw", A, x_true, SpectrumModel(kind="empirical"))
 
@@ -187,6 +199,7 @@ def make_gravity(n: int, depth: float = 0.25) -> IllPosedProblem:
     t = (np.arange(n) + 0.5) * h
     diff = t[:, None] - t[None, :]
     A = h * depth / (depth**2 + diff**2) ** 1.5
+    del diff
     x_true = np.sin(np.pi * t) + 0.5 * np.sin(2.0 * np.pi * t)
     return _finalize("gravity", A, x_true, SpectrumModel(kind="empirical"))
 
@@ -250,6 +263,7 @@ def make_heat(n: int, kappa: float = 1.0) -> IllPosedProblem:
     idx = np.arange(n)
     lag = idx[:, None] - idx[None, :]
     A = np.where(lag >= 0, kvals[np.clip(lag, 0, n - 1)], 0.0)
+    del lag
     si = 20.0 * np.arange(1, n // 2 + 1) / n
     head = np.where(
         si < 2.0,
@@ -283,6 +297,7 @@ def make_prescribed(n: int, spectrum: SpectrumModel, seed: int, m: int | None = 
     U = _random_orthogonal(rng, m, n)
     V = _random_orthogonal(rng, n, n)
     A = (U * sig) @ V.T
+    del U, V
     x_true = np.ones(n)
     return _finalize(f"prescribed-{spectrum.kind}", A, x_true, spectrum)
 
@@ -311,6 +326,7 @@ def make_picard_synthetic(n: int, spectrum: SpectrumModel, seed: int, m: int | N
     A = (U * sig) @ V.T
     x_true = V @ sig**beta
     b_true = U @ sig ** (1.0 + beta)
+    del U, V
     return _finalize(f"picard-{spectrum.kind}", A, x_true, spectrum, b_true=b_true)
 
 

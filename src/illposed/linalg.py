@@ -126,7 +126,11 @@ def svd(A) -> SvdFactorization:
     lead = np.argmax(np.abs(V), axis=0)
     signs = np.sign(V[lead, np.arange(n)])
     signs[signs == 0.0] = 1.0
-    return SvdFactorization(U=U * signs, sigma=s, V=V * signs)
+    # In place, so U stays C- and V F-contiguous: downstream BLAS calls, and
+    # with them the artifact bits, depend on that layout.
+    U *= signs
+    V *= signs
+    return SvdFactorization(U=U, sigma=s, V=V)
 
 
 def least_squares(A, b) -> np.ndarray:

@@ -50,6 +50,13 @@ def tsvd_solution(fact: SvdFactorization, b, k: int) -> np.ndarray:
     return fact.V[:, :k] @ (c / s[:k])
 
 
+def _column_norms_inplace(M) -> np.ndarray:
+    """``np.linalg.norm(M, axis=0)`` bit for bit (its own formula for real
+    input), squaring ``M`` in place instead of in a copy."""
+    M *= M
+    return np.sqrt(np.add.reduce(M, axis=0))
+
+
 @dataclass(frozen=True)
 class TsvdSweep:
     """Realized errors and residuals of x_1..x_kmax.
@@ -77,10 +84,15 @@ def tsvd_sweep(instance: NoisyInstance, kmax: int | None = None) -> TsvdSweep:
         raise ValueError("matrix has no components above the rank floor")
     c = fact.coefficients(instance.b)[:kmax]
     # Column k-1 of the cumulative sum is x_k; one pass gives the whole sweep.
-    X = np.cumsum(fact.V[:, :kmax] * (c / s[:kmax]), axis=1)
+    # Two n x kmax arrays in all: X (then its error) and A X - b.
+    X = fact.V[:, :kmax] * (c / s[:kmax])
+    np.cumsum(X, axis=1, out=X)
+    R = prob.A @ X
+    R -= instance.b[:, None]
+    residuals = _column_norms_inplace(R)
+    X -= prob.x_true[:, None]
     nx = float(np.linalg.norm(prob.x_true))
-    rel_errors = np.linalg.norm(X - prob.x_true[:, None], axis=0) / nx
-    residuals = np.linalg.norm(prob.A @ X - instance.b[:, None], axis=0)
+    rel_errors = _column_norms_inplace(X) / nx
     best = int(np.argmin(rel_errors))
     return TsvdSweep(
         ks=np.arange(1, kmax + 1),

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import poly, severe
 
-from illposed import analysis
+from illposed import analysis, experiment
 from illposed.analysis import (
     ANALYSIS_COLUMNS,
     LANCZOS_RTOL,
@@ -41,12 +41,13 @@ from illposed.bidiag import BidiagState, bidiag_run, lower_bidiagonal
 from illposed.csvio import read_csv
 from illposed.gallery import (
     SpectrumModel,
+    _finalize,
     make_deriv2,
     make_picard_synthetic,
     make_prescribed,
     make_shaw,
 )
-from illposed.linalg import spectral_norm, svd
+from illposed.linalg import orthonormalize, spectral_norm, svd
 from illposed.noise import add_noise, noiseless_instance, picard_diagnostic
 
 
@@ -779,6 +780,44 @@ def test_bound_report_rejects_bad_inputs(severe3_rig):
         bound_report(prob.svd, pic, prob.spectrum, 0.3, 0)
     with pytest.raises(ValueError, match="outside"):
         bound_report(prob.svd, pic, prob.spectrum, 0.3, prob.n)
+
+
+def test_bound_report_takes_the_callers_lagrange_factor(moderate_rig, monkeypatch):
+    prob, _, pic, _ = moderate_rig
+    expected = {k: bound_report(prob.svd, pic, prob.spectrum, 0.3, k) for k in range(1, 12)}
+    lags = {k: lagrange_factor(prob.svd.sigma, k)[1] for k in expected}
+
+    def recomputed(*args):
+        raise AssertionError("lagrange_factor recomputed")
+
+    monkeypatch.setattr(analysis, "lagrange_factor", recomputed)
+    for k, rep in expected.items():
+        got = bound_report(prob.svd, pic, prob.spectrum, 0.3, k, lagrange_max=lags[k])
+        assert repr(got) == repr(rep)
+
+
+def test_analysis_reports_match_bound_report_on_tied_sigma():
+    # sigma_3 = sigma_4: the Lagrange factor is undefined from k = 4 on, so
+    # the moderate-decay reports there are None, and the record says nan.
+    n, spec = 24, poly(2.0)
+    sig = spec.sigma(n)
+    sig[3] = sig[2]
+    rng = np.random.default_rng(0)
+    U = orthonormalize(rng.standard_normal((n, n)))
+    V = orthonormalize(rng.standard_normal((n, n)))
+    prob = _finalize("tied", (U * sig) @ V.T, np.ones(n), spec)
+    inst = add_noise(prob, 1e-3, 0)
+    pic = picard_diagnostic(inst)
+    state, _ = bidiag_run(prob.A, inst.b, norm_A=float(prob.svd.sigma[0]))
+    records, reports, model, _ = experiment._analysis_records(prob, inst, pic, state, 10)
+    assert [r is None for r in reports] == [False] * 3 + [True] * 7
+    for rec, rep in zip(records, reports):
+        try:
+            expected = bound_report(prob.svd, pic, model, rec.delta_norm, rec.k)
+        except ValueError:
+            expected = None
+        assert repr(rep) == repr(expected)
+        assert math.isnan(rec.lagrange_max) == (rep is None)
 
 
 # Decay of the recurrence coefficients ----------------------------------------

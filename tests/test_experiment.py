@@ -418,6 +418,19 @@ def test_cli_noise_draw_that_underflows_to_zero_exits_2(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("problem", ["prescribed", "picard_synthetic"])
+@pytest.mark.parametrize("zeta, code", [("1e150", 0), ("1e160", 2), ("1e200", 2)])
+def test_cli_zeta_whose_square_overflows_exits_2(problem, zeta, code, tmp_path):
+    # ||b_true||^2 overflows from zeta ~1e155 on; 1e150 still runs.
+    proc = _cli("run", "--problem", problem, "--n", "16", "--decay", "mild",
+                "--zeta", zeta, "--out", str(tmp_path / "big"))
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if code == 2:
+        assert proc.stderr.startswith("config error:")
+        assert "overflows" in proc.stderr
+
+
 @pytest.mark.parametrize("args", [["--scale", "nan"], ["--scale", "inf"]])
 def test_cli_non_finite_scale_exits_2(args, tmp_path):
     proc = _cli("run", *args, "--out", str(tmp_path / "x"))

@@ -138,6 +138,18 @@ def test_prescribed_spectrum_is_exact():
     assert np.any(other.A != prob.A)
 
 
+def test_data_whose_square_overflows_is_rejected():
+    # A run squares sigma_1 and ||b||.  At zeta = 1e160 ||b_true||^2
+    # overflows; at 2e154 ||b_true||^2 is finite but sigma_1^2 is not.
+    with pytest.raises(ValueError, match=r"\|\|b_true\|\|\^2 overflows"):
+        make_prescribed(16, poly(2.0, zeta=1e160), seed=0)
+    with pytest.raises(ValueError, match=r"\|\|b_true\|\|\^2 overflows"):
+        make_picard_synthetic(16, poly(2.0, zeta=1e200), seed=0)
+    with pytest.raises(ValueError, match=r"sigma_1\^2 overflows"):
+        make_prescribed(16, poly(2.0, zeta=2e154), seed=0)
+    assert make_prescribed(16, poly(2.0, zeta=1e150), seed=0).svd.sigma[0] > 1e149
+
+
 def test_prescribed_rectangular():
     prob = make_prescribed(6, severe(2.0), seed=0, m=9)
     assert prob.A.shape == (9, 6)

@@ -65,6 +65,25 @@ def test_svd_sign_convention():
     np.testing.assert_array_equal(again.V, V)
 
 
+@pytest.mark.parametrize("shape", [(9, 9), (12, 7)])
+def test_svd_layout_and_bits_are_pinned(shape):
+    # Artifact bits depend on the layout: BLAS takes other code paths (and
+    # rounds differently) for C- and F-ordered operands in A @ X of the TSVD
+    # sweep and V' Q of the analysis.  A C-ordered copy of V once changed
+    # tsvd.csv and analysis.csv, so U must stay C- and V F-contiguous.
+    A = np.random.default_rng(7).standard_normal(shape)
+    fact = svd(A)
+    U_raw, s, Vt = np.linalg.svd(A, full_matrices=False)
+    lead = np.argmax(np.abs(Vt.T), axis=0)
+    signs = np.sign(Vt.T[lead, np.arange(shape[1])])
+    signs[signs == 0.0] = 1.0
+    assert fact.U.flags.c_contiguous
+    assert fact.V.flags.f_contiguous
+    assert fact.U.tobytes() == (U_raw * signs).tobytes()
+    assert fact.V.tobytes() == (Vt.T * signs).tobytes()
+    assert fact.sigma.tobytes() == s.tobytes()
+
+
 def test_svd_rejects_wide():
     with pytest.raises(ValueError, match="tall or square"):
         svd(np.ones((2, 3)))

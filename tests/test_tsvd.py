@@ -52,6 +52,22 @@ def test_sweep_matches_per_k_solutions():
         )
 
 
+@pytest.mark.parametrize("kmax", [None, 7])
+def test_sweep_is_the_norm_formula_bit_for_bit(kmax):
+    # The sweep squares and sums its two n x kmax arrays in place; the
+    # result must be np.linalg.norm(axis=0) of fresh arrays, bit for bit.
+    prob = make_picard_synthetic(24, severe(1.5), seed=3)
+    inst = add_noise(prob, 1e-3, 3)
+    sweep = tsvd_sweep(inst, kmax=kmax)
+    fact, k = prob.svd, sweep.ks.size
+    c = fact.coefficients(inst.b)[:k]
+    X = np.cumsum(fact.V[:, :k] * (c / fact.sigma[:k]), axis=1)
+    errors = np.linalg.norm(X - prob.x_true[:, None], axis=0) / np.linalg.norm(prob.x_true)
+    residuals = np.linalg.norm(prob.A @ X - inst.b[:, None], axis=0)
+    assert sweep.rel_errors.tobytes() == errors.tobytes()
+    assert sweep.residuals.tobytes() == residuals.tobytes()
+
+
 def test_sweep_residuals_decrease():
     prob = make_picard_synthetic(16, severe(2.0), seed=1)
     inst = add_noise(prob, 1e-2, 1)
