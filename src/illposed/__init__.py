@@ -9,12 +9,13 @@ tying all of them to the decay regime of the spectrum.
 
 Typical flow::
 
-    from illposed import make_shaw, add_noise, tsvd_sweep, lsqr_sweep
+    from illposed import make_shaw, add_noise, bidiag_run, tsvd_sweep, lsqr_sweep
 
     problem = make_shaw(256)
     instance = add_noise(problem, 1e-3, seed=42)
+    state, _ = bidiag_run(problem.A, instance.b, norm_A=problem.svd.sigma[0])
     reference = tsvd_sweep(instance)
-    trace = lsqr_sweep(instance)
+    trace = lsqr_sweep(instance, state, kmax=40)
     assert trace.kstar <= reference.best_k
 
 The same pipeline, with CSV/SVG artifacts and an invariant audit, runs from
@@ -46,7 +47,6 @@ from .analysis import (
 from .bidiag import (
     BidiagState,
     BreakdownError,
-    bidiag_complete,
     bidiag_run,
     bidiag_start,
     bidiag_step,
@@ -82,7 +82,7 @@ from .linalg import (
     spectral_norm,
     svd,
 )
-from .lsqr import LsqrTrace, default_kmax, lsqr_iterate, lsqr_sweep
+from .lsqr import LsqrTrace, lsqr_iterate, lsqr_sweep
 from .noise import (
     NoisyInstance,
     PicardDiagnostic,

@@ -78,25 +78,18 @@ _EPS = float(np.finfo(float).eps)
 _PIVMIN = float(np.finfo(float).tiny)
 
 
-def gamma_exact(A, Q, all_k: bool = False):
-    """||A (I - Q Q')|| from A and an orthonormal basis Q.
-
-    ``Q`` may be an (n, K) orthonormal basis or a :class:`BidiagState`,
-    in which case its full current Krylov basis is used.  With ``all_k``
-    the result is the array of gaps gamma_1..gamma_K of the leading blocks
-    Q[:, :k], k = 1..K, from one lockstep run; otherwise the float gamma_K.
+def gamma_exact(A, Q) -> np.ndarray:
+    """The gaps gamma_k = ||A (I - Q_k Q_k')|| of the leading blocks
+    Q_k = Q[:, :k], k = 1..K, of an (n, K) orthonormal basis Q.
 
     For n - k >= ``LANCZOS_MIN`` the gap is the top Ritz value of
     Golub-Kahan-Lanczos on the operator x -> A (x - Q_k Q_k'x), certified to
-    ``LANCZOS_RTOL * ||A||_F`` (see :func:`_lanczos_gaps`); if the
-    certificate is not reached, and for smaller n - k, it is the largest
-    singular value of the explicit residual matrix.  This route never reads
-    the recurrence coefficients.
+    ``LANCZOS_RTOL * ||A||_F``; all such k share one lockstep run (see
+    :func:`_lanczos_gaps`).  If the certificate is not reached, and for
+    smaller n - k, it is the largest singular value of the explicit residual
+    matrix.  This route never reads the recurrence coefficients.
     """
-    if isinstance(Q, BidiagState):
-        Q = Q.Q_k(Q.max_k)
-    K = Q.shape[1]
-    ks = list(range(1, K + 1)) if all_k else [K]
+    ks = list(range(1, Q.shape[1] + 1))
     iterative = [k for k in ks if A.shape[1] - k >= LANCZOS_MIN]
     certified = dict(zip(iterative, _lanczos_gaps(A, Q, iterative)))
     gammas = []
@@ -106,7 +99,7 @@ def gamma_exact(A, Q, all_k: bool = False):
             Qk = Q[:, :k]
             gamma = spectral_norm(A - (A @ Qk) @ Qk.T)
         gammas.append(gamma)
-    return np.array(gammas) if all_k else gammas[0]
+    return np.array(gammas)
 
 
 def _lanczos_gaps(A, Q, ks) -> list:
@@ -230,8 +223,9 @@ def _compact(a, keep, used):
     return a[:p]
 
 
-def gamma_via_Gk(state: BidiagState, k: int, all_k: bool = False):
-    """The same gap from the trailing block of the bidiagonal matrix.
+def gamma_via_Gk(state: BidiagState, K: int) -> np.ndarray:
+    """The same gaps gamma_1..gamma_K from the trailing blocks of the
+    bidiagonal matrix.
 
     Deleting the first k rows and columns of the full lower bidiagonal
     matrix leaves the block G_k with diagonal alpha_{k+1}, alpha_{k+2}, ...
@@ -244,35 +238,31 @@ def gamma_via_Gk(state: BidiagState, k: int, all_k: bool = False):
     the gap on that space; it equals gamma_k to within that tolerance unless
     A acts more strongly on the unreached complement.
 
-    With ``all_k`` the result is the array of gaps gamma_1..gamma_k from one
-    call; otherwise the float gamma_k.  Blocks with at least
-    ``GK_BISECTION_MIN`` columns take bisection on the Golub-Kahan
-    tridiagonal (see :func:`_bidiagonal_norm`), pruned by one lockstep
-    estimate for all of them (see :func:`_norm_estimates`); smaller ones a
-    dense SVD.  The estimate changes how many Sturm counts a bisection
-    takes, never its result.  This route never reads A or the Krylov basis.
+    Blocks with at least ``GK_BISECTION_MIN`` columns take bisection on the
+    Golub-Kahan tridiagonal (see :func:`_bidiagonal_norm`), pruned by one
+    lockstep estimate for all of them (see :func:`_norm_estimates`); smaller
+    ones a dense SVD.  The estimate changes how many Sturm counts a
+    bisection takes, never its result.  This route never reads A or the
+    Krylov basis.
     """
     if not state.terminal:
         raise ValueError("gamma_via_Gk needs a complete or broken-down factorization")
     alpha, beta = state.alpha, state.beta
-    ks = list(range(1, k + 1)) if all_k else [k]
-    blocks = []
-    for j in ks:
-        a, b = alpha[j:], beta[j + 1 :]
-        if a.size == 0:
-            raise ValueError(f"no trailing block at k={j} (have {alpha.size} alphas)")
-        if b.size not in (a.size, a.size - 1):
-            raise ValueError("inconsistent coefficient arrays")
-        blocks.append((a, b))
-    bisected = [j for j in ks if alpha.size - j >= GK_BISECTION_MIN]
+    if alpha.size <= K:
+        raise ValueError(f"no trailing block at k={K} (have {alpha.size} alphas)")
+    if beta.size - 1 not in (alpha.size, alpha.size - 1):
+        raise ValueError("inconsistent coefficient arrays")
+    ks = list(range(1, K + 1))
+    bisected = [k for k in ks if alpha.size - k >= GK_BISECTION_MIN]
     estimates = dict(zip(bisected, _norm_estimates(alpha, beta[1:], bisected)))
     gammas = []
-    for j, (a, b) in zip(ks, blocks):
-        if j in estimates:
-            gammas.append(_bidiagonal_norm(a, b, estimates[j]))
+    for k in ks:
+        a, b = alpha[k:], beta[k + 1 :]
+        if k in estimates:
+            gammas.append(_bidiagonal_norm(a, b, estimates[k]))
         else:
             gammas.append(spectral_norm(lower_bidiagonal(a, b)))
-    return np.array(gammas) if all_k else gammas[0]
+    return np.array(gammas)
 
 
 def _norm_estimates(a, b, ks) -> np.ndarray:

@@ -25,7 +25,6 @@ __all__ = [
     "BidiagState",
     "bidiag_start",
     "bidiag_step",
-    "bidiag_complete",
     "bidiag_run",
     "lower_bidiagonal",
     "recurrence_residuals",
@@ -255,7 +254,7 @@ def bidiag_step(state: BidiagState) -> BidiagState:
     if state.terminal:
         raise RuntimeError("cannot step a terminal factorization state")
     if state.steps + 1 >= state.n:
-        raise RuntimeError("Krylov space exhausted; use bidiag_complete for the final entry")
+        raise RuntimeError("Krylov space exhausted; use bidiag_run for the final entry")
     k = state.steps  # performing step k+1
     beta, w = state._left_half()
     if beta < state.atol:
@@ -297,30 +296,18 @@ def _finish(state: BidiagState) -> BidiagState:
     return state
 
 
-def bidiag_complete(A, b, reorth: bool = True, norm_A: float | None = None) -> BidiagState:
-    """Run the recurrence to the full factorization P' A Q = B.
-
-    Performs n-1 steps plus the trailing half-step for beta_{n+1}.  For a
-    square matrix the dimension count forces beta_{n+1} = 0; under full
-    reorthogonalization the computed value must vanish within
-    ``1e-12 * ||A||`` and is recorded as zero.
-    Breakdown before completion propagates as ``BreakdownError``.
-    """
-    state, err = bidiag_run(A, b, reorth=reorth, norm_A=norm_A)
-    if err is not None:
-        raise err
-    return state
-
-
 def bidiag_run(A, b, steps: int | None = None, reorth: bool = True, norm_A: float | None = None):
-    """Drive the recurrence for pipelines: returns ``(state, breakdown)``.
+    """Drive the recurrence: returns ``(state, breakdown)``.
 
-    Runs ``steps`` full steps (default: to completion, including the
-    trailing beta_{n+1}) but instead of raising on breakdown, truncates and
-    returns the ``BreakdownError`` as the second element.  Either way the
-    returned state is terminal, so the trailing-block norms are available.
-    A breakdown at the very start (b = 0 or A' b = 0) still raises: there
-    is nothing to analyze.
+    Runs ``steps`` full steps, or by default n-1 steps plus the trailing
+    half-step for beta_{n+1}, which gives the full factorization P' A Q = B.
+    For a square matrix the dimension count forces beta_{n+1} = 0; under
+    full reorthogonalization the computed value must vanish within
+    ``1e-12 * ||A||`` and is recorded as zero.  A breakdown truncates the
+    run and is returned as the second element, not raised; a completed or
+    broken-down state is terminal, so the trailing-block norms are
+    available.  A breakdown at the very start (b = 0 or A' b = 0) still
+    raises: there is nothing to analyze.
     """
     state = bidiag_start(A, b, reorth=reorth, norm_A=norm_A)
     target = state.n - 1 if steps is None else min(steps, state.n - 1)

@@ -156,7 +156,10 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} must be finite, got {getattr(self, key)!r}")
         if self.scale <= 0.0:
             raise ConfigError("scale must be positive")
-        n = self.effective_n
+        try:
+            n = self.effective_n
+        except OverflowError as err:  # n * scale is not a finite float
+            raise ConfigError(f"effective n = n * scale overflows: {err}") from err
         if not 2 <= n <= MAX_N:
             raise ConfigError(f"effective n = {n} outside 2..{MAX_N}")
         if not 0.0 < self.noise < 1.0:
@@ -332,13 +335,12 @@ def _analysis_records(problem, instance, picard, state, kmax):
     records, reports = [], []
     if K:
         QK = state.Q_k(K)
-        gammas = gamma_exact(problem.A, QK, all_k=True)
-        gammas_gk = gamma_via_Gk(state, K, all_k=True) if state.terminal else None
+        gammas = gamma_exact(problem.A, QK)
+        gammas_gk = gamma_via_Gk(state, K)
         VQ = fact.V.T @ QK
     for k in range(1, K + 1):
         Q = state.Q_k(k)
         gamma = float(gammas[k - 1])
-        gamma_gk = math.nan if gammas_gk is None else float(gammas_gk[k - 1])
         theta = ritz_values(state, k)
         sin_theta, delta = delta_norm_via_angles(fact.V, Q, VQ=VQ)
         sd = sigma_delta_norm(fact, instance.b, k, Q=Q, VQ=VQ)
@@ -350,7 +352,7 @@ def _analysis_records(problem, instance, picard, state, kmax):
             AnalysisRecord(
                 k=k,
                 gamma=gamma,
-                gamma_Gk=gamma_gk,
+                gamma_Gk=float(gammas_gk[k - 1]),
                 sigma_k1=float(sigma[k]),
                 ritz=theta,
                 delta_norm=delta,
@@ -473,12 +475,13 @@ def run(config: ExperimentConfig) -> RunResult:
     """Execute one configured experiment and write its artifact directory.
 
     Raises :class:`ConfigError` on an invalid configuration, an output
-    directory that cannot be created or a noise level so small that the
-    noise draw underflows to zero, all before the recurrence runs, and
+    directory that cannot be created, a noise level so small that the
+    noise draw underflows to zero or a recurrence that breaks down before
+    its first step, all before any artifact is written, and
     :class:`InvariantViolation` -- after all artifacts are written -- when
     a universal inequality fails beyond slack.
-    Breakdown of the recurrence is not an error: the sweeps and analysis
-    are truncated at the breakdown step, which the summary records.
+    A later breakdown of the recurrence is not an error: the sweeps and
+    analysis are truncated at the breakdown step, which the summary records.
     """
     config.validate()
     outdir = config.out
@@ -497,8 +500,13 @@ def run(config: ExperimentConfig) -> RunResult:
     state, _ = bidiag_run(
         problem.A, instance.b, steps=None, reorth=config.reorth, norm_A=sigma1
     )
+    if state.max_k < 1:
+        raise ConfigError(
+            f"the recurrence broke down at {state.breakdown} before its first step "
+            "(A A' maps b onto itself, as for a spectrum flat to rounding)"
+        )
     tsvd = tsvd_sweep(instance)
-    lsqr = lsqr_sweep(instance, kmax=kmax, state=state)
+    lsqr = lsqr_sweep(instance, state, kmax)
     records, reports, model, source = _analysis_records(
         problem, instance, picard, state, kmax
     )

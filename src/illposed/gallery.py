@@ -15,7 +15,7 @@ oracles can evaluate them independently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,9 +33,8 @@ __all__ = [
     "fit_spectrum_model",
 ]
 
-#: Relative gap under which two singular values are reported as degenerate.
-DEGENERACY_GAP = 1e-12
-#: Largest sigma_1 whose square is finite; the pipeline squares sigma_1 and ||b||.
+#: Largest value whose square is finite; the pipeline squares sigma_1 and
+#: ||b||, and the kernels square their depth and conductivity.
 SQRT_FLOAT_MAX = float(np.sqrt(np.finfo(float).max))
 
 
@@ -96,7 +95,6 @@ class IllPosedProblem:
     b_true: np.ndarray
     spectrum: SpectrumModel
     svd: SvdFactorization
-    warnings: tuple = field(default=())
 
     @property
     def m(self) -> int:
@@ -129,18 +127,8 @@ def _finalize(name, A, x_true, spectrum, b_true=None) -> IllPosedProblem:
     if resid > 1e-12 * nb:
         raise ValueError(f"{name}: A @ x_true differs from b_true ({resid:.3e})")
     fact = svd(A)
-    warnings = []
-    s = fact.sigma
-    if s[0] > SQRT_FLOAT_MAX:
+    if fact.sigma[0] > SQRT_FLOAT_MAX:
         raise ValueError(f"{name}: sigma_1^2 overflows float64")
-    if s.size > 1:
-        gaps = (s[:-1] - s[1:]) / s[0]
-        tied = np.nonzero(gaps < DEGENERACY_GAP)[0]
-        if tied.size:
-            warnings.append(
-                f"degenerate spectrum: relative gap below {DEGENERACY_GAP:g} "
-                f"first occurs between sigma_{tied[0] + 1} and sigma_{tied[0] + 2}"
-            )
     return IllPosedProblem(
         name=name,
         A=A,
@@ -148,7 +136,6 @@ def _finalize(name, A, x_true, spectrum, b_true=None) -> IllPosedProblem:
         b_true=b_true,
         spectrum=spectrum,
         svd=fact,
-        warnings=tuple(warnings),
     )
 
 
@@ -195,6 +182,8 @@ def make_gravity(n: int, depth: float = 0.25) -> IllPosedProblem:
         raise ValueError("make_gravity requires n >= 2")
     if depth <= 0.0:
         raise ValueError("depth must be positive")
+    if depth >= SQRT_FLOAT_MAX:
+        raise ValueError(f"depth must lie below {SQRT_FLOAT_MAX:.4g}: its square overflows")
     h = 1.0 / n
     t = (np.arange(n) + 0.5) * h
     diff = t[:, None] - t[None, :]
@@ -256,6 +245,8 @@ def make_heat(n: int, kappa: float = 1.0) -> IllPosedProblem:
         raise ValueError("make_heat requires n >= 2")
     if kappa <= 0.0:
         raise ValueError("kappa must be positive")
+    if kappa >= SQRT_FLOAT_MAX:
+        raise ValueError(f"kappa must lie below {SQRT_FLOAT_MAX:.4g}: its square overflows")
     h = 1.0 / n
     t = (np.arange(1, n + 1) - 0.5) * h
     c = h / (2.0 * kappa * np.sqrt(np.pi))

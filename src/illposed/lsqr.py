@@ -13,16 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bidiag import BidiagState, bidiag_run
+from .bidiag import BidiagState
 from .csvio import write_csv
 from .linalg import least_squares
-from .noise import NoisyInstance, picard_diagnostic
 
 __all__ = [
     "LsqrTrace",
     "lsqr_iterate",
     "lsqr_sweep",
-    "default_kmax",
     "write_lsqr_csv",
 ]
 
@@ -43,8 +41,7 @@ class LsqrTrace:
     """Realized errors/residuals of the projected iterates x_1..x_K.
 
     ``kstar`` is the semi-convergence index (argmin of the realized error,
-    ties to the smallest k); ``breakdown`` names the recurrence entry that
-    stopped the sweep early, if any.
+    ties to the smallest k).
     """
 
     ks: np.ndarray
@@ -52,41 +49,18 @@ class LsqrTrace:
     residuals: np.ndarray
     kstar: int
     semi_convergent: bool
-    breakdown: str | None
 
 
-def default_kmax(instance: NoisyInstance) -> int:
-    """Default sweep length min(n, 4 * k0 + 20); n on noiseless data."""
-    n = instance.problem.n
-    if instance.eta <= 0.0:
-        return n
-    k0 = picard_diagnostic(instance).k0
-    return min(n, 4 * k0 + 20)
+def lsqr_sweep(instance, state: BidiagState, kmax: int) -> LsqrTrace:
+    """Run the projected iteration for k = 1..kmax on ``state``, the
+    factorization of the noisy instance's (A, b), and locate kstar.
 
-
-def lsqr_sweep(
-    instance: NoisyInstance,
-    kmax: int | None = None,
-    state: BidiagState | None = None,
-) -> LsqrTrace:
-    """Run the projected iteration for k = 1..kmax and locate kstar.
-
-    A fresh factorization is built unless a state with enough steps is
-    supplied.  Breakdown truncates the trace and is recorded, not raised.
+    A factorization that broke down earlier truncates the trace at its last
+    step, ``state.max_k``.
     """
     prob = instance.problem
-    if kmax is None:
-        kmax = default_kmax(instance)
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
-    breakdown = None
-    if state is None:
-        state, err = bidiag_run(
-            prob.A, instance.b, steps=kmax, norm_A=float(prob.svd.sigma[0])
-        )
-        breakdown = err.entry if err is not None else None
-    elif state.breakdown is not None:
-        breakdown = state.breakdown
     K = min(kmax, state.max_k)
     if K < 1:
         raise ValueError("factorization broke down before the first iterate")
@@ -106,7 +80,6 @@ def lsqr_sweep(
         residuals=residuals,
         kstar=best + 1,
         semi_convergent=semi,
-        breakdown=breakdown,
     )
 
 

@@ -1,9 +1,9 @@
 """Minimal static SVG 1.1 line charts, no plotting dependencies.
 
 Just enough for the experiment panels: polyline series with optional
-markers, linear or log10 axes with sensible ticks, vertical reference
-lines, and a legend.  Output is deterministic: fixed float formatting,
-fixed palette, no timestamps.
+markers, a linear x axis and a linear or log10 y axis with sensible
+ticks, vertical reference lines, and a legend.  Output is deterministic:
+fixed float formatting, fixed palette, no timestamps.
 """
 
 from __future__ import annotations
@@ -85,18 +85,18 @@ class _Axis:
     def finish(self):
         if self.lo > self.hi:  # no admissible data at all
             self.lo, self.hi = (0.1, 10.0) if self.log else (0.0, 1.0)
-        if self.log:
-            if self.lo == self.hi:
+        # units() maps scale(v) with the offset and span fixed here.  Two
+        # distinct values one ulp apart can share a log10, so the test for a
+        # zero span compares the scaled values.
+        scale = math.log10 if self.log else float
+        if scale(self.hi) == scale(self.lo):
+            if self.log:
                 self.lo, self.hi = self.lo / 10.0, self.hi * 10.0
-            # units() maps log10(v) with the offset and span fixed here.
-            self._origin = math.log10(self.lo)
-            self._span = math.log10(self.hi) - math.log10(self.lo)
-        else:
-            if self.lo == self.hi:
+            else:
                 pad = 0.5 * max(1.0, abs(self.lo))
                 self.lo, self.hi = self.lo - pad, self.hi + pad
-            self._origin = self.lo
-            self._span = self.hi - self.lo
+        self._origin = scale(self.lo)
+        self._span = scale(self.hi) - self._origin
 
     def units(self, values) -> list:
         """Positions of admitted values on the finished axis: 0 at lo, 1 at hi."""
@@ -112,13 +112,13 @@ class _Axis:
 class Chart:
     """A single-panel line chart rendered to an SVG string."""
 
-    def __init__(self, title, xlabel, ylabel, width=640, height=440, xlog=False, ylog=False):
+    def __init__(self, title, xlabel, ylabel, width=640, height=440, ylog=False):
         self.title = title
         self.xlabel = xlabel
         self.ylabel = ylabel
         self.width = int(width)
         self.height = int(height)
-        self.xaxis = _Axis(xlog)
+        self.xaxis = _Axis(False)
         self.yaxis = _Axis(ylog)
         self._series = []
         self._vlines = []

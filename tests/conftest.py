@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from illposed import (
+    ExperimentConfig,
     IllPosedProblem,
     SpectrumModel,
     add_noise,
@@ -85,8 +86,8 @@ class BundleCache:
             self._problems[key] = build_problem(name, n, **kw)
         return self._problems[key]
 
-    def bundle(self, name, n, eps, seed, lsqr_kmax=None, **kw) -> RunBundle:
-        key = (name, n, eps, seed, lsqr_kmax, tuple(sorted(kw.items())))
+    def bundle(self, name, n, eps, seed, **kw) -> RunBundle:
+        key = (name, n, eps, seed, tuple(sorted(kw.items())))
         if key not in self._bundles:
             pkw = dict(kw)
             if name in ("picard", "prescribed"):
@@ -108,7 +109,8 @@ class BundleCache:
                 picard=picard_diagnostic(instance) if instance.eta > 0 else None,
                 state=state,
                 tsvd=tsvd_sweep(instance),
-                lsqr=lsqr_sweep(instance, kmax=lsqr_kmax, state=state),
+                # The sweep length of ``illposed run`` with its default kmax.
+                lsqr=lsqr_sweep(instance, state, ExperimentConfig().effective_kmax(n)),
             )
         return self._bundles[key]
 

@@ -88,17 +88,17 @@ def test_gamma_exact_k1_oracle():
     q1 = np.array([4.0, 2.0, 1.0]) / math.sqrt(21.0)
     resid = A - np.outer(A @ q1, q1)
     oracle = float(np.linalg.norm(resid, 2))
-    assert gamma_exact(A, q1[:, None]) == pytest.approx(oracle, rel=1e-14)
+    assert gamma_exact(A, q1[:, None])[0] == pytest.approx(oracle, rel=1e-14)
     state, err = bidiag_run(A, b, steps=1)
     assert err is None
-    assert gamma_exact(A, state) == pytest.approx(oracle, rel=1e-13)
+    assert gamma_exact(A, state.Q_k(1))[0] == pytest.approx(oracle, rel=1e-13)
 
 
 def test_gamma_exact_vanishes_on_full_space():
     prob = make_picard_synthetic(8, severe(2.0), seed=0)
     state, err = bidiag_run(prob.A, prob.b_true, norm_A=float(prob.svd.sigma[0]))
     assert err is None and state.max_k == 8
-    assert gamma_exact(prob.A, state) < 1e-12 * prob.svd.sigma[0]
+    assert gamma_exact(prob.A, state.Q_k(8))[-1] < 1e-12 * prob.svd.sigma[0]
 
 
 def test_gamma_via_Gk_matches_exact():
@@ -109,15 +109,11 @@ def test_gamma_via_Gk_matches_exact():
         inst = add_noise(prob, 1e-3, 1) if b else noiseless_instance(prob)
         state, _ = bidiag_run(prob.A, inst.b, norm_A=float(prob.svd.sigma[0]))
         s1 = prob.svd.sigma[0]
-        gks = []
-        for k in range(1, state.max_k):
-            gk = gamma_via_Gk(state, k)
-            assert gk == pytest.approx(
-                gamma_exact(prob.A, state.Q_k(k)), abs=1e-10 * s1
-            )
-            # The gap dominates the next singular value.
-            assert gk >= prob.svd.sigma[k] - 1e-10 * s1
-            gks.append(gk)
+        K = state.max_k - 1
+        gks = gamma_via_Gk(state, K)
+        assert gks == pytest.approx(gamma_exact(prob.A, state.Q_k(K)), abs=1e-10 * s1)
+        # The gap dominates the next singular value.
+        assert np.all(gks >= prob.svd.sigma[1 : K + 1] - 1e-10 * s1)
         assert np.all(np.diff(gks) <= 1e-12 * s1)
 
 
@@ -130,9 +126,9 @@ def test_gamma_via_Gk_last_step_closed_form():
     assert err is None
     assert state.betas[-1] > 0.0
     expected = math.hypot(state.alphas[-1], state.betas[-1])
-    assert gamma_via_Gk(state, 5) == pytest.approx(expected, rel=1e-13)
-    assert gamma_via_Gk(state, 5) == pytest.approx(
-        gamma_exact(prob.A, state.Q_k(5)), rel=1e-10
+    assert gamma_via_Gk(state, 5)[-1] == pytest.approx(expected, rel=1e-13)
+    assert gamma_via_Gk(state, 5)[-1] == pytest.approx(
+        gamma_exact(prob.A, state.Q_k(5))[-1], rel=1e-10
     )
 
 
@@ -193,12 +189,13 @@ def test_gamma_routes_match_dense_oracles(n):
         tol = LANCZOS_RTOL * np.linalg.norm(A) + 1e-15 * s1
         K = state.max_trailing_k
         assert K == (n - 1 if name == "complete" else 2 * n // 3 - 1)
+        gks, exact = gamma_via_Gk(state, K), gamma_exact(A, state.Q_k(K))
         for k in (1, K // 4, K - 1, K):
             a, b = state.alpha[k:], state.beta[k + 1 :]
             block = spectral_norm(lower_bidiagonal(a, b))
-            assert gamma_via_Gk(state, k) == pytest.approx(block, abs=1e-14 * s1), (name, k)
+            assert gks[k - 1] == pytest.approx(block, abs=1e-14 * s1), (name, k)
             Q = state.Q_k(k)
-            assert gamma_exact(A, Q) == pytest.approx(dense_gap(A, Q), abs=tol), (name, k)
+            assert exact[k - 1] == pytest.approx(dense_gap(A, Q), abs=tol), (name, k)
 
 
 def test_max_proxy_k_is_the_last_step_with_both_coefficients():
@@ -234,7 +231,7 @@ def test_gamma_exact_repeated_top_singular_value(n):
     A = (U * s) @ V.T
     Q = V[:, :1]
     tol = LANCZOS_RTOL * np.linalg.norm(A)
-    gamma = gamma_exact(A, Q)
+    (gamma,) = gamma_exact(A, Q)
     assert gamma == pytest.approx(5.0, abs=tol)
     assert gamma == pytest.approx(dense_gap(A, Q), abs=tol)
 
@@ -249,8 +246,8 @@ def test_gamma_routes_last_step_closed_form_on_iterative_paths(monkeypatch):
     )
     assert err is None
     expected = math.hypot(state.alphas[-1], state.betas[-1])
-    assert gamma_via_Gk(state, 5) == pytest.approx(expected, rel=1e-15)
-    assert gamma_exact(prob.A, state.Q_k(5)) == pytest.approx(expected, rel=1e-13)
+    assert gamma_via_Gk(state, 5)[-1] == pytest.approx(expected, rel=1e-15)
+    assert gamma_exact(prob.A, state.Q_k(5))[-1] == pytest.approx(expected, rel=1e-13)
 
 
 def test_gamma_exact_full_space_on_iterative_path(monkeypatch):
@@ -260,18 +257,18 @@ def test_gamma_exact_full_space_on_iterative_path(monkeypatch):
     prob = make_picard_synthetic(8, severe(2.0), seed=0)
     state, err = bidiag_run(prob.A, prob.b_true, norm_A=float(prob.svd.sigma[0]))
     assert err is None
-    assert 0.0 <= gamma_exact(prob.A, state) <= LANCZOS_RTOL * np.linalg.norm(prob.A)
+    assert 0.0 <= gamma_exact(prob.A, state.Q_k(8))[-1] <= LANCZOS_RTOL * np.linalg.norm(prob.A)
 
 
 def test_gamma_exact_dense_fallback_when_uncertified(monkeypatch):
     prob = make_deriv2(300)
     state, _ = bidiag_run(prob.A, prob.b_true, steps=5)
     Q = state.Q_k(5)
-    certified = gamma_exact(prob.A, Q)
+    certified = gamma_exact(prob.A, Q)[-1]
     monkeypatch.setattr(analysis, "LANCZOS_MAX_ITER", 1)
     assert analysis._lanczos_gaps(prob.A, Q, [5]) == [None]
-    assert gamma_exact(prob.A, Q) == dense_gap(prob.A, Q)
-    assert gamma_exact(prob.A, Q) == pytest.approx(
+    assert gamma_exact(prob.A, Q)[-1] == dense_gap(prob.A, Q)
+    assert gamma_exact(prob.A, Q)[-1] == pytest.approx(
         certified, abs=LANCZOS_RTOL * np.linalg.norm(prob.A)
     )
 
@@ -304,7 +301,7 @@ def test_all_k_gaps_match_dense_oracle(kind, n, split, max_iter):
     Q = state.Q_k(K)
     with mock.patch.object(analysis, "LANCZOS_MIN", n - split), \
             mock.patch.object(analysis, "LANCZOS_MAX_ITER", max_iter):
-        gammas = gamma_exact(A, Q, all_k=True)
+        gammas = gamma_exact(A, Q)
         lanczos = analysis._lanczos_gaps(A, Q, list(range(1, split + 1)))
     tol = LANCZOS_RTOL * np.linalg.norm(A)
     assert gammas.shape == (K,)
@@ -331,7 +328,7 @@ def test_uncertified_process_falls_back_while_the_others_certify(monkeypatch):
     for k, gamma in zip(ks[1:], got[1:]):
         assert gamma == pytest.approx(dense_gap(A, Q[:, :k]), abs=tol), k
     monkeypatch.setattr(analysis, "LANCZOS_MIN", 1)
-    gammas = gamma_exact(A, Q, all_k=True)
+    gammas = gamma_exact(A, Q)
     assert gammas[0] == dense_gap(A, Q[:, :1])
     np.testing.assert_allclose(gammas[20:], got[1:], rtol=0, atol=tol)
 
@@ -395,12 +392,9 @@ def test_all_k_route_a_is_the_full_bisection_bit_for_bit(state, estimate, bisect
             mock.patch.object(analysis, "_has_eigenvalue_above", recorded), \
             mock.patch.object(analysis, "_norm_estimates",
                               lambda *args: _ESTIMATE_MAPS[estimate](estimates(*args))):
-        gammas = gamma_via_Gk(state, K, all_k=True)
+        gammas = gamma_via_Gk(state, K)
         pruned, calls[:] = calls[:], []
         assert gammas.shape == (K,)
-        for k in range(1, K + 1):
-            assert gammas[k - 1] == gamma_via_Gk(state, k), (estimate, k)
-        calls.clear()
         for k in range(1, K + 1):
             ak, bk = a[k:], b[k + 1 :]
             if ak.size < bisection_min:
@@ -432,7 +426,7 @@ def test_all_k_route_a_needs_few_counts():
         return count(e2, x)
 
     with mock.patch.object(analysis, "_has_eigenvalue_above", counted):
-        gamma_via_Gk(state, 40, all_k=True)
+        gamma_via_Gk(state, 40)
         pruned = len(calls)
         calls.clear()
         for k in range(1, 41):
@@ -445,10 +439,10 @@ def test_gamma_via_Gk_reads_only_the_coefficients():
     prob = make_deriv2(300)
     state, err = bidiag_run(prob.A, prob.b_true, norm_A=float(prob.svd.sigma[0]))
     assert err is None
-    expected = [gamma_via_Gk(state, k) for k in (1, 200)]
+    expected = gamma_via_Gk(state, 200)
     bare = copy.copy(state)
     bare.A = bare._P = bare._Q = None
-    assert [gamma_via_Gk(bare, k) for k in (1, 200)] == expected
+    assert np.array_equal(gamma_via_Gk(bare, 200), expected)
 
 
 # Ritz values -----------------------------------------------------------------
@@ -683,13 +677,14 @@ def test_bound_report_severe_realized_audit(severe3_rig):
     # window that absorbs the unbounded part of the severe-decay constants.
     prob, inst, pic, state = severe3_rig
     s = prob.svd.sigma
+    gks = gamma_via_Gk(state, pic.k0)
     for k in range(1, pic.k0 + 1):
         _, dn = delta_norm_via_angles(prob.svd.V, state.Q_k(k))
         rep = bound_report(prob.svd, pic, prob.spectrum, dn, k)
         assert dn <= 2.0 * rep.delta_bound
         sd = sigma_delta_norm(prob.svd, inst.b, k, Q=state.Q_k(k))
         assert sd <= 2.0 * rep.sigma_delta_bound
-        gk = gamma_via_Gk(state, k)
+        gk = gks[k - 1]
         assert gk <= 2.0 * math.sqrt(1.0 + rep.eta_k**2) * s[k]
         assert rep.near_best_condition
         assert near_best_predicate(gk, s[k - 1], s[k], tol=1e-12 * s[0])
@@ -828,16 +823,17 @@ def test_decay_diagnostic_rows():
     assert err is None
     rows = decay_diagnostic(state)
     assert [r[0] for r in rows] == list(range(1, 12))
+    gks = gamma_via_Gk(state, 11)
     for k, coeff_sum in rows:
         assert coeff_sum == state.alphas[k] + state.betas[k + 1]
-        gk = gamma_via_Gk(state, k)
+        gk = gks[k - 1]
         # The pair forms the first column of the trailing block, so the sum
         # can exceed its norm by at most sqrt(2).
         assert math.hypot(state.alphas[k], state.betas[k + 1]) <= gk * (1 + 1e-12)
         assert coeff_sum <= math.sqrt(2.0) * gk * (1 + 1e-12)
     # At k = n-1 the block is the single column itself.
     k, coeff_sum = rows[-1]
-    assert 1.0 - 1e-12 <= coeff_sum / gamma_via_Gk(state, k) <= math.sqrt(2.0) + 1e-12
+    assert 1.0 - 1e-12 <= coeff_sum / gks[k - 1] <= math.sqrt(2.0) + 1e-12
     assert len(decay_diagnostic(state, kmax=5)) == 5
 
 

@@ -11,7 +11,6 @@ from illposed.csvio import read_csv
 from illposed.gallery import make_deriv2, make_picard_synthetic, make_shaw
 from illposed.bidiag import (
     BreakdownError,
-    bidiag_complete,
     bidiag_run,
     bidiag_start,
     bidiag_step,
@@ -27,7 +26,8 @@ def test_two_by_two_invariant_oracle():
     # norm (a1^2 + b2^2 + a2^2 = ||A||_F^2 = 5), and |det B| = |det A| = 2.
     A = np.diag([2.0, 1.0])
     b = np.array([1.0, 1.0])
-    state = bidiag_complete(A, b)
+    state, err = bidiag_run(A, b)
+    assert err is None
     a1 = math.sqrt(5.0 / 2.0)
     a2 = 2.0 / a1
     b2 = math.sqrt(5.0 - a1**2 - a2**2)
@@ -69,8 +69,8 @@ def test_factorization_identity_per_step():
 
 def test_complete_square_forces_zero_trailing_beta():
     prob = make_shaw(12)
-    state = bidiag_complete(prob.A, prob.b_true + 1e-3)
-    assert state.completed
+    state, err = bidiag_run(prob.A, prob.b_true + 1e-3)
+    assert err is None and state.completed
     assert state.betas[-1] == 0.0
     assert len(state.alphas) == 12 and len(state.betas) == 13
 
@@ -86,14 +86,16 @@ def test_complete_square_without_reorthogonalization_keeps_computed_beta():
     assert len(plain.alphas) == 16 and len(plain.betas) == 17
     assert plain.betas[-1] > 0.0
     assert plain._P.count == 16
-    assert bidiag_complete(prob.A, b).betas[-1] == 0.0
+    reo, err = bidiag_run(prob.A, b)
+    assert err is None and reo.betas[-1] == 0.0
 
 
 def test_complete_rectangular_keeps_trailing_beta():
     rng = np.random.default_rng(1)
     A = rng.standard_normal((9, 5))
     b = rng.standard_normal(9)
-    state = bidiag_complete(A, b)
+    state, err = bidiag_run(A, b)
+    assert err is None and state.completed
     assert state.betas[-1] > 0.0
     # Full identity A Q_n = P_{n+1} B_n including the trailing row.
     B = lower_bidiagonal(state.alphas, state.betas[1:])
@@ -106,7 +108,8 @@ def test_full_ritz_values_match_spectrum():
     rng = np.random.default_rng(2)
     A = rng.standard_normal((12, 12)) + 6.0 * np.eye(12)
     b = rng.standard_normal(12)
-    state = bidiag_complete(A, b)
+    state, err = bidiag_run(A, b)
+    assert err is None and state.completed
     B = lower_bidiagonal(state.alphas, state.betas[1:-1])  # square completion
     theta = np.linalg.svd(B, compute_uv=False)
     sigma = np.linalg.svd(A, compute_uv=False)
@@ -162,10 +165,11 @@ def test_breakdown_on_invariant_subspace():
 
 
 def test_breakdown_raises_from_strict_drivers():
+    # bidiag_step raises the breakdown that bidiag_run returns.
     prob = make_picard_synthetic(8, severe(2.0), seed=0)
-    b = prob.svd.U[:, 0]
+    state = bidiag_start(prob.A, prob.svd.U[:, 0])
     with pytest.raises(BreakdownError, match="beta_2"):
-        bidiag_complete(prob.A, b)
+        bidiag_step(state)
 
 
 def test_zero_b_still_raises_in_run():
@@ -200,7 +204,8 @@ def test_lower_bidiagonal_shapes():
 
 def test_write_bidiag_csv(tmp_path):
     A = np.diag([2.0, 1.0])
-    state = bidiag_complete(A, [1.0, 1.0])
+    state, err = bidiag_run(A, [1.0, 1.0])
+    assert err is None
     path = tmp_path / "bidiag.csv"
     from illposed.bidiag import write_bidiag_csv
 

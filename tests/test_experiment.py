@@ -439,6 +439,32 @@ def test_cli_non_finite_scale_exits_2(args, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ["--problem", "gravity", "--depth", "1e160"],
+    ["--problem", "heat", "--kappa", "1e160"],
+    ["--scale", "1e308"],
+])
+def test_cli_float_setting_that_overflows_exits_2(args, tmp_path):
+    # depth^2 and kappa^2 overflow a Python float, n * scale is infinite.
+    proc = _cli("run", *args, "--out", str(tmp_path / "x"))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error:")
+    assert "overflows" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("problem", ["prescribed", "picard_synthetic"])
+def test_cli_breakdown_before_the_first_step_exits_2(problem, tmp_path):
+    # A spectrum flat to rounding: A A' b is a multiple of b, so the
+    # recurrence stops at beta_2 and there is no step to analyze.
+    out = tmp_path / "flat"
+    proc = _cli("run", "--problem", problem, "--rho", "1.0000000000000002", "--n", "64",
+                "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error:")
+    assert "beta_2" in proc.stderr and "Traceback" not in proc.stderr
+    assert os.listdir(out) == []
+
+
 def test_cli_output_below_a_regular_file_exits_2(tmp_path, monkeypatch):
     (tmp_path / "f").write_text("not a directory\n", encoding="ascii")
     import illposed.experiment as experiment
@@ -524,3 +550,44 @@ def test_run_returns_or_raises_only_documented_errors(problem, decay, n, noise, 
             run(config)
         except (ConfigError, InvariantViolation):
             pass
+
+
+# Extreme float settings: at, near or past the limits of float64.
+_EXTREME_SETTINGS = st.one_of(
+    st.none(),
+    st.tuples(st.sampled_from(["depth", "kappa", "zeta"]),
+              st.floats(1e150, 1e300) | st.floats(1e-300, 1e-150)),
+    st.tuples(st.just("scale"), st.floats(1e300, 1.7e308)),
+    st.tuples(st.just("rho"), st.floats(1.0, 1.0 + 1e-12, exclude_min=True) | st.floats(1e100, 1e300)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    problem=st.sampled_from(["shaw", "gravity", "deriv2", "heat", "prescribed", "picard_synthetic"]),
+    n=st.integers(2, 12),
+    noise=st.sampled_from(["0.5", "1e-3", "1e-14"]),
+    kmax=st.sampled_from(["1", "2", "none"]),
+    reorth=st.sampled_from(["true", "false"]),
+    extreme=_EXTREME_SETTINGS,
+)
+# Panel c's two values one ulp apart used to give a log axis of zero span.
+@example(problem="prescribed", n=2, noise="1e-14", kmax="none", reorth="true", extreme=None)
+@example(problem="picard_synthetic", n=2, noise="1e-14", kmax="none", reorth="true", extreme=None)
+@example(problem="gravity", n=2, noise="1e-14", kmax="none", reorth="false", extreme=None)
+# depth^2, kappa^2 and n * scale used to overflow a Python float.
+@example(problem="gravity", n=8, noise="1e-3", kmax="none", reorth="true", extreme=("depth", 1e160))
+@example(problem="heat", n=8, noise="1e-3", kmax="none", reorth="true", extreme=("kappa", 1e160))
+@example(problem="deriv2", n=8, noise="1e-3", kmax="none", reorth="true", extreme=("scale", 1e308))
+# A spectrum flat to rounding used to break down before the first step.
+@example(problem="prescribed", n=12, noise="1e-3", kmax="1", reorth="true",
+         extreme=("rho", 1.0000000000000002))
+@example(problem="picard_synthetic", n=12, noise="1e-3", kmax="none", reorth="false",
+         extreme=("rho", 1.0000000000000002))
+def test_cli_run_never_raises(problem, n, noise, kmax, reorth, extreme):
+    args = ["run", "--problem", problem, "--n", str(n), "--noise", noise,
+            "--kmax", kmax, "--reorth", reorth]
+    if extreme is not None:
+        args += [f"--{extreme[0]}", repr(extreme[1])]
+    with tempfile.TemporaryDirectory() as out:
+        assert cli_main(args + ["--out", out]) in (0, 1, 2)

@@ -9,13 +9,8 @@ from illposed.bidiag import bidiag_run
 from illposed.csvio import read_csv
 from illposed.gallery import make_picard_synthetic, make_prescribed
 from illposed.linalg import least_squares
-from illposed.lsqr import default_kmax, lsqr_iterate, lsqr_sweep, write_lsqr_csv
-from illposed.noise import (
-    NoisyInstance,
-    add_noise,
-    noiseless_instance,
-    picard_diagnostic,
-)
+from illposed.lsqr import lsqr_iterate, lsqr_sweep, write_lsqr_csv
+from illposed.noise import NoisyInstance, add_noise, noiseless_instance
 
 
 def test_first_iterate_closed_form():
@@ -54,6 +49,13 @@ def test_iterate_matches_explicit_krylov_basis():
         np.testing.assert_allclose(lsqr_iterate(state, k), x_ref, atol=1e-8)
 
 
+def _sweep(inst, kmax):
+    """The sweep over a fresh factorization of the instance's (A, b)."""
+    prob = inst.problem
+    state, _ = bidiag_run(prob.A, inst.b, norm_A=float(prob.svd.sigma[0]))
+    return lsqr_sweep(inst, state, kmax)
+
+
 def test_iterate_validates_k():
     A = np.diag([2.0, 1.0])
     state, _ = bidiag_run(A, np.array([2.0, 1.0]))
@@ -66,7 +68,7 @@ def test_iterate_validates_k():
 def test_sweep_residuals_strictly_decrease():
     prob = make_picard_synthetic(32, severe(2.0), seed=4)
     inst = add_noise(prob, 1e-3, 4)
-    trace = lsqr_sweep(inst, kmax=20)
+    trace = _sweep(inst, 20)
     assert np.all(np.diff(trace.residuals) < 1e-12)
 
 
@@ -75,12 +77,11 @@ def test_sweep_noiseless_converges_without_semi_convergence():
     # true solution and the error never turns upward.
     prob = make_prescribed(24, poly(0.6, beta=0.0), seed=5)
     inst = noiseless_instance(prob)
-    trace = lsqr_sweep(inst, kmax=24)
+    state, _ = bidiag_run(prob.A, inst.b, norm_A=float(prob.svd.sigma[0]))
+    trace = lsqr_sweep(inst, state, 24)
     assert trace.rel_errors[-1] < 1e-8
     assert not trace.semi_convergent
-    x_full = lsqr_iterate(
-        bidiag_run(prob.A, inst.b, norm_A=float(prob.svd.sigma[0]))[0], 24
-    )
+    x_full = lsqr_iterate(state, 24)
     np.testing.assert_allclose(
         x_full, np.linalg.solve(prob.A, inst.b), atol=1e-8
     )
@@ -89,7 +90,7 @@ def test_sweep_noiseless_converges_without_semi_convergence():
 def test_sweep_noisy_is_semi_convergent():
     prob = make_picard_synthetic(32, severe(2.0, beta=0.0), seed=0)
     inst = add_noise(prob, 1e-3, 0)
-    trace = lsqr_sweep(inst, kmax=25)
+    trace = _sweep(inst, 25)
     assert trace.semi_convergent
     assert 1 < trace.kstar < 25
     assert trace.rel_errors[trace.kstar - 1] == np.min(trace.rel_errors)
@@ -98,37 +99,33 @@ def test_sweep_noisy_is_semi_convergent():
 
 
 def test_sweep_reuses_supplied_state():
+    # A partial factorization is swept as it is: its 12 steps bound the
+    # trace, and every row is the iterate of that state.
     prob = make_picard_synthetic(24, severe(2.0), seed=6)
     inst = add_noise(prob, 1e-3, 6)
     state, _ = bidiag_run(prob.A, inst.b, steps=12, norm_A=float(prob.svd.sigma[0]))
-    fresh = lsqr_sweep(inst, kmax=12)
-    reused = lsqr_sweep(inst, kmax=12, state=state)
-    assert np.array_equal(fresh.ks, reused.ks)
-    assert np.array_equal(fresh.rel_errors, reused.rel_errors)
-    assert np.array_equal(fresh.residuals, reused.residuals)
-    assert fresh.kstar == reused.kstar
+    trace = lsqr_sweep(inst, state, 20)
+    assert list(trace.ks) == list(range(1, 13))
+    nx = np.linalg.norm(prob.x_true)
+    for k in trace.ks:
+        x = lsqr_iterate(state, int(k))
+        assert trace.rel_errors[k - 1] == np.linalg.norm(x - prob.x_true) / nx
+        assert trace.residuals[k - 1] == np.linalg.norm(prob.A @ x - inst.b)
 
 
 def test_sweep_respects_kmax():
     prob = make_picard_synthetic(16, severe(2.0), seed=7)
     inst = add_noise(prob, 1e-2, 7)
-    trace = lsqr_sweep(inst, kmax=5)
+    state, _ = bidiag_run(prob.A, inst.b, norm_A=float(prob.svd.sigma[0]))
+    trace = lsqr_sweep(inst, state, 5)
     assert list(trace.ks) == [1, 2, 3, 4, 5]
     with pytest.raises(ValueError, match="kmax"):
-        lsqr_sweep(inst, kmax=0)
-
-
-def test_default_kmax_branches():
-    prob = make_picard_synthetic(64, severe(2.0), seed=8)
-    assert default_kmax(noiseless_instance(prob)) == 64
-    inst = add_noise(prob, 1e-3, 8)
-    k0 = picard_diagnostic(inst).k0
-    assert default_kmax(inst) == min(64, 4 * k0 + 20)
+        lsqr_sweep(inst, state, 0)
 
 
 def test_sweep_records_breakdown():
     # b spanning two singular directions exhausts the Krylov space after
-    # one step; the sweep truncates and names the vanished entry.
+    # one step; the state names the vanished entry and the sweep truncates.
     prob = make_prescribed(6, severe(2.0), seed=9)
     U = prob.svd.U
     b = U[:, 0] + U[:, 1]
@@ -137,15 +134,15 @@ def test_sweep_records_breakdown():
     )
     state, err = bidiag_run(prob.A, b, steps=6, norm_A=float(prob.svd.sigma[0]))
     assert err is not None and err.entry == "beta_3"
-    trace = lsqr_sweep(inst, kmax=6, state=state)
-    assert trace.breakdown == "beta_3"
+    assert state.breakdown == "beta_3"
+    trace = lsqr_sweep(inst, state, 6)
     assert list(trace.ks) == [1]
 
 
 def test_write_lsqr_csv(tmp_path):
     prob = make_picard_synthetic(16, severe(2.0), seed=0)
     inst = add_noise(prob, 1e-3, 0)
-    trace = lsqr_sweep(inst, kmax=10)
+    trace = _sweep(inst, 10)
     path = tmp_path / "lsqr.csv"
     write_lsqr_csv(trace, path)
     kind, header, rows = read_csv(path)

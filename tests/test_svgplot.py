@@ -102,3 +102,15 @@ def test_palette_cycles():
     svg = c.render()
     # Series len(PALETTE) reuses the first color: polylines + legend lines.
     assert svg.count(f'stroke="{PALETTE[0]}"') == 4
+
+
+def test_log_axis_of_values_one_ulp_apart_is_widened():
+    # Two distinct values with the same log10: the span of the log axis is
+    # zero although lo != hi, so it is widened by a decade on each side.
+    lo, hi = 0.3346060094765285, 0.3346060094765286
+    assert lo != hi and math.log10(lo) == math.log10(hi)
+    c = Chart("t", "k", "value (log)", ylog=True)
+    c.add_series("s", [1, 2], [lo, hi], marker=True)
+    svg = c.render()
+    assert svg.count("<polyline") == 1
+    assert ">0.01<" in svg and ">1<" in svg
