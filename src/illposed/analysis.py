@@ -768,17 +768,17 @@ def write_analysis_csv(records, reports, path) -> None:
     ``reports`` aligns with ``records``; entries may be ``None`` when no
     decay model was available, in which case the bound columns are nan.
     """
-    rows = []
-    for rec, rep in zip(records, reports):
-        cells = {**(_NO_BOUNDS if rep is None else vars(rep)), **vars(rec)}
-        rows.append([cells[name] for name in ANALYSIS_COLUMNS])
-    write_csv(path, "analysis", ANALYSIS_COLUMNS, rows)
+    steps = [
+        {**(_NO_BOUNDS if rep is None else vars(rep)), **vars(rec)}
+        for rec, rep in zip(records, reports)
+    ]
+    write_csv(path, "analysis", {name: [s[name] for s in steps] for name in ANALYSIS_COLUMNS})
 
 
 def write_ritz_csv(records, path) -> None:
     """Export Ritz values in long format (columns k, i, theta)."""
-    rows = []
-    for rec in records:
-        for i, theta in enumerate(rec.ritz, start=1):
-            rows.append([rec.k, i, float(theta)])
-    write_csv(path, "ritz", ["k", "i", "theta"], rows)
+    write_csv(path, "ritz", {
+        "k": [rec.k for rec in records for _ in rec.ritz],
+        "i": [i for rec in records for i in range(1, len(rec.ritz) + 1)],
+        "theta": np.concatenate([np.empty(0), *(rec.ritz for rec in records)]),
+    })

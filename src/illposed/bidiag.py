@@ -354,9 +354,8 @@ def recurrence_residuals(state: BidiagState, k: int | None = None) -> dict:
 
 def write_bidiag_csv(state: BidiagState, path) -> None:
     """Export the recurrence coefficients as CSV (kind ``bidiag``)."""
-    header = ["index", "alpha", "beta_next"]
-    rows = []
-    for k in range(1, len(state.alphas) + 1):
-        beta_next = state.betas[k] if k < len(state.betas) else float("nan")
-        rows.append([k, state.alphas[k - 1], beta_next])
-    write_csv(path, "bidiag", header, rows)
+    K = len(state.alphas)
+    beta_next = state.betas[1 : K + 1]
+    beta_next += [float("nan")] * (K - len(beta_next))
+    columns = {"index": range(1, K + 1), "alpha": state.alphas, "beta_next": beta_next}
+    write_csv(path, "bidiag", columns)

@@ -555,16 +555,6 @@ def run(config: ExperimentConfig) -> RunResult:
 
 
 # Figure panels (pure functions of the CSV artifacts) ========================
-def _columns(path, *names):
-    """Named float columns of a CSV artifact."""
-    _, header, rows = read_csv(path)
-    out = []
-    for name in names:
-        j = header.index(name)
-        out.append([float(r[j]) for r in rows])
-    return out
-
-
 def render_panels(outdir, panels: str = "abcd") -> list:
     """Render the requested figure panels by reading the CSVs in ``outdir``.
 
@@ -575,6 +565,9 @@ def render_panels(outdir, panels: str = "abcd") -> list:
     def path(name):
         return os.path.join(outdir, name)
 
+    def columns(name):
+        return read_csv(path(name))[1]
+
     written = []
 
     def emit(letter, chart):
@@ -583,51 +576,41 @@ def render_panels(outdir, panels: str = "abcd") -> list:
             fh.write(chart.render())
         written.append(name)
 
+    # Chart converts its inputs to float, so columns go in as read.
     if "a" in panels or "c" in panels:
-        ks, gamma, sigma_k1, ab = _columns(
-            path("analysis.csv"), "k", "gamma", "sigma_k1", "alpha_beta_sum"
-        )
+        analysis = columns("analysis.csv")
+        ks, gamma = analysis["k"], analysis["gamma"]
     if "a" in panels:
-        chart = Chart(
-            "Rank-k gap vs trailing singular value",
-            "k", "value (log)", ylog=True,
-        )
+        chart = Chart("Rank-k gap vs trailing singular value", "k", "value (log)", ylog=True)
         chart.add_series("gamma_k", ks, gamma, marker=True)
-        chart.add_series("sigma_{k+1}", ks, sigma_k1, dashed=True)
+        chart.add_series("sigma_{k+1}", ks, analysis["sigma_k1"], dashed=True)
         emit("a", chart)
     if "b" in panels:
-        _, _, ritz_rows = read_csv(path("ritz.csv"))
-        rk = [float(r[0]) for r in ritz_rows]
-        theta = [float(r[2]) for r in ritz_rows]
-        ii, sig = _columns(path("picard.csv"), "i", "sigma_i")
-        top = int(max(rk)) + 1 if rk else len(ii)
+        ritz, picard = columns("ritz.csv"), columns("picard.csv")
+        top = int(max(map(float, ritz["k"]))) + 1 if ritz["k"] else len(picard["i"])
         chart = Chart("Ritz values against the spectrum", "index", "value (log)", ylog=True)
-        chart.add_series("theta_i(k) at x=k", rk, theta, scatter=True)
-        chart.add_series("sigma_i at x=i", ii[:top], sig[:top], dashed=True)
+        chart.add_series("theta_i(k) at x=k", ritz["k"], ritz["theta"], scatter=True)
+        chart.add_series(
+            "sigma_i at x=i", picard["i"][:top], picard["sigma_i"][:top], dashed=True
+        )
         emit("b", chart)
     if "c" in panels:
-        chart = Chart(
-            "Gap decay vs recurrence coefficients",
-            "k", "value (log)", ylog=True,
-        )
-        chart.add_series("alpha_{k+1}+beta_{k+2}", ks, ab, marker=True)
+        chart = Chart("Gap decay vs recurrence coefficients", "k", "value (log)", ylog=True)
+        chart.add_series("alpha_{k+1}+beta_{k+2}", ks, analysis["alpha_beta_sum"], marker=True)
         chart.add_series("gamma_k", ks, gamma, dashed=True)
         emit("c", chart)
     if "d" in panels:
-        lk, lerr, flag = _columns(path("lsqr.csv"), "k", "rel_error", "is_kstar")
-        tk, terr = _columns(path("tsvd.csv"), "k", "rel_error")
+        lsqr, tsvd = columns("lsqr.csv"), columns("tsvd.csv")
+        lk, tk = lsqr["k"], tsvd["k"]
+        terr = [float(e) for e in tsvd["rel_error"]]
         best = min(range(len(terr)), key=terr.__getitem__) if terr else 0
         span = max(int(lk[-1]) if lk else 0, (best + 1) + 5)
-        keep = [j for j, k in enumerate(tk) if k <= span]
-        chart = Chart(
-            "Semi-convergence of the iterates",
-            "k", "relative error (log)", ylog=True,
-        )
-        chart.add_series("lsqr", lk, lerr, marker=True)
+        keep = [j for j, k in enumerate(tk) if int(k) <= span]
+        chart = Chart("Semi-convergence of the iterates", "k", "relative error (log)", ylog=True)
+        chart.add_series("lsqr", lk, lsqr["rel_error"], marker=True)
         chart.add_series("tsvd", [tk[j] for j in keep], [terr[j] for j in keep])
-        kstar = [k for k, f in zip(lk, flag) if f > 0.0]
-        if kstar:
-            chart.add_vline(kstar[0], "k*")
+        if "1" in lsqr["is_kstar"]:
+            chart.add_vline(lk[lsqr["is_kstar"].index("1")], "k*")
         if terr:
             chart.add_vline(tk[best], "k0")
         emit("d", chart)
@@ -710,6 +693,15 @@ def compare(dir_a, dir_b, tolerances: dict | None = None) -> CompareReport:
     independent = NOISE_INDEPENDENT_COLUMNS
     if any(kv and kv.get("problem", "").startswith(SEEDED_PROBLEM_PREFIXES) for kv in summaries):
         independent = independent - SPECTRUM_COLUMNS
+
+    def column_diffs(file, cols_a, cols_b):
+        for column, cells_a in cols_a.items():
+            tol = tolerances.get(column, 0.0)
+            outcomes = [_cells_differ(a, b, tol) for a, b in zip(cells_a, cols_b[column])]
+            rels = [rel for differs, rel in outcomes if differs]
+            if rels:
+                yield ColumnDiff(file, column, len(rels), max(rels), tol, column not in independent)
+
     for name in ARTIFACT_CSVS:
         pa, pb = os.path.join(dir_a, name), os.path.join(dir_b, name)
         have_a, have_b = os.path.exists(pa), os.path.exists(pb)
@@ -719,42 +711,23 @@ def compare(dir_a, dir_b, tolerances: dict | None = None) -> CompareReport:
             diffs.append(ColumnDiff(name, "<file>", 1, math.inf, 0.0, True))
             continue
         try:
-            kind_a, header_a, rows_a = read_csv(pa)
-            kind_b, header_b, rows_b = read_csv(pb)
+            kind_a, cols_a = read_csv(pa)
+            kind_b, cols_b = read_csv(pb)
         except ValueError as err:
             raise ConfigError(str(err)) from err
-        if kind_a != kind_b or header_a != header_b:
+        if kind_a != kind_b or list(cols_a) != list(cols_b):
             raise ConfigError(f"{name}: artifact schemas disagree")
-        if len(rows_a) != len(rows_b):
-            diffs.append(
-                ColumnDiff(name, "<rows>", abs(len(rows_a) - len(rows_b)),
-                           math.inf, 0.0, True)
-            )
-        for j, column in enumerate(header_a):
-            tol = tolerances.get(column, 0.0)
-            count, worst = 0, 0.0
-            for ra, rb in zip(rows_a, rows_b):
-                differs, rel = _cells_differ(ra[j], rb[j], tol)
-                if differs:
-                    count += 1
-                    worst = max(worst, rel)
-            if count:
-                diffs.append(
-                    ColumnDiff(name, column, count, worst, tol, column not in independent)
-                )
+        rows_a, rows_b = (len(next(iter(cols.values()))) for cols in (cols_a, cols_b))
+        if rows_a != rows_b:
+            diffs.append(ColumnDiff(name, "<rows>", abs(rows_a - rows_b), math.inf, 0.0, True))
+        diffs.extend(column_diffs(name, cols_a, cols_b))
     kva, kvb = summaries
     if (kva is None) != (kvb is None):
         diffs.append(ColumnDiff("summary.txt", "<file>", 1, math.inf, 0.0, True))
-    elif kva is not None:
-        for key in sorted(set(kva) | set(kvb)):
-            va, vb = kva.get(key), kvb.get(key)
-            if va != vb:
-                differs, rel = _cells_differ(va or "", vb or "", tolerances.get(key, 0.0))
-                if differs:
-                    diffs.append(
-                        ColumnDiff("summary.txt", key, 1, rel, tolerances.get(key, 0.0),
-                                   key not in independent)
-                    )
+    elif kva is not None:  # a one-row table with a column per key
+        keys = sorted(set(kva) | set(kvb))
+        tables = ({key: [kv.get(key, "")] for key in keys} for kv in (kva, kvb))
+        diffs.extend(column_diffs("summary.txt", *tables))
     for column, tol in sorted(tolerances.items()):
         notes.append(f"column {column}: tolerance relaxed to {tol:g}")
     notes.append("config echo and SVG panels are derived inputs/outputs; not compared")

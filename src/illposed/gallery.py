@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 #: Largest value whose square is finite; the pipeline squares sigma_1 and
-#: ||b||, and the kernels square their depth and conductivity.
+#: ||b||, and the heat kernel squares its conductivity.
 SQRT_FLOAT_MAX = float(np.sqrt(np.finfo(float).max))
 
 
@@ -159,11 +159,20 @@ def make_shaw(n: int) -> IllPosedProblem:
         raise ValueError("make_shaw requires an even order n >= 2")
     h = np.pi / n
     s = -np.pi / 2 + (np.arange(n) + 0.5) * h
-    cos_sum = np.cos(s)[:, None] + np.cos(s)[None, :]
-    u = np.pi * (np.sin(s)[:, None] + np.sin(s)[None, :])
-    # np.sinc(x) = sin(pi x)/(pi x), so sinc(u/pi) = sin(u)/u with the 0 limit.
-    A = h * cos_sum**2 * np.sinc(u / np.pi) ** 2
-    del cos_sum, u
+    # h (cos s_i + cos s_j)^2 sinc(u/pi)^2 in place, two n x n arrays alive: the
+    # steps of np.sinc(x) (y = pi x, eps where y == 0, sin(y)/y) keep A's bits.
+    y = np.pi * (np.sin(s)[:, None] + np.sin(s)[None, :])
+    y /= np.pi
+    y *= np.pi
+    y[y == 0.0] = np.finfo(float).eps
+    A = np.sin(y)
+    A /= y
+    A *= A
+    np.add(np.cos(s)[:, None], np.cos(s)[None, :], out=y)
+    y *= y
+    y *= h
+    A *= y
+    del y
     x_true = 2.0 * np.exp(-6.0 * (s - 0.8) ** 2) + np.exp(-2.0 * (s + 0.5) ** 2)
     return _finalize("shaw", A, x_true, SpectrumModel(kind="empirical"))
 
@@ -182,8 +191,10 @@ def make_gravity(n: int, depth: float = 0.25) -> IllPosedProblem:
         raise ValueError("make_gravity requires n >= 2")
     if depth <= 0.0:
         raise ValueError("depth must be positive")
-    if depth >= SQRT_FLOAT_MAX:
-        raise ValueError(f"depth must lie below {SQRT_FLOAT_MAX:.4g}: its square overflows")
+    if depth >= (high := np.cbrt(np.finfo(float).max)):
+        raise ValueError(f"depth must lie below {high:.4g}: its cube overflows")
+    if depth < (low := np.cbrt(np.finfo(float).tiny)):
+        raise ValueError(f"depth must be at least {low:.4g}: its cube underflows")
     h = 1.0 / n
     t = (np.arange(n) + 0.5) * h
     diff = t[:, None] - t[None, :]
@@ -247,6 +258,8 @@ def make_heat(n: int, kappa: float = 1.0) -> IllPosedProblem:
         raise ValueError("kappa must be positive")
     if kappa >= SQRT_FLOAT_MAX:
         raise ValueError(f"kappa must lie below {SQRT_FLOAT_MAX:.4g}: its square overflows")
+    if kappa < (low := np.sqrt(n) / SQRT_FLOAT_MAX):
+        raise ValueError(f"kappa must be at least {low:.4g} at n = {n}: 1/(4 kappa^2 t) overflows")
     h = 1.0 / n
     t = (np.arange(1, n + 1) - 0.5) * h
     c = h / (2.0 * kappa * np.sqrt(np.pi))

@@ -85,8 +85,7 @@ def lsqr_sweep(instance, state: BidiagState, kmax: int) -> LsqrTrace:
 
 def write_lsqr_csv(trace: LsqrTrace, path) -> None:
     """Export the trace as CSV (kind ``lsqr``); flags the kstar row."""
-    rows = [
-        [int(k), trace.rel_errors[i], trace.residuals[i], bool(k == trace.kstar)]
-        for i, k in enumerate(trace.ks)
-    ]
-    write_csv(path, "lsqr", ["k", "rel_error", "residual", "is_kstar"], rows)
+    write_csv(path, "lsqr", {
+        "k": trace.ks, "rel_error": trace.rel_errors,
+        "residual": trace.residuals, "is_kstar": trace.ks == trace.kstar,
+    })

@@ -195,9 +195,8 @@ def _window_medians(coef) -> np.ndarray:
 
 def write_picard_csv(diag: PicardDiagnostic, path) -> None:
     """Export the diagnostic as CSV (kind ``picard``)."""
-    header = ["i", "sigma_i", "abs_uiTb", "abs_uiTbtrue", "eta"]
-    rows = [
-        [i + 1, diag.sigma[i], diag.coef[i], diag.coef_true[i], diag.noise_floor]
-        for i in range(diag.sigma.size)
-    ]
-    write_csv(path, "picard", header, rows)
+    n = diag.sigma.size
+    write_csv(path, "picard", {
+        "i": range(1, n + 1), "sigma_i": diag.sigma, "abs_uiTb": diag.coef,
+        "abs_uiTbtrue": diag.coef_true, "eta": np.full(n, diag.noise_floor),
+    })

@@ -105,8 +105,5 @@ def tsvd_sweep(instance: NoisyInstance, kmax: int | None = None) -> TsvdSweep:
 
 def write_tsvd_csv(sweep: TsvdSweep, path) -> None:
     """Export the sweep as CSV (kind ``tsvd``)."""
-    rows = [
-        [int(k), sweep.rel_errors[i], sweep.residuals[i]]
-        for i, k in enumerate(sweep.ks)
-    ]
-    write_csv(path, "tsvd", ["k", "rel_error", "residual"], rows)
+    columns = {"k": sweep.ks, "rel_error": sweep.rel_errors, "residual": sweep.residuals}
+    write_csv(path, "tsvd", columns)

@@ -885,31 +885,33 @@ def _report(k):
 def test_write_analysis_csv_round_trip(tmp_path):
     path = tmp_path / "analysis.csv"
     write_analysis_csv([_record(1), _record(2)], [None, _report(2)], path)
-    kind, header, rows = read_csv(path)
+    kind, cols = read_csv(path)
     assert kind == "analysis"
-    assert header == ANALYSIS_COLUMNS
-    assert len(header) == 25
-    assert len(rows) == 2
+    assert list(cols) == ANALYSIS_COLUMNS
+    assert len(cols) == 25
+    assert all(len(col) == 2 for col in cols.values())
     # Missing report: placeholder regime, sentinel k0, nan bounds and flags.
-    assert rows[0][11] == "none"
-    assert rows[0][12] == "-1"
-    assert rows[0][13] == "nan"
-    assert rows[0][23] == "nan" and rows[0][24] == "nan"
+    assert cols["regime"][0] == "none"
+    assert cols["k0_used"][0] == "-1"
+    assert cols["ratio_realized"][0] == "nan"
+    assert cols["near_best_condition"][0] == "nan"
+    assert cols["natural_order_condition"][0] == "nan"
     # Present report: values round-trip, booleans become flags.
-    assert rows[1][0] == "2"
-    assert float(rows[1][1]) == 0.5
-    assert rows[1][8] == "1" and rows[1][9] == "0"
-    assert rows[1][11] == "severe"
-    assert float(rows[1][19]) == 0.07
-    assert rows[1][23] == "1" and rows[1][24] == "1"
+    assert cols["k"][1] == "2"
+    assert float(cols["gamma"][1]) == 0.5
+    assert cols["near_best"][1] == "1" and cols["natural_order"][1] == "0"
+    assert cols["regime"][1] == "severe"
+    assert float(cols["delta_bound"][1]) == 0.07
+    assert cols["near_best_condition"][1] == "1"
+    assert cols["natural_order_condition"][1] == "1"
 
 
 def test_write_ritz_csv_long_format(tmp_path):
     recs = [_record(1), _record(2)]
     path = tmp_path / "ritz.csv"
     write_ritz_csv(recs, path)
-    kind, header, rows = read_csv(path)
+    kind, cols = read_csv(path)
     assert kind == "ritz"
-    assert header == ["k", "i", "theta"]
-    assert [(r[0], r[1]) for r in rows] == [("1", "1"), ("2", "1"), ("2", "2")]
-    assert float(rows[0][2]) == 1.5
+    assert list(cols) == ["k", "i", "theta"]
+    assert list(zip(cols["k"], cols["i"])) == [("1", "1"), ("2", "1"), ("2", "2")]
+    assert float(cols["theta"][0]) == 1.5

@@ -210,10 +210,10 @@ def test_write_bidiag_csv(tmp_path):
     from illposed.bidiag import write_bidiag_csv
 
     write_bidiag_csv(state, path)
-    kind, header, rows = read_csv(path)
+    kind, cols = read_csv(path)
     assert kind == "bidiag"
-    assert header == ["index", "alpha", "beta_next"]
-    assert len(rows) == 2
-    assert float(rows[0][1]) == state.alphas[0]
-    assert float(rows[0][2]) == state.betas[1]
-    assert float(rows[1][2]) == 0.0
+    assert list(cols) == ["index", "alpha", "beta_next"]
+    assert cols["index"] == ["1", "2"]
+    assert float(cols["alpha"][0]) == state.alphas[0]
+    assert float(cols["beta_next"][0]) == state.betas[1]
+    assert float(cols["beta_next"][1]) == 0.0

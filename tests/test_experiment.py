@@ -160,22 +160,22 @@ def test_run_summary_is_consistent_with_csvs(base_run):
     summary = read_summary(outdir)
     assert list(summary) == SUMMARY_KEYS
 
-    _, header, rows = read_csv(os.path.join(outdir, "lsqr.csv"))
-    flags = [r[header.index("is_kstar")] for r in rows]
+    _, cols = read_csv(os.path.join(outdir, "lsqr.csv"))
+    flags = cols["is_kstar"]
     assert flags.count("1") == 1
-    assert summary["kstar"] == rows[flags.index("1")][header.index("k")]
+    assert summary["kstar"] == cols["k"][flags.index("1")]
 
-    _, header, rows = read_csv(os.path.join(outdir, "tsvd.csv"))
-    errs = [float(r[header.index("rel_error")]) for r in rows]
+    _, cols = read_csv(os.path.join(outdir, "tsvd.csv"))
+    errs = [float(e) for e in cols["rel_error"]]
     best_row = min(range(len(errs)), key=errs.__getitem__)
-    assert summary["k0_realized"] == rows[best_row][header.index("k")]
+    assert summary["k0_realized"] == cols["k"][best_row]
     assert float(summary["best_tsvd_error"]) == errs[best_row]
 
-    _, header, rows = read_csv(os.path.join(outdir, "analysis.csv"))
-    assert len(rows) == int(summary["analysis_rows"])
+    _, cols = read_csv(os.path.join(outdir, "analysis.csv"))
+    assert len(cols["k"]) == int(summary["analysis_rows"])
     for column, key in [("natural_order", "first_natural_order_failure"),
                         ("near_best", "first_near_best_failure")]:
-        fails = [r[header.index("k")] for r in rows if r[header.index(column)] == "0"]
+        fails = [k for k, flag in zip(cols["k"], cols[column]) if flag == "0"]
         assert summary[key] == (fails[0] if fails else "none")
 
     assert summary["problem"] == "deriv2"
@@ -441,15 +441,32 @@ def test_cli_non_finite_scale_exits_2(args, tmp_path):
 
 @pytest.mark.parametrize("args", [
     ["--problem", "gravity", "--depth", "1e160"],
+    ["--problem", "gravity", "--depth", "1e150"],
     ["--problem", "heat", "--kappa", "1e160"],
     ["--scale", "1e308"],
 ])
 def test_cli_float_setting_that_overflows_exits_2(args, tmp_path):
-    # depth^2 and kappa^2 overflow a Python float, n * scale is infinite.
+    # depth^2 and kappa^2 overflow a Python float, depth^3 the kernel's
+    # power (numpy warned of it), n * scale is infinite.
     proc = _cli("run", *args, "--out", str(tmp_path / "x"))
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("config error:")
     assert "overflows" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["--problem", "gravity", "--depth", "1e-200"],
+    ["--problem", "gravity", "--depth", "1e-150", "--n", "8"],
+    ["--problem", "heat", "--kappa", "1e-200"],
+])
+def test_cli_float_setting_that_underflows_exits_2(args, tmp_path):
+    # depth^3 underflows to zero, and 1/(4 kappa^2 t) overflows; both are
+    # rejected before the kernel is evaluated, so numpy has nothing to warn of.
+    proc = _cli("run", *args, "--out", str(tmp_path / "x"))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error:")
+    assert "must be at least" in proc.stderr
+    assert "RuntimeWarning" not in proc.stdout + proc.stderr
 
 
 @pytest.mark.parametrize("problem", ["prescribed", "picard_synthetic"])

@@ -145,10 +145,11 @@ def test_write_lsqr_csv(tmp_path):
     trace = _sweep(inst, 10)
     path = tmp_path / "lsqr.csv"
     write_lsqr_csv(trace, path)
-    kind, header, rows = read_csv(path)
+    kind, cols = read_csv(path)
     assert kind == "lsqr"
-    assert header == ["k", "rel_error", "residual", "is_kstar"]
-    assert len(rows) == 10
-    flags = [r[3] for r in rows]
-    assert flags.count("1") == 1
-    assert int(rows[flags.index("1")][0]) == trace.kstar
+    assert list(cols) == ["k", "rel_error", "residual", "is_kstar"]
+    assert cols["k"] == [str(k) for k in range(1, 11)]
+    flags = cols["is_kstar"]
+    assert flags.count("1") == 1 and flags.count("0") == 9
+    assert int(cols["k"][flags.index("1")]) == trace.kstar
+    assert [float(v) for v in cols["residual"]] == trace.residuals.tolist()

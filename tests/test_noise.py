@@ -170,10 +170,11 @@ def test_write_picard_csv(tmp_path):
     diag = picard_diagnostic(inst)
     path = tmp_path / "picard.csv"
     write_picard_csv(diag, path)
-    kind, header, rows = read_csv(path)
+    kind, cols = read_csv(path)
     assert kind == "picard"
-    assert header == ["i", "sigma_i", "abs_uiTb", "abs_uiTbtrue", "eta"]
-    assert len(rows) == 6
-    assert [r[0] for r in rows] == ["1", "2", "3", "4", "5", "6"]
-    assert float(rows[0][1]) == diag.sigma[0]
-    assert float(rows[3][4]) == diag.noise_floor
+    assert list(cols) == ["i", "sigma_i", "abs_uiTb", "abs_uiTbtrue", "eta"]
+    assert cols["i"] == ["1", "2", "3", "4", "5", "6"]
+    assert [float(v) for v in cols["sigma_i"]] == diag.sigma.tolist()
+    assert [float(v) for v in cols["abs_uiTb"]] == diag.coef.tolist()
+    assert [float(v) for v in cols["abs_uiTbtrue"]] == diag.coef_true.tolist()
+    assert [float(v) for v in cols["eta"]] == [diag.noise_floor] * 6

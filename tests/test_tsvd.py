@@ -110,9 +110,9 @@ def test_write_tsvd_csv(tmp_path):
     sweep = tsvd_sweep(inst, kmax=5)
     path = tmp_path / "tsvd.csv"
     write_tsvd_csv(sweep, path)
-    kind, header, rows = read_csv(path)
+    kind, cols = read_csv(path)
     assert kind == "tsvd"
-    assert header == ["k", "rel_error", "residual"]
-    assert len(rows) == 5
-    assert [int(r[0]) for r in rows] == [1, 2, 3, 4, 5]
-    assert float(rows[2][1]) == sweep.rel_errors[2]
+    assert list(cols) == ["k", "rel_error", "residual"]
+    assert cols["k"] == ["1", "2", "3", "4", "5"]
+    assert [float(v) for v in cols["rel_error"]] == sweep.rel_errors.tolist()
+    assert [float(v) for v in cols["residual"]] == sweep.residuals.tolist()
