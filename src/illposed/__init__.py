@@ -74,14 +74,7 @@ from .gallery import (
     make_prescribed,
     make_shaw,
 )
-from .linalg import (
-    RankDeficientError,
-    SvdFactorization,
-    least_squares,
-    orthonormalize,
-    spectral_norm,
-    svd,
-)
+from .linalg import SvdFactorization, spectral_norm, svd
 from .lsqr import LsqrTrace, lsqr_iterate, lsqr_sweep
 from .noise import (
     NoisyInstance,

@@ -26,6 +26,8 @@ import math
 import os
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from .analysis import (
     AnalysisRecord,
     bound_report,
@@ -43,7 +45,7 @@ from .analysis import (
     write_analysis_csv,
     write_ritz_csv,
 )
-from .bidiag import bidiag_run, recurrence_residuals, write_bidiag_csv
+from .bidiag import BreakdownError, bidiag_run, recurrence_residuals, write_bidiag_csv
 from .csvio import format_value, read_csv
 from .gallery import (
     SpectrumModel,
@@ -476,8 +478,9 @@ def run(config: ExperimentConfig) -> RunResult:
 
     Raises :class:`ConfigError` on an invalid configuration, an output
     directory that cannot be created, a noise level so small that the
-    noise draw underflows to zero or a recurrence that breaks down before
-    its first step, all before any artifact is written, and
+    noise draw underflows to zero, noisy data whose ||b||^2 overflows or a
+    recurrence that breaks down before its first step, all before any
+    artifact is written, and
     :class:`InvariantViolation` -- after all artifacts are written -- when
     a universal inequality fails beyond slack.
     A later breakdown of the recurrence is not an error: the sweeps and
@@ -493,13 +496,19 @@ def run(config: ExperimentConfig) -> RunResult:
     instance = add_noise(problem, config.noise, config.seed)
     if instance.eta == 0.0:
         raise ConfigError(f"noise = {config.noise!r} underflows to a zero noise draw")
+    with np.errstate(over="ignore"):  # an overflow is reported here
+        if not np.isfinite(np.linalg.norm(instance.b)):
+            raise ConfigError(f"||b||^2 of the noisy data overflows float64 (noise = {config.noise!r})")
     picard = picard_diagnostic(instance)
     sigma1 = float(problem.svd.sigma[0])
     kmax = config.effective_kmax(problem.n)
 
-    state, _ = bidiag_run(
-        problem.A, instance.b, steps=None, reorth=config.reorth, norm_A=sigma1
-    )
+    try:
+        state, _ = bidiag_run(
+            problem.A, instance.b, steps=None, reorth=config.reorth, norm_A=sigma1
+        )
+    except BreakdownError as err:  # at beta_1 or alpha_1, in bidiag_start
+        raise ConfigError(f"the recurrence broke down at its start: {err}") from err
     if state.max_k < 1:
         raise ConfigError(
             f"the recurrence broke down at {state.breakdown} before its first step "

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SvdFactorization, as_matrix, as_vector, orthonormalize, svd
+from .linalg import SvdFactorization, as_matrix, as_vector, svd
 
 __all__ = [
     "SpectrumModel",
@@ -120,6 +120,9 @@ def _finalize(name, A, x_true, spectrum, b_true=None) -> IllPosedProblem:
     with np.errstate(over="ignore"):  # an overflow is reported below
         nb = float(np.linalg.norm(b_true))
     if nb == 0.0:
+        top = float(np.max(np.abs(b_true)))
+        if top > 0.0:
+            raise ValueError(f"{name}: ||b_true||^2 underflows float64 (largest |entry| {top:.3e})")
         raise ValueError(f"{name}: b_true is identically zero")
     if not np.isfinite(nb):
         raise ValueError(f"{name}: ||b_true||^2 overflows float64")
@@ -281,8 +284,13 @@ def make_heat(n: int, kappa: float = 1.0) -> IllPosedProblem:
 
 # Synthetic problems with prescribed spectra ==================================
 def _random_orthogonal(rng, rows: int, cols: int) -> np.ndarray:
-    """Orthonormal factor of a seeded Gaussian matrix (sign-fixed QR)."""
-    return orthonormalize(rng.standard_normal((rows, cols)))
+    """Orthonormal factor of a seeded Gaussian matrix (sign-fixed QR).
+
+    The signs make the diagonal of the triangular factor positive, which
+    pins the basis; a Gaussian draw has full rank with probability one.
+    """
+    Q, R = np.linalg.qr(rng.standard_normal((rows, cols)))
+    return Q * np.sign(np.diag(R))
 
 
 def make_prescribed(n: int, spectrum: SpectrumModel, seed: int, m: int | None = None) -> IllPosedProblem:
@@ -335,11 +343,12 @@ def make_picard_synthetic(n: int, spectrum: SpectrumModel, seed: int, m: int | N
 
 
 # Spectrum fitting ============================================================
-def fit_spectrum_model(sigma, floor_rel: float = 1e-13) -> SpectrumModel:
+def fit_spectrum_model(sigma) -> SpectrumModel:
     """Fit a decay model to a computed spectrum.
 
     Regresses log(sigma_k) against k (geometric decay) and against log k
-    (power-law decay) over the window above ``floor_rel * sigma_1`` and
+    (power-law decay) over the window above ``1e-13 * sigma_1`` (a computed
+    sigma_k is off by about eps * sigma_1, so below it few digits remain) and
     returns whichever admissible model fits with smaller squared residual.
 
     Raises ``ValueError`` when fewer than 3 values sit above the floor or
@@ -348,7 +357,7 @@ def fit_spectrum_model(sigma, floor_rel: float = 1e-13) -> SpectrumModel:
     s = as_vector(sigma, "sigma")
     if s.size == 0 or s[0] <= 0.0:
         raise ValueError("spectrum must start positive")
-    keep = s > floor_rel * s[0]
+    keep = s > 1e-13 * s[0]
     j = np.arange(1, s.size + 1, dtype=float)[keep]
     y = np.log(s[keep])
     if j.size < 3:

@@ -15,7 +15,6 @@ import numpy as np
 
 from .bidiag import BidiagState
 from .csvio import write_csv
-from .linalg import least_squares
 
 __all__ = [
     "LsqrTrace",
@@ -32,7 +31,7 @@ def lsqr_iterate(state: BidiagState, k: int) -> np.ndarray:
     B = state.B(k)
     rhs = np.zeros(B.shape[0])
     rhs[0] = state.betas[0]
-    y = least_squares(B, rhs)
+    y = np.linalg.lstsq(B, rhs, rcond=None)[0]
     return state.Q_k(k) @ y
 
 

@@ -102,8 +102,8 @@ class PicardDiagnostic:
         |u_i' b| for the noisy data.
     coef_true : (n,) ndarray
         |u_i' b_true| for the noise-free data.
-    noise_floor : float
-        The floor eta the indices were measured against.
+    eta : float
+        The instance's noise floor, which the indices are measured against.
     k0 : int
         Transition index by the windowed rule: the largest k whose
         5-index median of |u_i' b| (window clamped at the ends) exceeds
@@ -114,43 +114,33 @@ class PicardDiagnostic:
     beta_fit : float
         Slope-derived decay exponent: fitting log|u_i' b_true| to
         (1 + beta) log sigma_i over i <= k0 gives beta; nan when k0 < 2.
-    warnings : tuple of str
     """
 
     sigma: np.ndarray
     coef: np.ndarray
     coef_true: np.ndarray
-    noise_floor: float
+    eta: float
     k0: int
     k0_naive: int
     beta_fit: float
-    warnings: tuple = ()
 
 
-def picard_diagnostic(instance: NoisyInstance, noise_floor: float | None = None) -> PicardDiagnostic:
-    """Locate the transition index of the coefficient sequence |u_i' b|.
-
-    ``noise_floor`` defaults to the instance's realized ``eta``; pass an
-    explicit positive floor to diagnose noiseless data against an analytic
-    threshold.
-    """
-    floor = instance.eta if noise_floor is None else float(noise_floor)
-    if floor <= 0.0:
-        raise ValueError("noise floor must be positive; pass one explicitly for noiseless data")
+def picard_diagnostic(instance: NoisyInstance) -> PicardDiagnostic:
+    """Locate the transition index of the coefficient sequence |u_i' b|
+    against the instance's noise floor ``eta``, which must be positive."""
+    eta = instance.eta
+    if eta <= 0.0:
+        raise ValueError("noise floor eta must be positive")
     fact = instance.problem.svd
     coef = np.abs(fact.coefficients(instance.b))
     coef_true = np.abs(fact.coefficients(instance.problem.b_true))
     n = coef.size
 
-    above = np.nonzero(_window_medians(coef) > FLOOR_FACTOR * floor)[0]
+    above = np.nonzero(_window_medians(coef) > FLOOR_FACTOR * eta)[0]
     k0 = int(above[-1]) + 1 if above.size else 0
 
-    below = np.nonzero(coef <= floor)[0]
+    below = np.nonzero(coef <= eta)[0]
     k0_naive = int(below[0]) if below.size else n
-
-    warnings = []
-    if k0 == 0:
-        warnings.append("all coefficient windows sit at or below the noise floor")
 
     beta_fit = float("nan")
     if k0 >= 2:
@@ -165,11 +155,10 @@ def picard_diagnostic(instance: NoisyInstance, noise_floor: float | None = None)
         sigma=fact.sigma.copy(),
         coef=coef,
         coef_true=coef_true,
-        noise_floor=floor,
+        eta=eta,
         k0=int(k0),
         k0_naive=int(k0_naive),
         beta_fit=beta_fit,
-        warnings=tuple(warnings),
     )
 
 
@@ -198,5 +187,5 @@ def write_picard_csv(diag: PicardDiagnostic, path) -> None:
     n = diag.sigma.size
     write_csv(path, "picard", {
         "i": range(1, n + 1), "sigma_i": diag.sigma, "abs_uiTb": diag.coef,
-        "abs_uiTbtrue": diag.coef_true, "eta": np.full(n, diag.noise_floor),
+        "abs_uiTbtrue": diag.coef_true, "eta": np.full(n, diag.eta),
     })

@@ -58,7 +58,7 @@ def _nice_linear_ticks(lo: float, hi: float, target: int = 5):
 
 
 def _decade_ticks(lo: float, hi: float, max_ticks: int = 12):
-    lo_e = math.floor(math.log10(lo))
+    lo_e = max(math.floor(math.log10(lo)), -323)  # 10.0**-324 rounds to 0
     hi_e = math.ceil(math.log10(hi))
     stride = max(1, math.ceil((hi_e - lo_e + 1) / max_ticks))
     return [10.0**e for e in range(lo_e, hi_e + 1, stride)]

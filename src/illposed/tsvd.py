@@ -59,7 +59,7 @@ def _column_norms_inplace(M) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TsvdSweep:
-    """Realized errors and residuals of x_1..x_kmax.
+    """Realized errors and residuals of x_1..x_rank.
 
     ``best_k`` is the truncation level of smallest relative error (ties
     resolved to the smallest k); it realizes the transition index of the
@@ -73,19 +73,18 @@ class TsvdSweep:
     best_error: float
 
 
-def tsvd_sweep(instance: NoisyInstance, kmax: int | None = None) -> TsvdSweep:
-    """Sweep truncation levels k = 1..kmax (capped at the rank floor)."""
+def tsvd_sweep(instance: NoisyInstance) -> TsvdSweep:
+    """Sweep truncation levels k = 1..rank, every sigma_k above the rank floor."""
     prob = instance.problem
     fact = prob.svd
     s = fact.sigma
     rank = int(np.sum(s > RANK_FLOOR_REL * s[0]))
-    kmax = rank if kmax is None else min(kmax, rank)
-    if kmax < 1:
+    if rank < 1:
         raise ValueError("matrix has no components above the rank floor")
-    c = fact.coefficients(instance.b)[:kmax]
+    c = fact.coefficients(instance.b)[:rank]
     # Column k-1 of the cumulative sum is x_k; one pass gives the whole sweep.
-    # Two n x kmax arrays in all: X (then its error) and A X - b.
-    X = fact.V[:, :kmax] * (c / s[:kmax])
+    # Two n x rank arrays in all: X (then its error) and A X - b.
+    X = fact.V[:, :rank] * (c / s[:rank])
     np.cumsum(X, axis=1, out=X)
     R = prob.A @ X
     R -= instance.b[:, None]
@@ -95,7 +94,7 @@ def tsvd_sweep(instance: NoisyInstance, kmax: int | None = None) -> TsvdSweep:
     rel_errors = _column_norms_inplace(X) / nx
     best = int(np.argmin(rel_errors))
     return TsvdSweep(
-        ks=np.arange(1, kmax + 1),
+        ks=np.arange(1, rank + 1),
         rel_errors=rel_errors,
         residuals=residuals,
         best_k=best + 1,

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import illposed
 
+from illposed.bidiag import BreakdownError
 from illposed.cli import main as cli_main
 from illposed.csvio import read_csv
 from illposed.experiment import (
@@ -469,6 +470,51 @@ def test_cli_float_setting_that_underflows_exits_2(args, tmp_path):
     assert "RuntimeWarning" not in proc.stdout + proc.stderr
 
 
+def test_cli_noisy_data_whose_square_overflows_exits_2(tmp_path):
+    # ||b_true||^2 is finite just below zeta = 1.3e154, but noise 0.5 lifts
+    # ||b||^2 past float64: beta_1 used to be inf and u_1 zero.
+    out = tmp_path / "big"
+    proc = _cli("run", "--problem", "prescribed", "--n", "12", "--noise", "0.5",
+                "--zeta", "1e154", "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error:")
+    assert "overflows" in proc.stderr and "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stdout + proc.stderr
+    assert os.listdir(out) == []
+
+
+def test_run_maps_a_breakdown_at_the_start_to_a_config_error(tmp_path, monkeypatch):
+    import illposed.experiment as experiment
+
+    def broken(A, b, **kwargs):
+        raise BreakdownError(0, "alpha_1", 0.0, 1e-14)
+
+    monkeypatch.setattr(experiment, "bidiag_run", broken)
+    with pytest.raises(ConfigError, match="alpha_1"):
+        run(ExperimentConfig(problem="deriv2", n=8, out=str(tmp_path / "x")))
+
+
+def test_cli_kernel_of_subnormal_values_renders_its_panels(tmp_path):
+    # The gravity kernel at depth 1e78 spans 1e-323..1e-156: its log axis
+    # used to get the tick 10**-324 == 0 and stop in math.log10.
+    out = tmp_path / "deep"
+    proc = _cli("run", "--problem", "gravity", "--depth", "1e78", "--n", "12",
+                "--out", str(out))
+    assert proc.returncode in (0, 1), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "panel_a.svg" in os.listdir(out)
+
+
+def test_cli_data_whose_square_underflows_exits_2(tmp_path):
+    # heat at kappa 0.02 has entries near 1e-276, not zero: only ||b_true||^2
+    # underflows, and the message says so.
+    proc = _cli("run", "--problem", "heat", "--n", "64", "--kappa", "0.02",
+                "--out", str(tmp_path / "x"))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error:")
+    assert "underflow" in proc.stderr and "identically zero" not in proc.stderr
+
+
 @pytest.mark.parametrize("problem", ["prescribed", "picard_synthetic"])
 def test_cli_breakdown_before_the_first_step_exits_2(problem, tmp_path):
     # A spectrum flat to rounding: A A' b is a multiple of b, so the
@@ -601,6 +647,8 @@ _EXTREME_SETTINGS = st.one_of(
          extreme=("rho", 1.0000000000000002))
 @example(problem="picard_synthetic", n=12, noise="1e-3", kmax="none", reorth="false",
          extreme=("rho", 1.0000000000000002))
+# Noise 0.5 used to make ||b||^2 overflow just below the zeta bound.
+@example(problem="prescribed", n=12, noise="0.5", kmax="none", reorth="true", extreme=("zeta", 1e154))
 def test_cli_run_never_raises(problem, n, noise, kmax, reorth, extreme):
     args = ["run", "--problem", problem, "--n", str(n), "--noise", noise,
             "--kmax", kmax, "--reorth", reorth]

@@ -3,15 +3,7 @@
 import numpy as np
 import pytest
 
-from illposed.linalg import (
-    RankDeficientError,
-    as_matrix,
-    as_vector,
-    least_squares,
-    orthonormalize,
-    spectral_norm,
-    svd,
-)
+from illposed.linalg import as_matrix, as_vector, spectral_norm, svd
 
 
 def test_as_matrix_validates():
@@ -35,16 +27,16 @@ def test_as_vector_validates():
         as_vector([1.0, np.nan])
 
 
-def test_svd_reconstructs_and_orders():
+def test_svd_factors_and_orders():
     rng = np.random.default_rng(0)
     A = rng.standard_normal((7, 4))
     fact = svd(A)
-    assert fact.m == 7 and fact.n == 4
+    assert fact.U.shape == (7, 4) and fact.V.shape == (4, 4)
     assert np.all(np.diff(fact.sigma) <= 0)
     assert np.all(fact.sigma >= 0)
     np.testing.assert_allclose(fact.U.T @ fact.U, np.eye(4), atol=1e-12)
     np.testing.assert_allclose(fact.V.T @ fact.V, np.eye(4), atol=1e-12)
-    np.testing.assert_allclose(fact.reconstruct(), A, atol=1e-12)
+    np.testing.assert_allclose((fact.U * fact.sigma) @ fact.V.T, A, atol=1e-12)
 
 
 def test_svd_known_diagonal():
@@ -97,53 +89,8 @@ def test_coefficients_oracle():
     np.testing.assert_allclose(fact.coefficients(b), fact.U.T @ b, rtol=1e-15)
 
 
-def test_least_squares_matches_normal_equations():
-    rng = np.random.default_rng(3)
-    A = rng.standard_normal((8, 4)) + 4.0 * np.eye(8, 4)
-    b = rng.standard_normal(8)
-    x = least_squares(A, b)
-    oracle = np.linalg.solve(A.T @ A, A.T @ b)
-    np.testing.assert_allclose(x, oracle, rtol=1e-10)
-
-
-def test_least_squares_minimum_norm_on_rank_deficient():
-    # Columns 0 and 1 are equal; the minimizer must split the weight evenly.
-    A = np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
-    b = np.array([2.0, 2.0, 0.0])
-    x = least_squares(A, b)
-    np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-12)
-
-
-def test_least_squares_validates_shapes():
-    with pytest.raises(ValueError, match="tall or square"):
-        least_squares(np.ones((2, 3)), np.ones(2))
-    with pytest.raises(ValueError, match="length"):
-        least_squares(np.ones((3, 2)), np.ones(4))
-
-
 def test_spectral_norm_against_svd():
     rng = np.random.default_rng(4)
     A = rng.standard_normal((6, 5))
     assert spectral_norm(A) == pytest.approx(np.linalg.norm(A, 2), rel=1e-13)
     assert spectral_norm(np.diag([2.0, 7.0, 1.0])) == pytest.approx(7.0)
-
-
-def test_orthonormalize_properties():
-    rng = np.random.default_rng(5)
-    M = rng.standard_normal((9, 4))
-    Q = orthonormalize(M)
-    np.testing.assert_allclose(Q.T @ Q, np.eye(4), atol=1e-12)
-    # Same span: the projectors agree.
-    P_M = M @ np.linalg.solve(M.T @ M, M.T)
-    np.testing.assert_allclose(Q @ Q.T, P_M, atol=1e-10)
-    # Deterministic: the R-diagonal sign fix pins the basis.
-    np.testing.assert_array_equal(orthonormalize(M.copy()), Q)
-
-
-def test_orthonormalize_rank_deficient():
-    M = np.ones((5, 3))
-    M[:, 2] = 2.0 * M[:, 0]  # columns 0, 1, 2 all parallel
-    with pytest.raises(RankDeficientError) as exc:
-        orthonormalize(M)
-    assert exc.value.column in (1, 2)
-    assert isinstance(exc.value, ValueError)

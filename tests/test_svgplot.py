@@ -67,6 +67,15 @@ def test_log_axis_skips_nonpositive_and_uses_decades():
     assert ">0.5<" not in svg
 
 
+def test_log_axis_down_to_the_smallest_subnormal():
+    # log10(1e-323) floors to -324, and 10.0**-324 == 0 has no logarithm.
+    c = Chart("t", "k", "v", ylog=True)
+    c.add_series("s", [1, 2], [1e-323, 1e-156])
+    svg = c.render()
+    assert svg.count("<polyline") == 1
+    assert ">1e-323<" in svg
+
+
 def test_single_point_series_renders_marker():
     c = Chart("t", "x", "y")
     c.add_series("s", [2], [5.0])

@@ -40,7 +40,7 @@ def test_solution_refuses_rank_floor():
 def test_sweep_matches_per_k_solutions():
     prob = make_picard_synthetic(16, severe(2.0), seed=0)
     inst = add_noise(prob, 1e-3, 0)
-    sweep = tsvd_sweep(inst, kmax=10)
+    sweep = tsvd_sweep(inst)
     nx = np.linalg.norm(prob.x_true)
     for i, k in enumerate(sweep.ks):
         x = tsvd_solution(prob.svd, inst.b, int(k))
@@ -52,13 +52,12 @@ def test_sweep_matches_per_k_solutions():
         )
 
 
-@pytest.mark.parametrize("kmax", [None, 7])
-def test_sweep_is_the_norm_formula_bit_for_bit(kmax):
-    # The sweep squares and sums its two n x kmax arrays in place; the
+def test_sweep_is_the_norm_formula_bit_for_bit():
+    # The sweep squares and sums its two n x rank arrays in place; the
     # result must be np.linalg.norm(axis=0) of fresh arrays, bit for bit.
     prob = make_picard_synthetic(24, severe(1.5), seed=3)
     inst = add_noise(prob, 1e-3, 3)
-    sweep = tsvd_sweep(inst, kmax=kmax)
+    sweep = tsvd_sweep(inst)
     fact, k = prob.svd, sweep.ks.size
     c = fact.coefficients(inst.b)[:k]
     X = np.cumsum(fact.V[:, :k] * (c / fact.sigma[:k]), axis=1)
@@ -96,9 +95,9 @@ def test_sweep_noiseless_prefers_full_rank():
 
 def test_sweep_caps_at_rank_floor():
     # sigma falls below 1e-14 * sigma_1 at k = 24 for rho = 4: the sweep
-    # must stop at the numerical rank even when asked for more.
+    # must stop at the numerical rank.
     prob = make_picard_synthetic(40, severe(4.0), seed=0)
-    sweep = tsvd_sweep(noiseless_instance(prob), kmax=40)
+    sweep = tsvd_sweep(noiseless_instance(prob))
     sigma = prob.svd.sigma
     rank = int(np.sum(sigma > 1e-14 * sigma[0]))
     assert sweep.ks[-1] == rank < 40
@@ -107,12 +106,12 @@ def test_sweep_caps_at_rank_floor():
 def test_write_tsvd_csv(tmp_path):
     prob = make_picard_synthetic(8, severe(2.0), seed=0)
     inst = add_noise(prob, 1e-2, 0)
-    sweep = tsvd_sweep(inst, kmax=5)
+    sweep = tsvd_sweep(inst)
     path = tmp_path / "tsvd.csv"
     write_tsvd_csv(sweep, path)
     kind, cols = read_csv(path)
     assert kind == "tsvd"
     assert list(cols) == ["k", "rel_error", "residual"]
-    assert cols["k"] == ["1", "2", "3", "4", "5"]
+    assert cols["k"] == ["1", "2", "3", "4", "5", "6", "7", "8"]
     assert [float(v) for v in cols["rel_error"]] == sweep.rel_errors.tolist()
     assert [float(v) for v in cols["residual"]] == sweep.residuals.tolist()
