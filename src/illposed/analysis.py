@@ -44,6 +44,9 @@ __all__ = [
     "write_ritz_csv",
 ]
 
+#: Relative slack of the invariant audit and the Ritz-value checks: values
+#: within ``AUDIT_SLACK * sigma_1`` of a bound count as on it (roundoff ties).
+AUDIT_SLACK = 1e-12
 #: Vandermonde systems with condition estimates beyond this are refused.
 VANDERMONDE_COND_LIMIT = 1e12
 #: sin(theta) this close to 1 marks the tangent as infinite.
@@ -395,7 +398,7 @@ def ritz_values(state: BidiagState, k: int) -> np.ndarray:
 def natural_order_check(theta, sigma, tol: float | None = None) -> bool:
     """True iff sigma_{i+1} < theta_i < sigma_i for every i <= k.
 
-    ``tol`` is an additive slack (default ``1e-12 * sigma_1``) absorbing
+    ``tol`` is an additive slack (default ``AUDIT_SLACK * sigma_1``) absorbing
     roundoff ties: converged Ritz values can sit within machine precision
     of the singular value they approximate.
     """
@@ -405,7 +408,7 @@ def natural_order_check(theta, sigma, tol: float | None = None) -> bool:
     if sigma.size < k + 1:
         raise ValueError("need sigma_1..sigma_{k+1} to test the natural order")
     if tol is None:
-        tol = 1e-12 * sigma[0]
+        tol = AUDIT_SLACK * sigma[0]
     lower = sigma[1 : k + 1] - tol < theta
     upper = theta < sigma[:k] + tol
     return bool(np.all(lower & upper))
@@ -420,7 +423,7 @@ def cauchy_interlace_check(theta, sigma, tol: float | None = None) -> bool:
     if k > n:
         raise ValueError("more Ritz values than singular values")
     if tol is None:
-        tol = 1e-12 * sigma[0]
+        tol = AUDIT_SLACK * sigma[0]
     lower = sigma[n - k :] - tol < theta
     upper = theta < sigma[:k] + tol
     return bool(np.all(lower & upper))

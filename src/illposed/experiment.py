@@ -29,6 +29,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .analysis import (
+    AUDIT_SLACK,
     AnalysisRecord,
     bound_report,
     cauchy_interlace_check,
@@ -330,7 +331,7 @@ def _analysis_records(problem, instance, picard, state, kmax):
     """Per-step diagnostics and bound reports for k = 1..kmax."""
     fact = problem.svd
     sigma = fact.sigma
-    slack = 1e-12 * sigma[0]
+    slack = AUDIT_SLACK * sigma[0]
     model, source = _spectrum_for_bounds(problem)
     K = min(kmax, state.max_trailing_k)
     proxy = dict(decay_diagnostic(state, K))
@@ -379,7 +380,7 @@ def _analysis_records(problem, instance, picard, state, kmax):
 def _check_invariants(records, sigma, state, lsqr, tsvd, reorth):
     """Audit the universal inequalities; returns human-readable violations."""
     sigma1 = float(sigma[0])
-    slack = 1e-12 * sigma1
+    slack = AUDIT_SLACK * sigma1
     viol = []
     for prev, rec in zip(records, records[1:]):
         if not rec.gamma < prev.gamma + slack:
@@ -397,7 +398,7 @@ def _check_invariants(records, sigma, state, lsqr, tsvd, reorth):
                 viol.append(f"alpha_{k + 1} = {a!r} not below gap {rec.gamma!r}")
             if not b < rec.gamma + slack:
                 viol.append(f"beta_{k + 2} = {b!r} not below gap {rec.gamma!r}")
-            if not 2.0 * a * b <= rec.gamma**2 + 1e-12 * sigma1**2:
+            if not 2.0 * a * b <= rec.gamma**2 + AUDIT_SLACK * sigma1**2:
                 viol.append(f"2 alpha beta above gap^2 at k={k}")
         if not cauchy_interlace_check(rec.ritz, sigma):
             viol.append(f"interlacing fails at k={k}")

@@ -23,6 +23,7 @@ PALETTE = [
     "#7f7f7f",
 ]
 
+WIDTH, HEIGHT = 640, 440
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 16, 34, 46
 
 
@@ -91,7 +92,8 @@ class _Axis:
         scale = math.log10 if self.log else float
         if scale(self.hi) == scale(self.lo):
             if self.log:
-                self.lo, self.hi = self.lo / 10.0, self.hi * 10.0
+                # lo / 10 can underflow to 0, which has no log10.
+                self.lo, self.hi = max(self.lo / 10.0, math.ulp(0.0)), self.hi * 10.0
             else:
                 pad = 0.5 * max(1.0, abs(self.lo))
                 self.lo, self.hi = self.lo - pad, self.hi + pad
@@ -112,12 +114,10 @@ class _Axis:
 class Chart:
     """A single-panel line chart rendered to an SVG string."""
 
-    def __init__(self, title, xlabel, ylabel, width=640, height=440, ylog=False):
+    def __init__(self, title, xlabel, ylabel, ylog=False):
         self.title = title
         self.xlabel = xlabel
         self.ylabel = ylabel
-        self.width = int(width)
-        self.height = int(height)
         self.xaxis = _Axis(False)
         self.yaxis = _Axis(ylog)
         self._series = []
@@ -141,23 +141,23 @@ class Chart:
 
     # Rendering ------------------------------------------------------------
     def _xs(self, values) -> list:
-        plot_w = self.width - MARGIN_L - MARGIN_R
+        plot_w = WIDTH - MARGIN_L - MARGIN_R
         return [MARGIN_L + u * plot_w for u in self.xaxis.units(values)]
 
     def _ys(self, values) -> list:
-        plot_h = self.height - MARGIN_T - MARGIN_B
+        plot_h = HEIGHT - MARGIN_T - MARGIN_B
         return [MARGIN_T + (1.0 - u) * plot_h for u in self.yaxis.units(values)]
 
     def render(self) -> str:
         self.xaxis.finish()
         self.yaxis.finish()
-        x0, x1 = MARGIN_L, self.width - MARGIN_R
-        y0, y1 = MARGIN_T, self.height - MARGIN_B
+        x0, x1 = MARGIN_L, WIDTH - MARGIN_R
+        y0, y1 = MARGIN_T, HEIGHT - MARGIN_B
         out = [
             f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-            f'width="{self.width}" height="{self.height}" '
-            f'viewBox="0 0 {self.width} {self.height}">',
-            f'<rect x="0" y="0" width="{self.width}" height="{self.height}" fill="white"/>',
+            f'width="{WIDTH}" height="{HEIGHT}" '
+            f'viewBox="0 0 {WIDTH} {HEIGHT}">',
+            f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
             f'<text x="{(x0 + x1) / 2:.1f}" y="20" text-anchor="middle" '
             f'font-family="sans-serif" font-size="14">{self.title}</text>',
         ]
@@ -188,7 +188,7 @@ class Chart:
             'fill="none" stroke="#333333" stroke-width="1"/>'
         )
         out.append(
-            f'<text x="{(x0 + x1) / 2:.1f}" y="{self.height - 10}" text-anchor="middle" '
+            f'<text x="{(x0 + x1) / 2:.1f}" y="{HEIGHT - 10}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="12">{self.xlabel}</text>'
         )
         out.append(

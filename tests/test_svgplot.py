@@ -7,8 +7,8 @@ import pytest
 from illposed.svgplot import PALETTE, Chart
 
 
-def make_chart(**kw):
-    c = Chart("Error history", "k", "relative error", **kw)
+def make_chart():
+    c = Chart("Error history", "k", "relative error")
     c.add_series("lsqr", [1, 2, 3, 4], [1.0, 0.5, 0.25, 0.125], marker=True)
     c.add_series("tsvd", [1, 2, 3, 4], [0.9, 0.45, 0.3, 0.2], dashed=True)
     c.add_vline(3, label="k*")
@@ -67,10 +67,19 @@ def test_log_axis_skips_nonpositive_and_uses_decades():
     assert ">0.5<" not in svg
 
 
-def test_log_axis_down_to_the_smallest_subnormal():
-    # log10(1e-323) floors to -324, and 10.0**-324 == 0 has no logarithm.
+@pytest.mark.parametrize(
+    "ys",
+    [
+        # log10(1e-323) floors to -324, and 10.0**-324 == 0 has no logarithm.
+        [1e-323, 1e-156],
+        # A zero span is widened by a decade, and 5e-324 / 10 underflows to 0.
+        [5e-324, 5e-324],
+    ],
+    ids=["1e-323", "5e-324"],
+)
+def test_log_axis_down_to_the_smallest_subnormal(ys):
     c = Chart("t", "k", "v", ylog=True)
-    c.add_series("s", [1, 2], [1e-323, 1e-156])
+    c.add_series("s", [1, 2], ys)
     svg = c.render()
     assert svg.count("<polyline") == 1
     assert ">1e-323<" in svg
@@ -88,12 +97,6 @@ def test_empty_chart_still_renders():
     svg = Chart("empty", "x", "y").render()
     assert svg.startswith("<svg")
     assert "</svg>" in svg
-
-
-def test_custom_size_and_viewbox():
-    svg = make_chart(width=320, height=200).render()
-    assert 'width="320" height="200"' in svg
-    assert 'viewBox="0 0 320 200"' in svg
 
 
 def test_vline_outside_data_extends_axis():
