@@ -150,17 +150,12 @@ def _lanczos_block(A, Q, ks, start, tol) -> list:
 
     v = deflate(np.broadcast_to(start, (p, n)))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
-    # The bases grow on demand: most processes certify within 32 iterations,
-    # and rows preallocated for LANCZOS_MAX_ITER would cost memory and
-    # allocation time that they never use.
-    U = np.empty((p, 16, m))
-    V = np.empty((p, 16, n))
+    U = np.empty((p, LANCZOS_MAX_ITER, m))
+    V = np.empty((p, LANCZOS_MAX_ITER, n))
     ab = np.zeros((p, LANCZOS_MAX_ITER, 2))  # alpha_i and beta_{i+1} of B_j
     beta = np.zeros(p)
     out = [None] * p
     for j in range(LANCZOS_MAX_ITER):
-        if j == U.shape[1]:
-            U, V = (_grown(a, j) for a in (U, V))
         V[:, j] = v
         w = deflate(v) @ A.T
         if j:
@@ -208,14 +203,6 @@ def _reorthogonalize(W, bases):
     for _ in range(2):
         W = W - (np.matmul(bases, W[:, :, None]).transpose(0, 2, 1) @ bases)[:, 0]
     return W
-
-
-def _grown(a, used):
-    """``a`` with twice the room along axis 1 (at most ``LANCZOS_MAX_ITER``),
-    its first ``used`` entries copied."""
-    out = np.empty((a.shape[0], min(2 * used, LANCZOS_MAX_ITER)) + a.shape[2:])
-    out[:, :used] = a[:, :used]
-    return out
 
 
 def _compact(a, keep, used):

@@ -8,34 +8,17 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
-from .csvio import format_value
 from .experiment import (
     ConfigError,
+    ExperimentConfig,
     InvariantViolation,
     compare,
     load_config,
     run,
+    summary_lines,
 )
-
-_RUN_FLAG_HELP = {
-    "problem": "test problem (shaw, gravity, deriv2, heat, prescribed, picard_synthetic)",
-    "n": "problem size",
-    "noise": "relative noise level in (0, 1)",
-    "seed": "noise / construction seed",
-    "kmax": "largest analyzed step (default min(n, 40); 'none' for the default)",
-    "out": "artifact directory",
-    "panels": "figure panels to render, subset of abcd ('none' to skip)",
-    "scale": "multiplier applied to n",
-    "depth": "observation depth (gravity)",
-    "kappa": "conductivity (heat)",
-    "rho": "geometric decay ratio (severe spectra)",
-    "alpha": "power-law decay exponent (moderate/mild spectra)",
-    "zeta": "spectrum scale factor",
-    "beta": "coefficient decay exponent (synthetic data)",
-    "decay": "spectrum family for synthetic problems (severe, moderate, mild)",
-    "reorth": "full reorthogonalization (true/false)",
-}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -47,8 +30,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     runp = sub.add_parser("run", help="execute one configured experiment")
     runp.add_argument("--config", metavar="FILE", help="flat key=value config file")
-    for key, text in _RUN_FLAG_HELP.items():
-        runp.add_argument(f"--{key}", help=f"{text} (overrides the config file)")
+    for f in fields(ExperimentConfig):
+        runp.add_argument(f"--{f.name}", help=f"{f.metadata['help']} (overrides the config file)")
 
     cmpp = sub.add_parser("compare", help="diff two artifact directories")
     cmpp.add_argument("dir_a")
@@ -80,11 +63,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            overrides = {key: getattr(args, key) for key in _RUN_FLAG_HELP}
+            overrides = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)}
             config = load_config(args.config, overrides)
             result = run(config)
-            for key, value in result.summary.items():
-                print(f"{key}={format_value(value)}")
+            print("\n".join(summary_lines(result.summary)))
             print(f"artifacts written to {result.outdir}")
             return 0
         report = compare(args.dir_a, args.dir_b, _parse_tolerances(args.tol))

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -74,6 +74,7 @@ __all__ = [
     "load_config",
     "build_problem",
     "run",
+    "summary_lines",
     "render_panels",
     "compare",
     "ARTIFACT_CSVS",
@@ -117,26 +118,32 @@ SPECTRUM_COLUMNS = frozenset({"sigma_i", "abs_uiTbtrue", "sigma_k1", "lagrange_m
 
 
 # Configuration ===============================================================
+def _key(default, text):
+    """A config key with its default and the help text of its ``--flag``."""
+    return field(default=default, metadata={"help": text})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Effective settings of one run (flat key=value file + flag overrides)."""
+    """Effective settings of one run: each field is a config-file key and an
+    ``illposed run`` flag, read as the type it is annotated with."""
 
-    problem: str = "shaw"
-    n: int = 256
-    noise: float = 1e-3
-    seed: int = 0
-    kmax: int | None = None
-    out: str = "results"
-    panels: str = "abcd"
-    scale: float = 1.0
-    depth: float = 0.25
-    kappa: float = 1.0
-    rho: float = 2.0
-    alpha: float = 2.0
-    zeta: float = 1.0
-    beta: float = 0.0
-    decay: str = "severe"
-    reorth: bool = True
+    problem: str = _key("shaw", f"test problem ({', '.join(PROBLEMS)})")
+    n: int = _key(256, "problem size")
+    noise: float = _key(1e-3, "relative noise level in (0, 1)")
+    seed: int = _key(0, "noise / construction seed")
+    kmax: int | None = _key(None, "largest analyzed step (default min(n, 40); 'none' for the default)")
+    out: str = _key("results", "artifact directory")
+    panels: str = _key("abcd", "figure panels to render, subset of abcd ('none' to skip)")
+    scale: float = _key(1.0, "multiplier applied to n")
+    depth: float = _key(0.25, "observation depth (gravity)")
+    kappa: float = _key(1.0, "conductivity (heat)")
+    rho: float = _key(2.0, "geometric decay ratio (severe spectra)")
+    alpha: float = _key(2.0, "power-law decay exponent (moderate/mild spectra)")
+    zeta: float = _key(1.0, "spectrum scale factor")
+    beta: float = _key(0.0, "coefficient decay exponent (synthetic data)")
+    decay: str = _key("severe", f"spectrum family for synthetic problems ({', '.join(DECAYS)})")
+    reorth: bool = _key(True, "full reorthogonalization (true/false)")
 
     @property
     def effective_n(self) -> int:
@@ -154,9 +161,9 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown problem {self.problem!r}; choose from {', '.join(PROBLEMS)}"
             )
-        for key in _FLOAT_KEYS:
-            if not math.isfinite(getattr(self, key)):
-                raise ConfigError(f"{key} must be finite, got {getattr(self, key)!r}")
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         if self.scale <= 0.0:
             raise ConfigError("scale must be positive")
         try:
@@ -207,26 +214,24 @@ _BOOL_WORDS = {
     "true": True, "1": True, "yes": True, "on": True,
     "false": False, "0": False, "no": False, "off": False,
 }
-_FIELD_NAMES = tuple(f.name for f in fields(ExperimentConfig))
-_INT_KEYS = ("n", "seed")
-_FLOAT_KEYS = ("noise", "scale", "depth", "kappa", "rho", "alpha", "zeta", "beta")
 
 
 def _coerce(key: str, value):
     """Turn one raw config value (usually a string) into its field type."""
-    if key not in _FIELD_NAMES:
+    kind = next((f.type for f in fields(ExperimentConfig) if f.name == key), None)
+    if kind is None:
         raise ConfigError(f"unknown config key {key!r}")
     if not isinstance(value, str):
         return value
     v = value.strip()
     try:
-        if key in _INT_KEYS:
+        if kind == "int":
             return int(v)
-        if key in _FLOAT_KEYS:
+        if kind == "float":
             return float(v)
-        if key == "kmax":
+        if kind == "int | None":
             return None if v.lower() in ("none", "") else int(v)
-        if key == "reorth":
+        if kind == "bool":
             word = v.lower()
             if word not in _BOOL_WORDS:
                 raise ValueError(f"not a boolean: {v!r}")
@@ -301,17 +306,10 @@ def build_problem(config: ExperimentConfig):
 # The run pipeline ============================================================
 @dataclass(frozen=True)
 class RunResult:
-    """Everything one run computed, plus the artifact directory."""
+    """What one run produced that its callers read, and where it wrote."""
 
     config: ExperimentConfig
-    problem: object
-    instance: object
-    picard: object
-    state: object
-    tsvd: object
-    lsqr: object
     records: tuple
-    reports: tuple
     summary: dict
     violations: tuple
     outdir: str
@@ -468,10 +466,14 @@ def _summary_dict(config, problem, instance, picard, state, tsvd, lsqr,
     }
 
 
-def _write_kv(path, pairs) -> None:
+def summary_lines(summary) -> list:
+    """The summary as the key=value lines of ``summary.txt``."""
+    return [f"{key}={format_value(value)}" for key, value in summary.items()]
+
+
+def _write_lines(path, lines) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for key, value in pairs:
-            fh.write(f"{key}={format_value(value)}\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def run(config: ExperimentConfig) -> RunResult:
@@ -527,8 +529,7 @@ def run(config: ExperimentConfig) -> RunResult:
     def path(name):
         return os.path.join(outdir, name)
 
-    with open(path("config.txt"), "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(config.echo_lines()) + "\n")
+    _write_lines(path("config.txt"), config.echo_lines())
     write_picard_csv(picard, path("picard.csv"))
     write_bidiag_csv(state, path("bidiag.csv"))
     write_tsvd_csv(tsvd, path("tsvd.csv"))
@@ -539,29 +540,16 @@ def run(config: ExperimentConfig) -> RunResult:
         config, problem, instance, picard, state, tsvd, lsqr,
         records, model, source, violations,
     )
-    _write_kv(path("summary.txt"), summary.items())
+    _write_lines(path("summary.txt"), summary_lines(summary))
     render_panels(outdir, config.panel_set())
 
-    result = RunResult(
-        config=config,
-        problem=problem,
-        instance=instance,
-        picard=picard,
-        state=state,
-        tsvd=tsvd,
-        lsqr=lsqr,
-        records=tuple(records),
-        reports=tuple(reports),
-        summary=summary,
-        violations=tuple(violations),
-        outdir=outdir,
-    )
     if violations:
         raise InvariantViolation(
             f"{len(violations)} invariant violation(s); see {path('summary.txt')}: "
             + "; ".join(violations)
         )
-    return result
+    return RunResult(config=config, records=tuple(records), summary=summary,
+                     violations=tuple(violations), outdir=outdir)
 
 
 # Figure panels (pure functions of the CSV artifacts) ========================
@@ -684,10 +672,14 @@ def compare(dir_a, dir_b, tolerances: dict | None = None) -> CompareReport:
     """Column-wise diff of two artifact directories.
 
     ``tolerances`` maps column names to relative tolerances (default exact).
-    Returns a :class:`CompareReport`; raises :class:`ConfigError` when a
-    path is not a directory, when neither directory holds an artifact, or
-    when an artifact is unreadable or the schemas disagree.
+    A tolerance of ``inf`` ignores its column.  Returns a
+    :class:`CompareReport`; raises :class:`ConfigError` on a nan or negative
+    tolerance, when a path is not a directory, when neither directory holds
+    an artifact, or when an artifact is unreadable or the schemas disagree.
     """
+    for column, tol in (tolerances or {}).items():
+        if not tol >= 0.0:  # also catches nan, which no difference exceeds
+            raise ConfigError(f"tolerance for {column} must be nonnegative, got {tol!r}")
     for d in (dir_a, dir_b):
         if not os.path.isdir(d):
             raise ConfigError(f"not a directory: {d}")

@@ -5,6 +5,8 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -134,6 +136,20 @@ def test_config_echo_reparses_identically(tmp_path):
     path = tmp_path / "echo.cfg"
     path.write_text("\n".join(cfg.echo_lines()) + "\n", encoding="ascii")
     assert load_config(path) == cfg
+
+
+def test_readme_key_table_matches_the_config_fields():
+    # One row per ExperimentConfig field, in field order, under "Command
+    # line"; each default cell, read as a config value, is the field default.
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n")[1].split("\n#")[0]  # to the next heading
+    rows = [ln.split("|") for ln in section.splitlines() if ln.startswith("| `")]
+    table = {cells[1].strip().strip("`"): cells[-2].strip() for cells in rows}
+    assert len(rows) == len(table), "a key has two rows"
+    assert list(table) == [f.name for f in fields(ExperimentConfig)]
+    for f in fields(ExperimentConfig):
+        assert getattr(load_config(None, {f.name: table[f.name]}), f.name) == f.default, f.name
 
 
 def test_build_problem_dispatch_and_errors():
@@ -275,6 +291,24 @@ def test_compare_tolerance_override(base_run, tmp_path):
     csv_diffs = [d for d in report.diffs if d.file != "summary.txt"]
     assert csv_diffs == []
     assert any("tolerance relaxed" in ln for ln in report.lines())
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_compare_rejects_a_nan_or_negative_tolerance(tol, base_run):
+    # No relative difference exceeds nan, so a nan tolerance hid every
+    # difference of its column while the report called it relaxed.
+    with pytest.raises(ConfigError, match="tolerance for gamma"):
+        compare(base_run.outdir, base_run.outdir, {"gamma": float(tol)})
+    proc = _cli("compare", base_run.outdir, base_run.outdir, "--tol", f"gamma={tol}")
+    assert proc.returncode == 2, proc.stdout
+    assert proc.stderr.startswith("config error:")
+    assert "RESULT" not in proc.stdout
+
+
+def test_compare_accepts_an_infinite_tolerance(base_run):
+    report = compare(base_run.outdir, base_run.outdir, {"gamma": float("inf")})
+    assert report.ok
+    assert "NOTE column gamma: tolerance relaxed to inf" in report.lines()
 
 
 def test_compare_rejects_tampered_schema(base_run, tmp_path):
