@@ -11,12 +11,11 @@ the a-priori bounds assembling all of them into per-step reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bidiag import BidiagState, lower_bidiagonal
-from .csvio import write_csv
 from .gallery import SpectrumModel
 from .linalg import SvdFactorization, spectral_norm
 from .noise import PicardDiagnostic
@@ -40,8 +39,6 @@ __all__ = [
     "xi_factor",
     "bound_report",
     "decay_diagnostic",
-    "write_analysis_csv",
-    "write_ritz_csv",
 ]
 
 #: Relative slack of the invariant audit and the Ritz-value checks: values
@@ -742,33 +739,3 @@ def decay_diagnostic(state: BidiagState, kmax: int | None = None):
     """
     K = state.max_proxy_k if kmax is None else min(kmax, state.max_proxy_k)
     return [(k, state.alphas[k] + state.betas[k + 1]) for k in range(1, K + 1)]
-
-
-# CSV export =================================================================
-_RECORD_COLUMNS = [f.name for f in fields(AnalysisRecord) if f.name != "ritz"]
-_BOUND_COLUMNS = [f.name for f in fields(BoundReport) if f.name != "k"]
-ANALYSIS_COLUMNS = _RECORD_COLUMNS + _BOUND_COLUMNS
-#: Bound columns of a step without a bound report.
-_NO_BOUNDS = dict.fromkeys(_BOUND_COLUMNS, math.nan) | {"regime": "none", "k0_used": -1}
-
-
-def write_analysis_csv(records, reports, path) -> None:
-    """Export per-step records (and bound reports, where present) as CSV.
-
-    ``reports`` aligns with ``records``; entries may be ``None`` when no
-    decay model was available, in which case the bound columns are nan.
-    """
-    steps = [
-        {**(_NO_BOUNDS if rep is None else vars(rep)), **vars(rec)}
-        for rec, rep in zip(records, reports)
-    ]
-    write_csv(path, "analysis", {name: [s[name] for s in steps] for name in ANALYSIS_COLUMNS})
-
-
-def write_ritz_csv(records, path) -> None:
-    """Export Ritz values in long format (columns k, i, theta)."""
-    write_csv(path, "ritz", {
-        "k": [rec.k for rec in records for _ in rec.ritz],
-        "i": [i for rec in records for i in range(1, len(rec.ritz) + 1)],
-        "theta": np.concatenate([np.empty(0), *(rec.ritz for rec in records)]),
-    })

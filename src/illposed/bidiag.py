@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .csvio import write_csv
 from .linalg import as_matrix, as_vector, spectral_norm
 
 __all__ = [
@@ -28,7 +27,6 @@ __all__ = [
     "bidiag_run",
     "lower_bidiagonal",
     "recurrence_residuals",
-    "write_bidiag_csv",
 ]
 
 #: New basis vectors shorter than this multiple of ||A|| stop the recurrence.
@@ -142,20 +140,10 @@ class BidiagState:
         return len(self.betas) - 1
 
     @property
-    def max_trailing_k(self) -> int:
-        """Largest k with B_k formed and a non-empty trailing block, i.e.
-        alpha_{k+1} computed: the last step the gap analysis can reach.
-
-        It is ``max_k - 1`` after a breakdown at an alpha entry, and
-        ``max_k`` otherwise, except n - 1 for a complete factorization.
-        """
-        return min(self.max_k, len(self.alphas) - 1)
-
-    @property
     def max_proxy_k(self) -> int:
         """Largest k with both alpha_{k+1} and beta_{k+2} computed: the last
         step of the decay proxy alpha_{k+1} + beta_{k+2}."""
-        return min(self.max_trailing_k, self.max_k - 1)
+        return self.max_k - 1
 
     @property
     def terminal(self) -> bool:
@@ -350,12 +338,3 @@ def recurrence_residuals(state: BidiagState, k: int | None = None) -> dict:
     elif state.completed and k == state.n:
         out["adjoint"] = float(np.linalg.norm(adj, 2))
     return out
-
-
-def write_bidiag_csv(state: BidiagState, path) -> None:
-    """Export the recurrence coefficients as CSV (kind ``bidiag``)."""
-    K = len(state.alphas)
-    beta_next = state.betas[1 : K + 1]
-    beta_next += [float("nan")] * (K - len(beta_next))
-    columns = {"index": range(1, K + 1), "alpha": state.alphas, "beta_next": beta_next}
-    write_csv(path, "bidiag", columns)

@@ -1,4 +1,4 @@
-"""Versioned CSV serialization shared by every exporter in the package.
+"""Versioned CSV serialization: one writer and one reader for every artifact table.
 
 Each file is a table of named columns under a schema comment line
 ``# schema=illposed.v1 kind=...`` and a header row.  Floats are written with

@@ -31,6 +31,7 @@ import numpy as np
 from .analysis import (
     AUDIT_SLACK,
     AnalysisRecord,
+    BoundReport,
     bound_report,
     cauchy_interlace_check,
     decay_diagnostic,
@@ -43,11 +44,9 @@ from .analysis import (
     near_best_predicate,
     ritz_values,
     sigma_delta_norm,
-    write_analysis_csv,
-    write_ritz_csv,
 )
-from .bidiag import BreakdownError, bidiag_run, recurrence_residuals, write_bidiag_csv
-from .csvio import format_value, read_csv
+from .bidiag import BreakdownError, bidiag_run, recurrence_residuals
+from .csvio import format_value, read_csv, write_csv
 from .gallery import (
     SpectrumModel,
     fit_spectrum_model,
@@ -58,10 +57,10 @@ from .gallery import (
     make_prescribed,
     make_shaw,
 )
-from .lsqr import lsqr_sweep, write_lsqr_csv
-from .noise import add_noise, picard_diagnostic, write_picard_csv
+from .lsqr import lsqr_sweep
+from .noise import add_noise, picard_diagnostic
 from .svgplot import Chart
-from .tsvd import tsvd_sweep, write_tsvd_csv
+from .tsvd import tsvd_sweep
 
 __all__ = [
     "ConfigError",
@@ -93,28 +92,6 @@ class InvariantViolation(RuntimeError):
 PROBLEMS = ("shaw", "gravity", "deriv2", "heat", "prescribed", "picard_synthetic")
 DECAYS = ("severe", "moderate", "mild")
 MAX_N = 4096
-
-#: CSV artifacts of one run, in pipeline order.
-ARTIFACT_CSVS = (
-    "picard.csv",
-    "bidiag.csv",
-    "tsvd.csv",
-    "lsqr.csv",
-    "analysis.csv",
-    "ritz.csv",
-)
-
-#: CSV columns and summary keys that must agree between two runs differing
-#: only in the noise seed; every other name is noise-dependent.
-NOISE_INDEPENDENT_COLUMNS = frozenset(
-    {"i", "k", "index", "sigma_i", "abs_uiTbtrue", "sigma_k1", "lagrange_max", "regime",
-     "problem", "m", "n", "generator", "reorth", "kmax", "bound_model", "bound_model_source"}
-)
-#: Summary ``problem`` names of the synthetic problems (prescribed and
-#: picard_synthetic), whose singular vectors the config seed draws together
-#: with the noise: for them the computed spectrum columns depend on the seed.
-SEEDED_PROBLEM_PREFIXES = ("prescribed-", "picard-")
-SPECTRUM_COLUMNS = frozenset({"sigma_i", "abs_uiTbtrue", "sigma_k1", "lagrange_max"})
 
 
 # Configuration ===============================================================
@@ -217,13 +194,11 @@ _BOOL_WORDS = {
 
 
 def _coerce(key: str, value):
-    """Turn one raw config value (usually a string) into its field type."""
+    """Turn one raw config value, read as its text, into its field type."""
     kind = next((f.type for f in fields(ExperimentConfig) if f.name == key), None)
     if kind is None:
         raise ConfigError(f"unknown config key {key!r}")
-    if not isinstance(value, str):
-        return value
-    v = value.strip()
+    v = str(value).strip()
     try:
         if kind == "int":
             return int(v)
@@ -311,7 +286,6 @@ class RunResult:
     config: ExperimentConfig
     records: tuple
     summary: dict
-    violations: tuple
     outdir: str
 
 
@@ -331,7 +305,8 @@ def _analysis_records(problem, instance, picard, state, kmax):
     sigma = fact.sigma
     slack = AUDIT_SLACK * sigma[0]
     model, source = _spectrum_for_bounds(problem)
-    K = min(kmax, state.max_trailing_k)
+    # alpha_{k+1}, the first entry of the trailing block, exists for k <= steps.
+    K = min(kmax, state.steps)
     proxy = dict(decay_diagnostic(state, K))
     records, reports = [], []
     if K:
@@ -548,8 +523,94 @@ def run(config: ExperimentConfig) -> RunResult:
             f"{len(violations)} invariant violation(s); see {path('summary.txt')}: "
             + "; ".join(violations)
         )
-    return RunResult(config=config, records=tuple(records), summary=summary,
-                     violations=tuple(violations), outdir=outdir)
+    return RunResult(config=config, records=tuple(records), summary=summary, outdir=outdir)
+
+
+# CSV artifacts ===============================================================
+# Every byte of a run's CSVs is decided here: the file list, each writer's
+# columns, and the classification ``compare`` applies to them.
+
+#: CSV artifacts of one run, in pipeline order.
+ARTIFACT_CSVS = (
+    "picard.csv",
+    "bidiag.csv",
+    "tsvd.csv",
+    "lsqr.csv",
+    "analysis.csv",
+    "ritz.csv",
+)
+
+#: CSV columns and summary keys that must agree between two runs differing
+#: only in the noise seed; every other name is noise-dependent.
+NOISE_INDEPENDENT_COLUMNS = frozenset(
+    {"i", "k", "index", "sigma_i", "abs_uiTbtrue", "sigma_k1", "lagrange_max", "regime",
+     "problem", "m", "n", "generator", "reorth", "kmax", "bound_model", "bound_model_source"}
+)
+#: Summary ``problem`` names of the synthetic problems (prescribed and
+#: picard_synthetic), whose singular vectors the config seed draws together
+#: with the noise: for them the computed spectrum columns depend on the seed.
+SEEDED_PROBLEM_PREFIXES = ("prescribed-", "picard-")
+SPECTRUM_COLUMNS = frozenset({"sigma_i", "abs_uiTbtrue", "sigma_k1", "lagrange_max"})
+
+_RECORD_COLUMNS = [f.name for f in fields(AnalysisRecord) if f.name != "ritz"]
+_BOUND_COLUMNS = [f.name for f in fields(BoundReport) if f.name != "k"]
+ANALYSIS_COLUMNS = _RECORD_COLUMNS + _BOUND_COLUMNS
+#: Bound columns of a step without a bound report.
+_NO_BOUNDS = dict.fromkeys(_BOUND_COLUMNS, math.nan) | {"regime": "none", "k0_used": -1}
+
+
+def write_picard_csv(diag, path) -> None:
+    """Export the coefficient-decay diagnostic as CSV (kind ``picard``)."""
+    n = diag.sigma.size
+    write_csv(path, "picard", {
+        "i": range(1, n + 1), "sigma_i": diag.sigma, "abs_uiTb": diag.coef,
+        "abs_uiTbtrue": diag.coef_true, "eta": np.full(n, diag.eta),
+    })
+
+
+def write_bidiag_csv(state, path) -> None:
+    """Export the recurrence coefficients as CSV (kind ``bidiag``)."""
+    K = len(state.alphas)
+    beta_next = state.betas[1 : K + 1]
+    beta_next += [float("nan")] * (K - len(beta_next))
+    columns = {"index": range(1, K + 1), "alpha": state.alphas, "beta_next": beta_next}
+    write_csv(path, "bidiag", columns)
+
+
+def write_tsvd_csv(sweep, path) -> None:
+    """Export the truncation sweep as CSV (kind ``tsvd``)."""
+    columns = {"k": sweep.ks, "rel_error": sweep.rel_errors, "residual": sweep.residuals}
+    write_csv(path, "tsvd", columns)
+
+
+def write_lsqr_csv(trace, path) -> None:
+    """Export the projected-iteration trace as CSV (kind ``lsqr``); flags the kstar row."""
+    write_csv(path, "lsqr", {
+        "k": trace.ks, "rel_error": trace.rel_errors,
+        "residual": trace.residuals, "is_kstar": trace.ks == trace.kstar,
+    })
+
+
+def write_analysis_csv(records, reports, path) -> None:
+    """Export per-step records (and bound reports, where present) as CSV.
+
+    ``reports`` aligns with ``records``; entries may be ``None`` when no
+    decay model was available, in which case the bound columns are nan.
+    """
+    steps = [
+        {**(_NO_BOUNDS if rep is None else vars(rep)), **vars(rec)}
+        for rec, rep in zip(records, reports)
+    ]
+    write_csv(path, "analysis", {name: [s[name] for s in steps] for name in ANALYSIS_COLUMNS})
+
+
+def write_ritz_csv(records, path) -> None:
+    """Export Ritz values in long format (columns k, i, theta)."""
+    write_csv(path, "ritz", {
+        "k": [rec.k for rec in records for _ in rec.ritz],
+        "i": [i for rec in records for i in range(1, len(rec.ritz) + 1)],
+        "theta": np.concatenate([np.empty(0), *(rec.ritz for rec in records)]),
+    })
 
 
 # Figure panels (pure functions of the CSV artifacts) ========================

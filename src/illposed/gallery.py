@@ -293,6 +293,17 @@ def _random_orthogonal(rng, rows: int, cols: int) -> np.ndarray:
     return Q * np.sign(np.diag(R))
 
 
+def _drawn_factors(n: int, spectrum: SpectrumModel, seed: int, m: int | None):
+    """Seeded orthonormal U (m x n) and V (n x n), and A = U diag(sigma) V'."""
+    m = n if m is None else m
+    if m < n:
+        raise ValueError("a prescribed spectrum requires m >= n")
+    rng = np.random.default_rng(seed)
+    U = _random_orthogonal(rng, m, n)
+    V = _random_orthogonal(rng, n, n)
+    return U, V, (U * spectrum.sigma(n)) @ V.T
+
+
 def make_prescribed(n: int, spectrum: SpectrumModel, seed: int, m: int | None = None) -> IllPosedProblem:
     """Matrix with an exactly prescribed singular spectrum.
 
@@ -301,17 +312,9 @@ def make_prescribed(n: int, spectrum: SpectrumModel, seed: int, m: int | None = 
     model, and ``x_true = ones(n)``.  The same seed reproduces the same
     matrix bit for bit (generator: numpy PCG64).
     """
-    m = n if m is None else m
-    if m < n:
-        raise ValueError("make_prescribed requires m >= n")
-    sig = spectrum.sigma(n)
-    rng = np.random.default_rng(seed)
-    U = _random_orthogonal(rng, m, n)
-    V = _random_orthogonal(rng, n, n)
-    A = (U * sig) @ V.T
+    U, V, A = _drawn_factors(n, spectrum, seed, m)
     del U, V
-    x_true = np.ones(n)
-    return _finalize(f"prescribed-{spectrum.kind}", A, x_true, spectrum)
+    return _finalize(f"prescribed-{spectrum.kind}", A, np.ones(n), spectrum)
 
 
 def make_picard_synthetic(n: int, spectrum: SpectrumModel, seed: int, m: int | None = None) -> IllPosedProblem:
@@ -328,14 +331,8 @@ def make_picard_synthetic(n: int, spectrum: SpectrumModel, seed: int, m: int | N
     beta = spectrum.beta_picard
     if beta is None or beta < 0.0:
         raise ValueError("make_picard_synthetic requires spectrum.beta_picard >= 0")
-    m = n if m is None else m
-    if m < n:
-        raise ValueError("make_picard_synthetic requires m >= n")
+    U, V, A = _drawn_factors(n, spectrum, seed, m)
     sig = spectrum.sigma(n)
-    rng = np.random.default_rng(seed)
-    U = _random_orthogonal(rng, m, n)
-    V = _random_orthogonal(rng, n, n)
-    A = (U * sig) @ V.T
     x_true = V @ sig**beta
     b_true = U @ sig ** (1.0 + beta)
     del U, V

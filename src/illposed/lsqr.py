@@ -14,13 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bidiag import BidiagState
-from .csvio import write_csv
 
 __all__ = [
     "LsqrTrace",
     "lsqr_iterate",
     "lsqr_sweep",
-    "write_lsqr_csv",
 ]
 
 
@@ -80,11 +78,3 @@ def lsqr_sweep(instance, state: BidiagState, kmax: int) -> LsqrTrace:
         kstar=best + 1,
         semi_convergent=semi,
     )
-
-
-def write_lsqr_csv(trace: LsqrTrace, path) -> None:
-    """Export the trace as CSV (kind ``lsqr``); flags the kstar row."""
-    write_csv(path, "lsqr", {
-        "k": trace.ks, "rel_error": trace.rel_errors,
-        "residual": trace.residuals, "is_kstar": trace.ks == trace.kstar,
-    })

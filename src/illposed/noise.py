@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .csvio import write_csv
 from .gallery import IllPosedProblem
 
 __all__ = [
@@ -23,7 +22,6 @@ __all__ = [
     "add_noise",
     "noiseless_instance",
     "picard_diagnostic",
-    "write_picard_csv",
 ]
 
 #: Median window half-width used by the transition-index rule.
@@ -180,12 +178,3 @@ def _window_medians(coef) -> np.ndarray:
     lo = windows[k - 1, (size - 1) // 2]
     hi = windows[k - 1, size // 2]
     return np.where(size % 2 == 1, lo, (lo + hi) / 2)
-
-
-def write_picard_csv(diag: PicardDiagnostic, path) -> None:
-    """Export the diagnostic as CSV (kind ``picard``)."""
-    n = diag.sigma.size
-    write_csv(path, "picard", {
-        "i": range(1, n + 1), "sigma_i": diag.sigma, "abs_uiTb": diag.coef,
-        "abs_uiTbtrue": diag.coef_true, "eta": np.full(n, diag.eta),
-    })

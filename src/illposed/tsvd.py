@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import write_csv
 from .linalg import SvdFactorization, as_vector
 from .noise import NoisyInstance
 
@@ -23,7 +22,6 @@ __all__ = [
     "TsvdSweep",
     "tsvd_solution",
     "tsvd_sweep",
-    "write_tsvd_csv",
 ]
 
 #: Components with sigma_k at or below this multiple of sigma_1 are not
@@ -100,9 +98,3 @@ def tsvd_sweep(instance: NoisyInstance) -> TsvdSweep:
         best_k=best + 1,
         best_error=float(rel_errors[best]),
     )
-
-
-def write_tsvd_csv(sweep: TsvdSweep, path) -> None:
-    """Export the sweep as CSV (kind ``tsvd``)."""
-    columns = {"k": sweep.ks, "rel_error": sweep.rel_errors, "residual": sweep.residuals}
-    write_csv(path, "tsvd", columns)

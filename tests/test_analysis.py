@@ -14,7 +14,6 @@ from conftest import poly, severe
 
 from illposed import analysis, experiment
 from illposed.analysis import (
-    ANALYSIS_COLUMNS,
     LANCZOS_RTOL,
     AnalysisRecord,
     BoundReport,
@@ -33,12 +32,11 @@ from illposed.analysis import (
     near_best_predicate,
     ritz_values,
     sigma_delta_norm,
-    write_analysis_csv,
-    write_ritz_csv,
     xi_factor,
 )
 from illposed.bidiag import BidiagState, bidiag_run, lower_bidiagonal
 from illposed.csvio import read_csv
+from illposed.experiment import ANALYSIS_COLUMNS, write_analysis_csv, write_ritz_csv
 from illposed.gallery import (
     SpectrumModel,
     _finalize,
@@ -188,7 +186,7 @@ def test_gamma_routes_match_dense_oracles(n):
     for name, A, state in _rigs(n):
         s1 = spectral_norm(A)
         tol = LANCZOS_RTOL * np.linalg.norm(A) + 1e-15 * s1
-        K = state.max_trailing_k
+        K = state.steps
         assert K == (n - 1 if name == "complete" else 2 * n // 3 - 1)
         gks, exact = gamma_via_Gk(state, K), gamma_exact(A, state.Q_k(K))
         for k in (1, K // 4, K - 1, K):
@@ -297,7 +295,7 @@ def test_all_k_gaps_match_dense_oracle(kind, n, split, max_iter):
     # k <= split iterates and the larger k take the dense route; a small
     # LANCZOS_MAX_ITER leaves some processes uncertified (dense fallback).
     A, state = _rig(kind, n)
-    K = min(40, state.max_trailing_k)
+    K = min(40, state.steps)
     split = min(split, K - 1)
     Q = state.Q_k(K)
     with mock.patch.object(analysis, "LANCZOS_MIN", n - split), \
@@ -379,7 +377,7 @@ _ESTIMATE_MAPS = {
 def test_all_k_route_a_is_the_full_bisection_bit_for_bit(state, estimate, bisection_min):
     # The estimate only decides which midpoints get a Sturm count; every
     # skipped midpoint must take the outcome its own count would give.
-    K = min(40, state.max_trailing_k)
+    K = min(40, state.steps)
     a, b = state.alpha, state.beta
     calls = []
     count = analysis._has_eigenvalue_above

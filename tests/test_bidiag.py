@@ -207,7 +207,7 @@ def test_write_bidiag_csv(tmp_path):
     state, err = bidiag_run(A, [1.0, 1.0])
     assert err is None
     path = tmp_path / "bidiag.csv"
-    from illposed.bidiag import write_bidiag_csv
+    from illposed.experiment import write_bidiag_csv
 
     write_bidiag_csv(state, path)
     kind, cols = read_csv(path)

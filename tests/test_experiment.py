@@ -19,6 +19,8 @@ from illposed.cli import main as cli_main
 from illposed.csvio import read_csv
 from illposed.experiment import (
     ARTIFACT_CSVS,
+    NOISE_INDEPENDENT_COLUMNS,
+    SPECTRUM_COLUMNS,
     ConfigError,
     ExperimentConfig,
     InvariantViolation,
@@ -113,6 +115,16 @@ def test_load_config_rejects_bad_values():
             load_config(None, overrides)
 
 
+def test_load_config_reads_a_non_string_value_from_its_text():
+    # A library caller may pass numbers; a float is not an int setting.
+    for key, value in (("seed", 1.5), ("n", 32.5), ("kmax", 3.5)):
+        with pytest.raises(ConfigError, match=f"bad value for {key}"):
+            load_config(None, {"problem": "deriv2", "n": 32, key: value})
+    cfg = load_config(None, {"n": 32, "noise": 0.01, "scale": 1, "reorth": False})
+    assert (cfg.n, cfg.noise, cfg.scale, cfg.reorth) == (32, 0.01, 1.0, False)
+    assert isinstance(cfg.scale, float)
+
+
 def test_parse_config_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("# a comment\n\nproblem = gravity\nn=24\n", encoding="ascii")
@@ -168,7 +180,7 @@ def test_build_problem_dispatch_and_errors():
 # The run pipeline ---------------------------------------------------------------
 def test_run_writes_all_artifacts(base_run):
     assert sorted(os.listdir(base_run.outdir)) == sorted(ALL_ARTIFACTS)
-    assert base_run.violations == ()
+    assert base_run.summary["invariant_violations"] == 0
     assert len(base_run.records) == base_run.summary["analysis_rows"] == 8
 
 
@@ -362,6 +374,18 @@ def test_compare_spectrum_columns_follow_the_seed_of_synthetic_problems(problem,
     assert "sigma_i" in moved
     assert all(d.noise_dependent for d in report.diffs)
     assert all("(noise-dependent)" in ln for ln in report.lines() if ln.startswith("DIFF"))
+
+
+def test_compare_classifies_only_names_a_run_writes(base_run, tmp_path):
+    # Every classified name is a CSV header or a summary key, so a renamed
+    # column cannot silently drop out of the noise classification.
+    prescribed = run(small_config(tmp_path / "prescribed", problem="prescribed"))
+    written = set()
+    for result in (base_run, prescribed):
+        written |= set(result.summary)
+        for name in ARTIFACT_CSVS:
+            written |= set(read_csv(os.path.join(result.outdir, name))[1])
+    assert NOISE_INDEPENDENT_COLUMNS | SPECTRUM_COLUMNS <= written
 
 
 def test_compare_kernel_spectrum_stays_noise_independent(base_run, tmp_path):

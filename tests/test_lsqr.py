@@ -7,8 +7,9 @@ from conftest import poly, severe
 
 from illposed.bidiag import bidiag_run
 from illposed.csvio import read_csv
+from illposed.experiment import write_lsqr_csv
 from illposed.gallery import make_picard_synthetic, make_prescribed
-from illposed.lsqr import lsqr_iterate, lsqr_sweep, write_lsqr_csv
+from illposed.lsqr import lsqr_iterate, lsqr_sweep
 from illposed.noise import NoisyInstance, add_noise, noiseless_instance
 
 

@@ -9,6 +9,7 @@ import pytest
 from conftest import severe
 
 from illposed.csvio import read_csv
+from illposed.experiment import write_picard_csv
 from illposed.gallery import make_picard_synthetic, make_shaw
 from illposed.noise import (
     FLOOR_FACTOR,
@@ -17,7 +18,6 @@ from illposed.noise import (
     add_noise,
     noiseless_instance,
     picard_diagnostic,
-    write_picard_csv,
 )
 
 

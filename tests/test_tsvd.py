@@ -6,10 +6,11 @@ import pytest
 from conftest import severe
 
 from illposed.csvio import read_csv
+from illposed.experiment import write_tsvd_csv
 from illposed.gallery import make_picard_synthetic
 from illposed.linalg import svd
 from illposed.noise import add_noise, noiseless_instance
-from illposed.tsvd import tsvd_solution, tsvd_sweep, write_tsvd_csv
+from illposed.tsvd import tsvd_solution, tsvd_sweep
 
 
 def test_solution_diagonal_oracle():
