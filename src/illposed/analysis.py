@@ -432,7 +432,7 @@ def mirsky_gap_check(theta, sigma, gamma, tol: float | None = None) -> bool:
 
 
 # Subspace distance ==========================================================
-def delta_norm_via_angles(V, Q, *, VQ=None):
+def delta_norm_via_angles(V, Q, VQ):
     """Largest principal angle between span(V_k) and the Krylov space.
 
     Parameters
@@ -441,9 +441,9 @@ def delta_norm_via_angles(V, Q, *, VQ=None):
         Right singular vectors (columns 1..k are used).
     Q : (n, k) ndarray
         Orthonormal Krylov basis.
-    VQ : (>=k, >=k) ndarray, optional
-        V'Q_K for a basis Q_K whose leading k columns are Q.  One such
-        projection serves every k <= K; without it V_k'Q is formed here.
+    VQ : (>=k, >=k) ndarray
+        V'Q_K for a basis Q_K whose leading k columns are Q; one such
+        projection serves every k <= K.
 
     Returns
     -------
@@ -453,30 +453,24 @@ def delta_norm_via_angles(V, Q, *, VQ=None):
         within 1e-12 of 1.
     """
     k = Q.shape[1]
-    Vk = V[:, :k]
-    QtVk = Q.T @ Vk if VQ is None else VQ[:k, :k].T
-    sin_theta = min(spectral_norm(Vk - Q @ QtVk), 1.0)
+    sin_theta = min(spectral_norm(V[:, :k] - Q @ VQ[:k, :k].T), 1.0)
     if sin_theta >= SIN_SATURATION:
         return sin_theta, math.inf
     return sin_theta, sin_theta / math.sqrt((1.0 - sin_theta) * (1.0 + sin_theta))
 
 
-def delta_matrix_via_projection(V, Q, *, VQ=None):
+def delta_matrix_via_projection(VQ, k: int):
     """The (n-k) x k distance matrix Delta_k recovered from the Krylov basis.
 
-    Writing the coordinates of Q in the right singular basis as
-    M = V' Q = [M1; M2], the Krylov space equals the graph subspace
-    spanned by V_k + V_perp Delta_k exactly when Delta_k = M2 M1^{-1}.
-    ``VQ`` may hold V'Q_K for a basis whose leading k columns are Q (see
-    :func:`delta_norm_via_angles`).  Returns ``None`` when M1 is
+    Writing the coordinates of Q_k in the right singular basis as
+    M = V' Q_k = [M1; M2] (the first k columns of ``VQ`` = V'Q_K), the
+    Krylov space equals the graph subspace spanned by V_k + V_perp Delta_k
+    exactly when Delta_k = M2 M1^{-1}.  Returns ``None`` when M1 is
     numerically singular (a right angle).
     """
-    k = Q.shape[1]
-    M = V.T @ Q if VQ is None else VQ[:, :k]
-    M1 = M[:k]
-    M2 = M[k:]
+    M = VQ[:, :k]
     try:
-        return np.linalg.solve(M1.T, M2.T).T
+        return np.linalg.solve(M[:k].T, M[k:].T).T
     except np.linalg.LinAlgError:
         return None
 
@@ -494,7 +488,7 @@ def delta_direct(fact: SvdFactorization, b, k: int) -> np.ndarray:
     ------
     IllConditionedError
         When cond(T_{k1}) exceeds 1e12; beyond that the formula's value is
-        numerically meaningless and the angle route must be used instead.
+        numerically meaningless and the projection route must be used instead.
     ValueError
         When some coefficient sigma_j u_j' b with j <= k vanishes exactly
         (names the index).
@@ -519,21 +513,15 @@ def delta_direct(fact: SvdFactorization, b, k: int) -> np.ndarray:
     return (d[k:, None] * M) / d[None, :k]
 
 
-def sigma_delta_norm(fact: SvdFactorization, b, k: int, Q=None, *, VQ=None) -> float:
-    """||Delta_k Sigma_k|| (equivalently ||Sigma_k Delta_k'||).
-
-    Uses the defining small-scale formula by default; pass the Krylov basis
-    ``Q`` to use the projection route, which stays well-conditioned at
-    scale (``VQ`` as in :func:`delta_matrix_via_projection`).  Returns
-    ``inf`` when the projection route meets a right angle.
+def sigma_delta_norm(VQ, sigma, k: int) -> float:
+    """||Delta_k Sigma_k|| (equivalently ||Sigma_k Delta_k'||) by the
+    projection route, which stays well-conditioned at scale (``VQ`` as in
+    :func:`delta_matrix_via_projection`).  Returns ``inf`` at a right angle.
     """
-    if Q is None:
-        delta = delta_direct(fact, b, k)
-    else:
-        delta = delta_matrix_via_projection(fact.V, Q, VQ=VQ)
-        if delta is None:
-            return math.inf
-    return spectral_norm(delta * fact.sigma[:k])
+    delta = delta_matrix_via_projection(VQ, k)
+    if delta is None:
+        return math.inf
+    return spectral_norm(delta * sigma[:k])
 
 
 # Interpolation factors =======================================================
@@ -642,7 +630,7 @@ def bound_report(
     spectrum: SpectrumModel,
     delta_norm: float,
     k: int,
-    lagrange_max: float | None = None,
+    lagrange_max: float,
 ) -> BoundReport:
     """Evaluate the decay-regime bounds at step k with realized quantities.
 
@@ -650,8 +638,9 @@ def bound_report(
     kernel-defined problems) and a positive transition index in the
     diagnostic.  Raises ``ValueError`` when a leading coefficient
     vanishes exactly (names the index).  ``lagrange_max`` is
-    ``lagrange_factor(sigma, k)[1]`` when the caller has it; None computes
-    it here (and raises, for moderate and mild decay, on tied values).
+    ``lagrange_factor(sigma, k)[1]``, or nan where tied singular values
+    leave it undefined; the moderate and mild bounds then raise
+    ``ValueError``, and the severe ones do not use it.
     """
     if spectrum.kind == "empirical":
         raise ValueError("bound_report needs a decay model; fit one for empirical spectra")
@@ -688,7 +677,8 @@ def bound_report(
         natural_cond = spectrum.rho >= 1.0 + math.sqrt(2.0)
     else:
         alpha = spectrum.alpha
-        lag = lagrange_factor(s, k)[1] if lagrange_max is None else lagrange_max
+        if math.isnan(lagrange_max):
+            raise ValueError(f"Lagrange factor undefined at k={k}: tied singular values")
         if k == 1:
             poly_plain = math.sqrt(1.0 / (2.0 * alpha - 1.0))
             poly_split = poly_plain
@@ -701,12 +691,12 @@ def bound_report(
                     k * k0 / (4.0 * alpha**2 - 1.0)
                     + k * (k - k0 + 1.0) / (2.0 * alpha - 1.0)
                 )
-        delta_b = ratio * poly_plain * lag
-        delta_b_asym = ratio_asym * poly_plain * lag
-        sd_b = s[k - 1] * ratio * poly_split * lag
-        sd_b_asym = s[k - 1] * ratio_asym * poly_split * lag
-        eta = xi * (s[k - 1] / s[k]) * ratio * poly_split * lag
-        eta_asym = xi * (s[k - 1] / s[k]) * ratio_asym * poly_split * lag
+        delta_b = ratio * poly_plain * lagrange_max
+        delta_b_asym = ratio_asym * poly_plain * lagrange_max
+        sd_b = s[k - 1] * ratio * poly_split * lagrange_max
+        sd_b_asym = s[k - 1] * ratio_asym * poly_split * lagrange_max
+        eta = xi * (s[k - 1] / s[k]) * ratio * poly_split * lagrange_max
+        eta_asym = xi * (s[k - 1] / s[k]) * ratio_asym * poly_split * lagrange_max
         natural_cond = 1.0 + math.sqrt(1.0 + eta**2) < ((k + 1.0) / k) ** alpha
 
     near_cond = math.sqrt(1.0 + eta**2) < 0.5 * (s[k - 1] / s[k]) + 0.5

@@ -327,14 +327,14 @@ def recurrence_residuals(state: BidiagState, k: int | None = None) -> dict:
         B = B[: P.shape[1]]
     Q = state.Q_k(k)
     out = {
-        "ortho_P": float(np.linalg.norm(P.T @ P - np.eye(P.shape[1]), 2)),
-        "ortho_Q": float(np.linalg.norm(Q.T @ Q - np.eye(k), 2)),
-        "forward": float(np.linalg.norm(state.A @ Q - P @ B, 2)),
+        "ortho_P": spectral_norm(P.T @ P - np.eye(P.shape[1])),
+        "ortho_Q": spectral_norm(Q.T @ Q - np.eye(k)),
+        "forward": spectral_norm(state.A @ Q - P @ B),
     }
     adj = state.A.T @ P - Q @ B.T
     if len(state.alphas) > k and state._Q.count > k:
         adj[:, -1] -= state.alphas[k] * state._Q.view()[:, k]
-        out["adjoint"] = float(np.linalg.norm(adj, 2))
+        out["adjoint"] = spectral_norm(adj)
     elif state.completed and k == state.n:
-        out["adjoint"] = float(np.linalg.norm(adj, 2))
+        out["adjoint"] = spectral_norm(adj)
     return out

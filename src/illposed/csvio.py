@@ -27,6 +27,9 @@ def format_value(v) -> str:
     shortest representation that round-trips, including ``nan``/``inf``.
     numpy scalars are formatted as the Python value they hold.
     """
+    # Most cells are floats; repr spells the non-finite ones nan, inf, -inf.
+    if type(v) is float:
+        return repr(v)
     if isinstance(v, np.generic):
         v = v.item()
     if isinstance(v, bool):
@@ -37,21 +40,18 @@ def format_value(v) -> str:
         return v
     if isinstance(v, int):
         return str(v)
-    # repr spells the non-finite floats nan, inf and -inf.
     return "nan" if v is None else repr(float(v))
 
 
 def write_csv(path, kind, columns) -> None:
     """Write ``columns`` (name -> cells, in file order) under a schema line.
 
-    A float64 array is formatted whole, as ``repr`` of each value; any other
-    column cell by cell through :func:`format_value`.  Raises ``ValueError``
-    when the columns differ in length.
+    Every cell goes through :func:`format_value`, an array's as the Python
+    values of ``tolist()``.  Raises ``ValueError`` when the columns differ in
+    length.
     """
     cells = [
-        list(map(repr, col.tolist()))
-        if isinstance(col, np.ndarray) and col.dtype == np.float64
-        else [format_value(v) for v in col]
+        list(map(format_value, col.tolist() if isinstance(col, np.ndarray) else col))
         for col in columns.values()
     ]
     if len({len(c) for c in cells}) > 1:

@@ -299,7 +299,7 @@ def _spectrum_for_bounds(problem):
         return None, "none"
 
 
-def _analysis_records(problem, instance, picard, state, kmax):
+def _analysis_records(problem, picard, state, kmax):
     """Per-step diagnostics and bound reports for k = 1..kmax."""
     fact = problem.svd
     sigma = fact.sigma
@@ -318,12 +318,12 @@ def _analysis_records(problem, instance, picard, state, kmax):
         Q = state.Q_k(k)
         gamma = float(gammas[k - 1])
         theta = ritz_values(state, k)
-        sin_theta, delta = delta_norm_via_angles(fact.V, Q, VQ=VQ)
-        sd = sigma_delta_norm(fact, instance.b, k, Q=Q, VQ=VQ)
+        sin_theta, delta = delta_norm_via_angles(fact.V, Q, VQ)
+        sd = sigma_delta_norm(VQ, sigma, k)
         try:
             lag = lagrange_factor(sigma, k)[1]
         except ValueError:  # tied values: undefined, and bound_report says so
-            lag = None
+            lag = math.nan
         records.append(
             AnalysisRecord(
                 k=k,
@@ -334,7 +334,7 @@ def _analysis_records(problem, instance, picard, state, kmax):
                 delta_norm=delta,
                 sin_theta=sin_theta,
                 sigma_delta=sd,
-                lagrange_max=math.nan if lag is None else lag,
+                lagrange_max=lag,
                 near_best=near_best_predicate(gamma, sigma[k - 1], sigma[k], tol=slack),
                 natural_order=natural_order_check(theta, sigma),
                 alpha_beta_sum=proxy.get(k, math.nan),
@@ -343,7 +343,7 @@ def _analysis_records(problem, instance, picard, state, kmax):
         report = None
         if model is not None:
             try:
-                report = bound_report(fact, picard, model, delta, k, lagrange_max=lag)
+                report = bound_report(fact, picard, model, delta, k, lag)
             except ValueError:
                 report = None
         reports.append(report)
@@ -494,9 +494,7 @@ def run(config: ExperimentConfig) -> RunResult:
         )
     tsvd = tsvd_sweep(instance)
     lsqr = lsqr_sweep(instance, state, kmax)
-    records, reports, model, source = _analysis_records(
-        problem, instance, picard, state, kmax
-    )
+    records, reports, model, source = _analysis_records(problem, picard, state, kmax)
     violations = _check_invariants(
         records, problem.svd.sigma, state, lsqr, tsvd, config.reorth
     )

@@ -5,6 +5,7 @@ full bidiagonalization plus both sweeps, so bundles are built once per
 session and shared.  Tests must treat cached objects as read-only.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,7 @@ from illposed import (
     tsvd_sweep,
     lsqr_sweep,
 )
+from illposed.analysis import lagrange_factor
 from illposed.bidiag import bidiag_run
 from illposed.noise import NoisyInstance
 from illposed.tsvd import TsvdSweep
@@ -55,6 +57,16 @@ def severe(rho, beta=0.5, zeta=1.0):
 
 def poly(alpha, beta=0.5, zeta=1.0):
     return SpectrumModel(kind="moderate_or_mild", alpha=alpha, zeta=zeta, beta_picard=beta)
+
+
+def lagrange_max(sigma, k):
+    """The Lagrange factor ``run()`` records and hands to ``bound_report``:
+    ``lagrange_factor(sigma, k)[1]``, or nan where tied values leave it
+    undefined."""
+    try:
+        return lagrange_factor(sigma, k)[1]
+    except ValueError:
+        return math.nan
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from conftest import poly, severe
+from conftest import lagrange_max, poly, severe
 
 from illposed.analysis import (
     IllConditionedError,
@@ -149,7 +149,7 @@ def test_criterion_2_subspace_distance_oracle(cache):
         per_instance = 0
         for k in range(1, min(n - 1, run.state.max_k) + 1):
             Qk = run.state.Q_k(k)
-            sin_t, tan_t = delta_norm_via_angles(fact.V, Qk)
+            sin_t, tan_t = delta_norm_via_angles(fact.V, Qk, fact.V.T @ Qk)
             if not math.isfinite(tan_t):
                 continue
             try:
@@ -235,8 +235,9 @@ def test_criterion_4_bound_validity(cache):
         sat_streak = 0
         for k in range(1, min(k0, run.state.max_k - 1, n - 1) + 1):
             Qk = run.state.Q_k(k)
-            _, dnorm = delta_norm_via_angles(fact.V, Qk)
-            sdnorm = sigma_delta_norm(fact, run.instance.b, k, Q=Qk)
+            VQ = fact.V.T @ Qk
+            _, dnorm = delta_norm_via_angles(fact.V, Qk, VQ)
+            sdnorm = sigma_delta_norm(VQ, fact.sigma, k)
             if not math.isfinite(dnorm) or not math.isfinite(sdnorm):
                 skipped += 1
                 sat_streak += 1
@@ -244,7 +245,8 @@ def test_criterion_4_bound_validity(cache):
                     break  # saturated for good; later k stay undefined
                 continue
             sat_streak = 0
-            rep = bound_report(fact, run.picard, spectrum, dnorm, k)
+            lag = lagrange_max(fact.sigma, k)
+            rep = bound_report(fact, run.picard, spectrum, dnorm, k, lag)
             audited += 1
             for value, bound, label in (
                 (dnorm, rep.delta_bound, "delta"),

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import poly, severe
+from conftest import lagrange_max, poly, severe
 
 from illposed import analysis, experiment
 from illposed.analysis import (
@@ -508,12 +508,15 @@ def test_delta_two_by_two_oracle():
     assert err is None
     Q = state.Q_k(1)
     np.testing.assert_allclose(np.abs(Q[:, 0]), np.array([4.0, 1.0]) / math.sqrt(17.0))
-    sin_theta, dn = delta_norm_via_angles(fact.V, Q)
+    VQ = fact.V.T @ Q
+    sin_theta, dn = delta_norm_via_angles(fact.V, Q, VQ)
     assert sin_theta == pytest.approx(1.0 / math.sqrt(17.0), rel=1e-12)
     assert dn == pytest.approx(0.25, rel=1e-12)
-    np.testing.assert_allclose(delta_matrix_via_projection(fact.V, Q), [[0.25]], atol=1e-14)
+    np.testing.assert_allclose(delta_matrix_via_projection(VQ, 1), [[0.25]], atol=1e-14)
     np.testing.assert_allclose(delta_direct(fact, b, 1), [[0.25]], rtol=1e-14)
-    assert sigma_delta_norm(fact, b, 1) == pytest.approx(0.25, rel=1e-13)
+    direct = spectral_norm(delta_direct(fact, b, 1) * fact.sigma[:1])
+    assert direct == pytest.approx(0.25, rel=1e-13)
+    assert sigma_delta_norm(VQ, fact.sigma, 1) == pytest.approx(0.25, rel=1e-12)
 
 
 def test_delta_direct_first_column():
@@ -529,11 +532,12 @@ def test_delta_routes_agree(severe4_small_rig):
     prob, inst, state = severe4_small_rig
     fact = prob.svd
     for k in range(1, 4):
+        VQ = fact.V.T @ state.Q_k(k)
         direct = delta_direct(fact, inst.b, k)
-        proj = delta_matrix_via_projection(fact.V, state.Q_k(k))
+        proj = delta_matrix_via_projection(VQ, k)
         np.testing.assert_allclose(direct, proj, atol=1e-12)
-        sd_direct = sigma_delta_norm(fact, inst.b, k)
-        sd_proj = sigma_delta_norm(fact, inst.b, k, Q=state.Q_k(k))
+        sd_direct = spectral_norm(direct * fact.sigma[:k])
+        sd_proj = sigma_delta_norm(VQ, fact.sigma, k)
         assert sd_direct == pytest.approx(sd_proj, rel=1e-10)
 
 
@@ -550,7 +554,7 @@ def test_delta_amplification(severe4_small_rig):
     for fact, b, st, kmax in rigs:
         d = fact.sigma * fact.coefficients(b)
         for k in range(1, kmax + 1):
-            delta = np.abs(delta_matrix_via_projection(fact.V, st.Q_k(k)))
+            delta = np.abs(delta_matrix_via_projection(fact.V.T @ st.Q_k(k), k))
             rank_one = np.abs(np.outer(d[k:], 1.0 / d[:k]))
             lag_max = lagrange_factor(fact.sigma, k)[1]
             assert np.all(delta <= lag_max * rank_one + 1e-12)
@@ -560,8 +564,6 @@ def test_delta_direct_refuses_ill_conditioned(severe4_small_rig):
     prob, inst, _ = severe4_small_rig
     with pytest.raises(IllConditionedError, match="cond"):
         delta_direct(prob.svd, inst.b, 5)
-    with pytest.raises(IllConditionedError):
-        sigma_delta_norm(prob.svd, inst.b, 5)
 
 
 def test_delta_direct_zero_coefficient():
@@ -578,12 +580,12 @@ def test_delta_saturated_angle_reports_infinity():
     # sine saturates, the tangent is infinite, and xi falls back to sqrt(5)/2.
     V = np.eye(3)
     Q = V[:, 2:]
-    sin_theta, dn = delta_norm_via_angles(V, Q)
+    VQ = V.T @ Q
+    sin_theta, dn = delta_norm_via_angles(V, Q, VQ)
     assert sin_theta == 1.0
     assert math.isinf(dn)
-    assert delta_matrix_via_projection(V, Q) is None
-    fact = svd(np.diag([3.0, 2.0, 1.0]))
-    assert math.isinf(sigma_delta_norm(fact, np.ones(3), 1, Q=Q))
+    assert delta_matrix_via_projection(VQ, 1) is None
+    assert math.isinf(sigma_delta_norm(VQ, np.array([3.0, 2.0, 1.0]), 1))
     assert xi_factor(dn) == pytest.approx(math.sqrt(5.0) / 2.0, rel=1e-15)
 
 
@@ -598,15 +600,16 @@ def test_xi_factor_formula_and_continuity():
 
 def test_sigma_delta_sandwich(severe4_small_rig):
     # sigma_k ||Delta|| <= ||Delta Sigma_k|| <= sigma_1 ||Delta||.
-    prob, inst, state = severe4_small_rig
+    prob, _, state = severe4_small_rig
     s = prob.svd.sigma
     for k in range(1, 4):
-        delta = delta_matrix_via_projection(prob.svd.V, state.Q_k(k))
-        nd = spectral_norm(delta)
-        sd = sigma_delta_norm(prob.svd, inst.b, k, Q=state.Q_k(k))
+        VQ = prob.svd.V.T @ state.Q_k(k)
+        nd = spectral_norm(delta_matrix_via_projection(VQ, k))
+        sd = sigma_delta_norm(VQ, s, k)
         assert s[k - 1] * nd - 1e-12 <= sd <= s[0] * nd + 1e-12
-    k1 = sigma_delta_norm(prob.svd, inst.b, 1, Q=state.Q_k(1))
-    d1 = spectral_norm(delta_matrix_via_projection(prob.svd.V, state.Q_k(1)))
+    VQ = prob.svd.V.T @ state.Q_k(1)
+    k1 = sigma_delta_norm(VQ, s, 1)
+    d1 = spectral_norm(delta_matrix_via_projection(VQ, 1))
     assert k1 == pytest.approx(s[0] * d1, rel=1e-13)
 
 
@@ -648,7 +651,7 @@ def test_bound_report_severe_identities(severe3_rig):
     k0 = pic.k0
     assert k0 >= 4
     for k in list(range(1, k0 + 1)) + [k0 + 2]:
-        rep = bound_report(prob.svd, pic, prob.spectrum, 0.3, k)
+        rep = bound_report(prob.svd, pic, prob.spectrum, 0.3, k, lagrange_max(s, k))
         assert rep.regime == "severe"
         assert rep.k0_used == k0
         assert rep.xi_k == xi_factor(0.3)
@@ -674,14 +677,15 @@ def test_bound_report_severe_identities(severe3_rig):
 def test_bound_report_severe_realized_audit(severe3_rig):
     # Realized distances against the a-priori bounds, within the factor-2
     # window that absorbs the unbounded part of the severe-decay constants.
-    prob, inst, pic, state = severe3_rig
+    prob, _, pic, state = severe3_rig
     s = prob.svd.sigma
     gks = gamma_via_Gk(state, pic.k0)
     for k in range(1, pic.k0 + 1):
-        _, dn = delta_norm_via_angles(prob.svd.V, state.Q_k(k))
-        rep = bound_report(prob.svd, pic, prob.spectrum, dn, k)
+        VQ = prob.svd.V.T @ state.Q_k(k)
+        _, dn = delta_norm_via_angles(prob.svd.V, state.Q_k(k), VQ)
+        rep = bound_report(prob.svd, pic, prob.spectrum, dn, k, lagrange_max(s, k))
         assert dn <= 2.0 * rep.delta_bound
-        sd = sigma_delta_norm(prob.svd, inst.b, k, Q=state.Q_k(k))
+        sd = sigma_delta_norm(VQ, s, k)
         assert sd <= 2.0 * rep.sigma_delta_bound
         gk = gks[k - 1]
         assert gk <= 2.0 * math.sqrt(1.0 + rep.eta_k**2) * s[k]
@@ -694,8 +698,9 @@ def test_bound_report_severe_natural_order_threshold(severe3_rig):
     # The sufficient condition for natural ordering is exactly
     # rho >= 1 + sqrt(2); the report only consults the model for this flag.
     prob, _, pic, _ = severe3_rig
-    at = bound_report(prob.svd, pic, severe(1.0 + math.sqrt(2.0)), 0.3, 2)
-    below = bound_report(prob.svd, pic, severe(2.0), 0.3, 2)
+    lag = lagrange_max(prob.svd.sigma, 2)
+    at = bound_report(prob.svd, pic, severe(1.0 + math.sqrt(2.0)), 0.3, 2, lag)
+    below = bound_report(prob.svd, pic, severe(2.0), 0.3, 2, lag)
     assert at.natural_order_condition
     assert not below.natural_order_condition
 
@@ -706,7 +711,7 @@ def test_bound_report_moderate_identities(moderate_rig):
     k0 = pic.k0
     alpha = prob.spectrum.alpha
     for k in [1, 2, 3, k0, k0 + 1, k0 + 3]:
-        rep = bound_report(prob.svd, pic, prob.spectrum, 0.3, k)
+        rep = bound_report(prob.svd, pic, prob.spectrum, 0.3, k, lagrange_max(s, k))
         assert rep.regime == "moderate_or_mild"
         ratio = float(np.max(pic.coef[k:]) / np.min(pic.coef[:k]))
         assert rep.ratio_realized == pytest.approx(ratio, rel=1e-15)
@@ -740,14 +745,16 @@ def test_bound_report_moderate_identities(moderate_rig):
 
 
 def test_bound_report_moderate_realized_audit(moderate_rig):
-    prob, inst, pic, state = moderate_rig
+    prob, _, pic, state = moderate_rig
+    s = prob.svd.sigma
     for k in range(1, 9):
-        _, dn = delta_norm_via_angles(prob.svd.V, state.Q_k(k))
+        VQ = prob.svd.V.T @ state.Q_k(k)
+        _, dn = delta_norm_via_angles(prob.svd.V, state.Q_k(k), VQ)
         if not math.isfinite(dn):
             continue
-        rep = bound_report(prob.svd, pic, prob.spectrum, dn, k)
+        rep = bound_report(prob.svd, pic, prob.spectrum, dn, k, lagrange_max(s, k))
         assert dn <= 2.0 * rep.delta_bound
-        sd = sigma_delta_norm(prob.svd, inst.b, k, Q=state.Q_k(k))
+        sd = sigma_delta_norm(VQ, s, k)
         assert sd <= 2.0 * rep.sigma_delta_bound
 
 
@@ -756,38 +763,47 @@ def test_bound_report_mild_has_no_natural_order_guarantee():
     inst = add_noise(prob, 1e-3, 0)
     pic = picard_diagnostic(inst)
     for k in range(1, 5):
-        rep = bound_report(prob.svd, pic, prob.spectrum, 0.3, k)
+        rep = bound_report(prob.svd, pic, prob.spectrum, 0.3, k, lagrange_max(prob.svd.sigma, k))
         assert not rep.natural_order_condition
 
 
 def test_bound_report_rejects_bad_inputs(severe3_rig):
     prob, _, pic, _ = severe3_rig
+    lag = lagrange_max(prob.svd.sigma, 2)
     with pytest.raises(ValueError, match="decay model"):
-        bound_report(prob.svd, pic, SpectrumModel(kind="empirical"), 0.3, 2)
+        bound_report(prob.svd, pic, SpectrumModel(kind="empirical"), 0.3, 2, lag)
     with pytest.raises(ValueError, match="transition index"):
-        bound_report(prob.svd, dataclasses.replace(pic, k0=0), prob.spectrum, 0.3, 2)
+        bound_report(prob.svd, dataclasses.replace(pic, k0=0), prob.spectrum, 0.3, 2, lag)
     coef = pic.coef.copy()
     coef[0] = 0.0
     with pytest.raises(ValueError, match="vanishes at j=1"):
-        bound_report(prob.svd, dataclasses.replace(pic, coef=coef), prob.spectrum, 0.3, 2)
+        bound_report(prob.svd, dataclasses.replace(pic, coef=coef), prob.spectrum, 0.3, 2, lag)
     with pytest.raises(ValueError, match="outside"):
-        bound_report(prob.svd, pic, prob.spectrum, 0.3, 0)
+        bound_report(prob.svd, pic, prob.spectrum, 0.3, 0, 1.0)
     with pytest.raises(ValueError, match="outside"):
-        bound_report(prob.svd, pic, prob.spectrum, 0.3, prob.n)
+        bound_report(prob.svd, pic, prob.spectrum, 0.3, prob.n, math.nan)
 
 
-def test_bound_report_takes_the_callers_lagrange_factor(moderate_rig, monkeypatch):
+def test_bound_report_takes_the_callers_lagrange_factor(moderate_rig, severe3_rig, monkeypatch):
+    # The polynomial bounds are linear in the factor the caller hands in; a
+    # nan factor (tied values) is refused there and ignored by severe decay.
     prob, _, pic, _ = moderate_rig
-    expected = {k: bound_report(prob.svd, pic, prob.spectrum, 0.3, k) for k in range(1, 12)}
-    lags = {k: lagrange_factor(prob.svd.sigma, k)[1] for k in expected}
+    lags = {k: lagrange_factor(prob.svd.sigma, k)[1] for k in range(1, 12)}
 
     def recomputed(*args):
         raise AssertionError("lagrange_factor recomputed")
 
     monkeypatch.setattr(analysis, "lagrange_factor", recomputed)
-    for k, rep in expected.items():
-        got = bound_report(prob.svd, pic, prob.spectrum, 0.3, k, lagrange_max=lags[k])
-        assert repr(got) == repr(rep)
+    for k, lag in lags.items():
+        rep = bound_report(prob.svd, pic, prob.spectrum, 0.3, k, lag)
+        doubled = bound_report(prob.svd, pic, prob.spectrum, 0.3, k, 2.0 * lag)
+        assert doubled.delta_bound == 2.0 * rep.delta_bound
+        assert doubled.sigma_delta_bound == 2.0 * rep.sigma_delta_bound
+    with pytest.raises(ValueError, match="tied singular values"):
+        bound_report(prob.svd, pic, prob.spectrum, 0.3, 2, math.nan)
+    prob, _, pic, _ = severe3_rig
+    rep = bound_report(prob.svd, pic, prob.spectrum, 0.3, 2, 1.0)
+    assert repr(bound_report(prob.svd, pic, prob.spectrum, 0.3, 2, math.nan)) == repr(rep)
 
 
 def test_analysis_reports_match_bound_report_on_tied_sigma():
@@ -803,11 +819,12 @@ def test_analysis_reports_match_bound_report_on_tied_sigma():
     inst = add_noise(prob, 1e-3, 0)
     pic = picard_diagnostic(inst)
     state, _ = bidiag_run(prob.A, inst.b, norm_A=float(prob.svd.sigma[0]))
-    records, reports, model, _ = experiment._analysis_records(prob, inst, pic, state, 10)
+    records, reports, model, _ = experiment._analysis_records(prob, pic, state, 10)
     assert [r is None for r in reports] == [False] * 3 + [True] * 7
     for rec, rep in zip(records, reports):
         try:
-            expected = bound_report(prob.svd, pic, model, rec.delta_norm, rec.k)
+            lag = lagrange_max(prob.svd.sigma, rec.k)
+            expected = bound_report(prob.svd, pic, model, rec.delta_norm, rec.k, lag)
         except ValueError:
             expected = None
         assert repr(rep) == repr(expected)

@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 
 import illposed
 
-from illposed.bidiag import BreakdownError
+from illposed.analysis import delta_norm_via_angles, lagrange_factor, sigma_delta_norm
+from illposed.bidiag import BreakdownError, bidiag_run
 from illposed.cli import main as cli_main
-from illposed.csvio import read_csv
+from illposed.csvio import format_value, read_csv
 from illposed.experiment import (
     ARTIFACT_CSVS,
     NOISE_INDEPENDENT_COLUMNS,
@@ -31,6 +32,7 @@ from illposed.experiment import (
     render_panels,
     run,
 )
+from illposed.noise import add_noise
 
 ALL_ARTIFACTS = ("config.txt",) + ARTIFACT_CSVS + (
     "summary.txt",
@@ -164,6 +166,18 @@ def test_readme_key_table_matches_the_config_fields():
         assert getattr(load_config(None, {f.name: table[f.name]}), f.name) == f.default, f.name
 
 
+def test_readme_library_tour_runs_as_documented(capsys):
+    # The tour's first print is documented as "7 7 7"; its last, the
+    # near-best verdict at the semi-convergence index, as True.
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    section = text.split("\n## Library tour\n")[1]
+    code = section.split("```python\n")[1].split("```")[0]
+    exec(compile(code, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert (lines[0], lines[-1]) == ("7 7 7", "True")
+
+
 def test_build_problem_dispatch_and_errors():
     cfg = load_config(None, {"problem": "picard_synthetic", "decay": "moderate",
                              "alpha": "1.5", "n": "16"})
@@ -212,6 +226,33 @@ def test_run_summary_is_consistent_with_csvs(base_run):
     assert summary["bound_model"].startswith("moderate_or_mild alpha=")
     assert summary["invariant_violations"] == "0"
     assert summary["invariant_detail"] == "none"
+
+
+@pytest.mark.parametrize("overrides", [{"n": 64, "kmax": 40}, {"problem": "shaw"}])
+def test_analysis_csv_holds_the_delta_routes_on_the_runs_projection(overrides, tmp_path):
+    # Rebuild the run's state from its config and form V'Q_K once, as the
+    # pipeline does; deriv2-64 saturates the angle at some k, shaw breaks down.
+    config = small_config(tmp_path / "oracle", **overrides)
+    run(config)
+    _, cols = read_csv(tmp_path / "oracle" / "analysis.csv")
+    problem = build_problem(config)
+    fact = problem.svd
+    instance = add_noise(problem, config.noise, config.seed)
+    state, _ = bidiag_run(problem.A, instance.b, norm_A=float(fact.sigma[0]))
+    K = len(cols["k"])
+    VQ = fact.V.T @ state.Q_k(K)
+    for k in range(1, K + 1):
+        sin_theta, delta = delta_norm_via_angles(fact.V, state.Q_k(k), VQ)
+        row = {
+            "k": k,
+            "sin_theta": sin_theta,
+            "delta_norm": delta,
+            "sigma_delta": sigma_delta_norm(VQ, fact.sigma, k),
+            "lagrange_max": lagrange_factor(fact.sigma, k)[1],
+        }
+        assert {name: cols[name][k - 1] for name in row} == {
+            name: format_value(v) for name, v in row.items()
+        }
 
 
 def test_run_config_echo_reloads(base_run):
