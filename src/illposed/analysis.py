@@ -234,7 +234,7 @@ def gamma_via_Gk(state: BidiagState, K: int) -> np.ndarray:
     """
     if not state.terminal:
         raise ValueError("gamma_via_Gk needs a complete or broken-down factorization")
-    alpha, beta = state.alpha, state.beta
+    alpha, beta = np.array(state.alphas), np.array(state.betas)
     if alpha.size <= K:
         raise ValueError(f"no trailing block at k={K} (have {alpha.size} alphas)")
     if beta.size - 1 not in (alpha.size, alpha.size - 1):

@@ -190,7 +190,7 @@ def test_gamma_routes_match_dense_oracles(n):
         assert K == (n - 1 if name == "complete" else 2 * n // 3 - 1)
         gks, exact = gamma_via_Gk(state, K), gamma_exact(A, state.Q_k(K))
         for k in (1, K // 4, K - 1, K):
-            a, b = state.alpha[k:], state.beta[k + 1 :]
+            a, b = state.alphas[k:], state.betas[k + 1 :]
             block = spectral_norm(lower_bidiagonal(a, b))
             assert gks[k - 1] == pytest.approx(block, abs=1e-14 * s1), (name, k)
             Q = state.Q_k(k)
@@ -378,7 +378,7 @@ def test_all_k_route_a_is_the_full_bisection_bit_for_bit(state, estimate, bisect
     # The estimate only decides which midpoints get a Sturm count; every
     # skipped midpoint must take the outcome its own count would give.
     K = min(40, state.steps)
-    a, b = state.alpha, state.beta
+    a, b = np.array(state.alphas), np.array(state.betas)
     calls = []
     count = analysis._has_eigenvalue_above
     estimates = analysis._norm_estimates
@@ -429,7 +429,7 @@ def test_all_k_route_a_needs_few_counts():
         pruned = len(calls)
         calls.clear()
         for k in range(1, 41):
-            analysis._bidiagonal_norm(state.alpha[k:], state.beta[k + 1 :])
+            analysis._bidiagonal_norm(np.array(state.alphas[k:]), np.array(state.betas[k + 1 :]))
     assert len(calls) >= 40 * 45
     assert pruned <= 40 * 8
 

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import severe
 
+from illposed import bidiag
 from illposed.csvio import read_csv
 from illposed.gallery import make_deriv2, make_picard_synthetic, make_shaw
 from illposed.bidiag import (
@@ -63,8 +64,30 @@ def test_factorization_identity_per_step():
         assert resid["forward"] <= 1e-13 * sigma1
         assert resid["ortho_P"] <= 1e-13
         assert resid["ortho_Q"] <= 1e-13
-        if "adjoint" in resid:
-            assert resid["adjoint"] <= 1e-13 * sigma1
+        # The adjoint identity A' P_{k+1} = Q_k B_k' + alpha_{k+1} q_{k+1} e_{k+1}'.
+        adjoint = A.T @ state.P_k(k + 1) - state.Q_k(k) @ state.B(k).T
+        adjoint[:, -1] -= state.alphas[k] * state.Q_k(k + 1)[:, k]
+        assert np.linalg.norm(adjoint, 2) <= 1e-13 * sigma1
+
+
+def test_bidiag_run_advances_through_module_bidiag_step(monkeypatch):
+    # The benchmark's tracer counts bidiag.steps by wrapping the module-level
+    # bidiag_step, so bidiag_run must call it by that name once per step.
+    calls = []
+    step = bidiag.bidiag_step
+
+    def counted(state):
+        calls.append(state.steps)
+        return step(state)
+
+    monkeypatch.setattr(bidiag, "bidiag_step", counted)
+    prob = make_deriv2(12)
+    state, err = bidiag_run(prob.A, prob.b_true)
+    assert err is None and state.completed
+    assert calls == list(range(state.steps)) and state.steps == 11
+    calls.clear()
+    state, err = bidiag_run(prob.A, prob.b_true, steps=4)
+    assert err is None and calls == [0, 1, 2, 3]
 
 
 def test_complete_square_forces_zero_trailing_beta():
@@ -85,7 +108,9 @@ def test_complete_square_without_reorthogonalization_keeps_computed_beta():
     assert err is None and plain.completed
     assert len(plain.alphas) == 16 and len(plain.betas) == 17
     assert plain.betas[-1] > 0.0
-    assert plain._P.count == 16
+    plain.P_k(16)
+    with pytest.raises(ValueError, match="have 16 columns"):
+        plain.P_k(17)
     reo, err = bidiag_run(prob.A, b)
     assert err is None and reo.betas[-1] == 0.0
 

@@ -1,7 +1,9 @@
 """The case list of ``tools/verify.py`` keeps every case of both verifications,
-and the benchmark's check keeps the audit slack of the package."""
+its first line names the BLAS in use, and the benchmark's check keeps the
+audit slack of the package."""
 
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -9,7 +11,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
 
 from illposed.analysis import AUDIT_SLACK  # noqa: E402
-from perfbench import check  # noqa: E402
+from perfbench import check, env  # noqa: E402
 from perfbench.workloads import case, case_key, grid  # noqa: E402
 
 _spec = importlib.util.spec_from_file_location("verify", ROOT / "tools" / "verify.py")
@@ -30,3 +32,16 @@ def test_case_list_covers_the_grid_the_seeds_and_the_kernels():
 def test_benchmark_slack_is_the_audit_slack():
     # perfbench/check.py keeps its own copy; its tolerances follow the audit's.
     assert check.AUDIT_SLACK == AUDIT_SLACK
+
+
+def test_first_line_names_the_blas_library_version_and_threads():
+    # Listings taken at different BLAS thread counts must differ at line 1.
+    info = ("OpenBLAS 0.3.27  DYNAMIC_ARCH Haswell", 2)
+    assert verify.blas_line(info) == "blas OpenBLAS 0.3.27 DYNAMIC_ARCH Haswell threads 2"
+    assert verify.blas_line((info[0], 1)) != verify.blas_line(info)
+    description, threads = env.blas_info()
+    line = verify.blas_line((description, threads))
+    assert re.fullmatch(r"blas \S+( \S+)* threads -?\d+", line), line
+    assert line.endswith(f" threads {threads}")
+    if threads != -1:  # a library that reports its thread count names its version
+        assert re.match(r"blas \S+ \d+\.\d+", line), line

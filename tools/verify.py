@@ -3,14 +3,16 @@
     python3 tools/verify.py > listing.txt
 
 Runs each case of :func:`cases` once, with the sources under ``src/``,
-through ``perfbench.bench.run_case``.  Per case it prints
-``case <key> outcome <outcome> verdict <verdict>``, the verdict being
+through ``perfbench.bench.run_case``.  The first line names the BLAS
+library, its version and its thread count (see :func:`blas_line`).  Per
+case it prints ``case <key> outcome <outcome> verdict <verdict>``, the verdict being
 ``perfbench.check.verdict`` against ``perfbench/reference.json`` (``none``
 without a reference value), then one ``<sha256>  <file>`` line per artifact
 except ``config.txt``, which echoes the output path.  The last line counts
 the verdicts; the exit code is 1 when any case mismatches.  Two checkouts
 give the same verdicts and bytes exactly when their listings are identical.
-The BLAS thread count is capped as in the benchmark, since it can move bits.
+The BLAS thread count is capped as in the benchmark, since it can move bits;
+listings taken at different counts differ at the first line.
 """
 
 from __future__ import annotations
@@ -35,6 +37,12 @@ def cases() -> list:
     return reference_cases() + [case(p, 1024, 1e-3, 0, kmax=40) for p in ("gravity", "heat")]
 
 
+def blas_line(info) -> str:
+    """``blas <library and version> threads <count>`` from ``env.blas_info()``."""
+    description, threads = info
+    return f"blas {' '.join(description.split())} threads {threads}"
+
+
 def main() -> int:
     sys.path[:0] = [str(ROOT), str(ROOT / "src")]
     from perfbench import env
@@ -46,6 +54,7 @@ def main() -> int:
     with open(ROOT / "perfbench" / "reference.json", encoding="ascii") as fh:
         reference = json.load(fh)["cases"]
     outdir = ROOT / ".perfbench_out" / f"verify-{os.getpid()}"
+    print(blas_line(env.blas_info()))
     counts: Counter = Counter()
     try:
         for c in cases():
