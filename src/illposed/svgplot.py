@@ -3,12 +3,14 @@
 Just enough for the experiment panels: polyline series with optional
 markers, a linear x axis and a linear or log10 y axis with sensible
 ticks, vertical reference lines, and a legend.  Output is deterministic:
-fixed float formatting, fixed palette, no timestamps.
+fixed float formatting, fixed palette, no timestamps.  Any finite input renders.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from itertools import groupby
 
 __all__ = ["Chart"]
 
@@ -25,6 +27,7 @@ PALETTE = [
 
 WIDTH, HEIGHT = 640, 440
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 16, 34, 46
+_MAX = sys.float_info.max
 
 
 def _fmt(v: float) -> str:
@@ -39,22 +42,48 @@ def _tick_label(v: float) -> str:
     return f"{v:g}"
 
 
+def _stroke(color, width, dash=None) -> str:
+    dash = f' stroke-dasharray="{dash}"' if dash else ""
+    return f'stroke="{color}" stroke-width="{width}"{dash}'
+
+
+def _line(x1, y1, x2, y2, *stroke) -> str:
+    return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" {_stroke(*stroke)}/>'
+
+
+def _text(x, y, size, body, anchor=None, transform=None) -> str:
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    transform = f' transform="{transform}"' if transform else ""
+    return (
+        f'<text x="{x}" y="{y}"{anchor} font-family="sans-serif" '
+        f'font-size="{size}"{transform}>{body}</text>'
+    )
+
+
+def _circles(points, color: str) -> list:
+    return [f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2.5" fill="{color}"/>' for x, y in points]
+
+
 def _nice_linear_ticks(lo: float, hi: float, target: int = 5):
     span = hi - lo
     if span <= 0:
         return [lo]
-    raw = span / target
-    mag = 10.0 ** math.floor(math.log10(raw))
+    if span == math.inf:  # wider than the largest float: tick the halved range
+        return [2.0 * t for t in _nice_linear_ticks(0.5 * lo, 0.5 * hi, target)]
+    # A subnormal span / target can round to 0, and 10.0**-324 is 0.
+    raw = max(span / target, math.ulp(0.0))
+    mag = 10.0 ** max(math.floor(math.log10(raw)), -323)
     for mult in (1.0, 2.0, 5.0, 10.0):
         step = mult * mag
         if span / step <= target + 1:
             break
-    first = math.ceil(lo / step) * step
-    ticks = []
-    t = first
-    while t <= hi + 1e-9 * span:
+    ticks, t = [], math.ceil(lo / step) * step
+    limit = min(hi + 1e-9 * span, _MAX)
+    while t <= limit:
         ticks.append(0.0 if abs(t) < 1e-12 * span else t)
-        t += step
+        t, last = t + step, t
+        if t == last:  # the step is below the spacing of floats at t
+            break
     return ticks
 
 
@@ -62,14 +91,18 @@ def _decade_ticks(lo: float, hi: float, max_ticks: int = 12):
     lo_e = max(math.floor(math.log10(lo)), -323)  # 10.0**-324 rounds to 0
     hi_e = math.ceil(math.log10(hi))
     stride = max(1, math.ceil((hi_e - lo_e + 1) / max_ticks))
-    return [10.0**e for e in range(lo_e, hi_e + 1, stride)]
+    return [10.0**e for e in range(lo_e, min(hi_e, 308) + 1, stride)]  # 10.0**309 overflows
 
 
 class _Axis:
-    def __init__(self, log: bool):
+    """One axis's range and its map to pixels: ``start + (u - flip)·length`` at
+    the position ``u`` (0 at lo, 1 at hi); a y axis flips with a negative length."""
+
+    def __init__(self, log: bool, start: int, length: int, flip: float = 0.0):
         self.log = log
         self.lo = math.inf
         self.hi = -math.inf
+        self._start, self._length, self._flip = start, length, flip
 
     def admitted(self, values) -> list:
         """Whether each value can be drawn: finite, and positive on a log axis."""
@@ -77,35 +110,39 @@ class _Axis:
             return [math.isfinite(v) and v > 0.0 for v in values]
         return [math.isfinite(v) for v in values]
 
-    def include(self, values):
-        """Widen the range to admitted values."""
-        if values:
+    def include(self, runs):
+        """Widen the range to the values of each run of admitted values."""
+        for values in runs:
             self.lo = min(self.lo, min(values))
             self.hi = max(self.hi, max(values))
 
     def finish(self):
         if self.lo > self.hi:  # no admissible data at all
             self.lo, self.hi = (0.1, 10.0) if self.log else (0.0, 1.0)
-        # units() maps scale(v) with the offset and span fixed here.  Two
+        # pixels() maps scale(v) with the offset and span fixed here.  Two
         # distinct values one ulp apart can share a log10, so the test for a
         # zero span compares the scaled values.
         scale = math.log10 if self.log else float
+        if scale is float and self.hi - self.lo == math.inf:  # the span overflows: map halves
+            scale = (0.5).__mul__
         if scale(self.hi) == scale(self.lo):
             if self.log:
                 # lo / 10 can underflow to 0, which has no log10.
-                self.lo, self.hi = max(self.lo / 10.0, math.ulp(0.0)), self.hi * 10.0
+                self.lo, self.hi = max(self.lo / 10.0, math.ulp(0.0)), min(self.hi * 10.0, _MAX)
             else:
                 pad = 0.5 * max(1.0, abs(self.lo))
-                self.lo, self.hi = self.lo - pad, self.hi + pad
+                self.lo, self.hi = max(self.lo - pad, -_MAX), min(self.hi + pad, _MAX)
         self._origin = scale(self.lo)
         self._span = scale(self.hi) - self._origin
+        self._scale = None if scale is float else scale
 
-    def units(self, values) -> list:
-        """Positions of admitted values on the finished axis: 0 at lo, 1 at hi."""
-        origin, span = self._origin, self._span
-        if self.log:
-            return [(math.log10(v) - origin) / span for v in values]
-        return [(v - origin) / span for v in values]
+    def pixels(self, values) -> list:
+        """Pixel coordinates of admitted values on the finished axis."""
+        origin, span, scale = self._origin, self._span, self._scale
+        start, length, flip = self._start, self._length, self._flip
+        if scale is None:
+            return [start + ((v - origin) / span - flip) * length for v in values]
+        return [start + ((scale(v) - origin) / span - flip) * length for v in values]
 
     def ticks(self):
         return _decade_ticks(self.lo, self.hi) if self.log else _nice_linear_ticks(self.lo, self.hi)
@@ -118,144 +155,84 @@ class Chart:
         self.title = title
         self.xlabel = xlabel
         self.ylabel = ylabel
-        self.xaxis = _Axis(False)
-        self.yaxis = _Axis(ylog)
+        self.xaxis = _Axis(False, MARGIN_L, WIDTH - MARGIN_L - MARGIN_R)
+        self.yaxis = _Axis(ylog, MARGIN_T, -(HEIGHT - MARGIN_T - MARGIN_B), flip=1.0)
         self._series = []
         self._vlines = []
 
     def add_series(self, label, xs, ys, marker=False, dashed=False, scatter=False):
-        pts = [(float(x), float(y)) for x, y in zip(xs, ys)]
-        # ok[i]: both coordinates of point i lie on their axes.
-        ok = [a and b for a, b in zip(self.xaxis.admitted([x for x, _ in pts]),
-                                      self.yaxis.admitted([y for _, y in pts]))]
-        self.xaxis.include([x for (x, _), keep in zip(pts, ok) if keep])
-        self.yaxis.include([y for (_, y), keep in zip(pts, ok) if keep])
-        self._series.append((str(label), pts, ok, marker or scatter, dashed, scatter))
+        pts = list(zip(map(float, xs), map(float, ys)))
+        xs, ys = [x for x, _ in pts], [y for _, y in pts]
+        # Runs of consecutive points whose coordinates both lie on their axes.
+        ok = [a and b for a, b in zip(self.xaxis.admitted(xs), self.yaxis.admitted(ys))]
+        runs, i = [], 0
+        for keep, group in groupby(ok):
+            j = i + len(list(group))
+            if keep:
+                runs.append((xs[i:j], ys[i:j]))
+            i = j
+        self.xaxis.include([run_x for run_x, _ in runs])
+        self.yaxis.include([run_y for _, run_y in runs])
+        self._series.append((str(label), runs, marker or scatter, dashed, scatter))
 
     def add_vline(self, x, label=None):
         x = float(x)
-        ok = self.xaxis.admitted([x])[0]
-        if ok:
-            self.xaxis.include([x])
-        self._vlines.append((x, label, ok))
-
-    # Rendering ------------------------------------------------------------
-    def _xs(self, values) -> list:
-        plot_w = WIDTH - MARGIN_L - MARGIN_R
-        return [MARGIN_L + u * plot_w for u in self.xaxis.units(values)]
-
-    def _ys(self, values) -> list:
-        plot_h = HEIGHT - MARGIN_T - MARGIN_B
-        return [MARGIN_T + (1.0 - u) * plot_h for u in self.yaxis.units(values)]
+        if self.xaxis.admitted([x])[0]:
+            self.xaxis.include([[x]])
+            self._vlines.append((x, label))
 
     def render(self) -> str:
-        self.xaxis.finish()
-        self.yaxis.finish()
-        x0, x1 = MARGIN_L, WIDTH - MARGIN_R
-        y0, y1 = MARGIN_T, HEIGHT - MARGIN_B
+        xaxis, yaxis = self.xaxis, self.yaxis
+        xaxis.finish()
+        yaxis.finish()
+        x0, x1, y0, y1 = MARGIN_L, WIDTH - MARGIN_R, MARGIN_T, HEIGHT - MARGIN_B
+        mid_x, mid_y = f"{(x0 + x1) / 2:.1f}", f"{(y0 + y1) / 2:.1f}"
         out = [
-            f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-            f'width="{WIDTH}" height="{HEIGHT}" '
-            f'viewBox="0 0 {WIDTH} {HEIGHT}">',
+            f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{WIDTH}" '
+            f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
             f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-            f'<text x="{(x0 + x1) / 2:.1f}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{self.title}</text>',
+            _text(mid_x, 20, 14, self.title, "middle"),
         ]
         # Grid and ticks.
-        xticks = self.xaxis.ticks()
-        for t, px in zip(xticks, self._xs(xticks)):
-            out.append(
-                f'<line x1="{_fmt(px)}" y1="{y0}" x2="{_fmt(px)}" y2="{y1}" '
-                'stroke="#dddddd" stroke-width="1"/>'
-            )
-            out.append(
-                f'<text x="{_fmt(px)}" y="{y1 + 16}" text-anchor="middle" '
-                f'font-family="sans-serif" font-size="11">{_tick_label(t)}</text>'
-            )
-        yticks = self.yaxis.ticks()
-        for t, py in zip(yticks, self._ys(yticks)):
-            out.append(
-                f'<line x1="{x0}" y1="{_fmt(py)}" x2="{x1}" y2="{_fmt(py)}" '
-                'stroke="#dddddd" stroke-width="1"/>'
-            )
-            out.append(
-                f'<text x="{x0 - 6}" y="{_fmt(py + 4)}" text-anchor="end" '
-                f'font-family="sans-serif" font-size="11">{_tick_label(t)}</text>'
-            )
+        xticks = xaxis.ticks()
+        for t, px in zip(xticks, map(_fmt, xaxis.pixels(xticks))):
+            out.append(_line(px, y0, px, y1, "#dddddd", 1))
+            out.append(_text(px, y1 + 16, 11, _tick_label(t), "middle"))
+        yticks = yaxis.ticks()
+        for t, py in zip(yticks, yaxis.pixels(yticks)):
+            out.append(_line(x0, _fmt(py), x1, _fmt(py), "#dddddd", 1))
+            out.append(_text(x0 - 6, _fmt(py + 4), 11, _tick_label(t), "end"))
         # Frame and axis labels.
         out.append(
             f'<rect x="{x0}" y="{y0}" width="{x1 - x0}" height="{y1 - y0}" '
-            'fill="none" stroke="#333333" stroke-width="1"/>'
+            f'fill="none" {_stroke("#333333", 1)}/>'
         )
-        out.append(
-            f'<text x="{(x0 + x1) / 2:.1f}" y="{HEIGHT - 10}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{self.xlabel}</text>'
-        )
-        out.append(
-            f'<text x="16" y="{(y0 + y1) / 2:.1f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12" '
-            f'transform="rotate(-90 16 {(y0 + y1) / 2:.1f})">{self.ylabel}</text>'
-        )
+        out.append(_text(mid_x, HEIGHT - 10, 12, self.xlabel, "middle"))
+        out.append(_text(16, mid_y, 12, self.ylabel, "middle", f"rotate(-90 16 {mid_y})"))
         # Reference lines.
-        for x, label, ok in self._vlines:
-            if not ok:
-                continue
-            px = self._xs([x])[0]
-            out.append(
-                f'<line x1="{_fmt(px)}" y1="{y0}" x2="{_fmt(px)}" y2="{y1}" '
-                'stroke="#444444" stroke-width="1" stroke-dasharray="2,3"/>'
-            )
+        for (_, label), px in zip(self._vlines, xaxis.pixels([x for x, _ in self._vlines])):
+            out.append(_line(_fmt(px), y0, _fmt(px), y1, "#444444", 1, "2,3"))
             if label:
-                out.append(
-                    f'<text x="{_fmt(px + 3)}" y="{y0 + 12}" font-family="sans-serif" '
-                    f'font-size="11">{label}</text>'
-                )
-        # Series.
-        for idx, (label, pts, ok, marker, dashed, scatter) in enumerate(self._series):
+                out.append(_text(_fmt(px + 3), y0 + 12, 11, label))
+        # Series, then their legend.
+        legend = []
+        lx, ly = x0 + 10, y0 + 10
+        for idx, (label, runs, marker, dashed, scatter) in enumerate(self._series):
             color = PALETTE[idx % len(PALETTE)]
-            kept = [p for p, keep in zip(pts, ok) if keep]
-            coords = iter(zip(self._xs([x for x, _ in kept]), self._ys([y for _, y in kept])))
-            segments, current = [], []
-            for keep in ok:
-                if keep:
-                    current.append(next(coords))
-                elif current:
-                    segments.append(current)
-                    current = []
-            if current:
-                segments.append(current)
-            dash = ' stroke-dasharray="6,4"' if dashed else ""
+            dash = "6,4" if dashed else None
+            segments = [list(zip(xaxis.pixels(xs), yaxis.pixels(ys))) for xs, ys in runs]
             if not scatter:
                 for seg in segments:
                     if len(seg) == 1:
-                        x, y = seg[0]
-                        out.append(
-                            f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="2.5" fill="{color}"/>'
-                        )
-                        continue
-                    path = " ".join(f"{x:.2f},{y:.2f}" for x, y in seg)
-                    out.append(
-                        f'<polyline points="{path}" fill="none" stroke="{color}" '
-                        f'stroke-width="1.5"{dash}/>'
-                    )
+                        out += _circles(seg, color)
+                    else:
+                        path = " ".join(f"{x:.2f},{y:.2f}" for x, y in seg)
+                        out.append(f'<polyline points="{path}" fill="none" {_stroke(color, 1.5, dash)}/>')
             if marker:
                 for seg in segments:
-                    out.extend(
-                        f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2.5" fill="{color}"/>'
-                        for x, y in seg
-                    )
-        # Legend.
-        lx, ly = x0 + 10, y0 + 10
-        for idx, (label, _, _, _, dashed, _) in enumerate(self._series):
-            color = PALETTE[idx % len(PALETTE)]
-            dash = ' stroke-dasharray="6,4"' if dashed else ""
-            out.append(
-                f'<line x1="{lx}" y1="{ly + 18 * idx + 4}" x2="{lx + 22}" '
-                f'y2="{ly + 18 * idx + 4}" stroke="{color}" stroke-width="2"{dash}/>'
-            )
-            out.append(
-                f'<text x="{lx + 28}" y="{ly + 18 * idx + 8}" font-family="sans-serif" '
-                f'font-size="11">{label}</text>'
-            )
+                    out += _circles(seg, color)
+            legend.append(_line(lx, ly + 18 * idx + 4, lx + 22, ly + 18 * idx + 4, color, 2, dash))
+            legend.append(_text(lx + 28, ly + 18 * idx + 8, 11, label))
+        out.extend(legend)
         out.append("</svg>")
         return "\n".join(out) + "\n"

@@ -1,8 +1,14 @@
 """Unit tests for the dependency-free SVG charts."""
 
+import hashlib
 import math
+import os
+import subprocess
+import sys
 
 import pytest
+
+import illposed
 
 from illposed.svgplot import PALETTE, Chart
 
@@ -126,3 +132,126 @@ def test_log_axis_of_values_one_ulp_apart_is_widened():
     svg = c.render()
     assert svg.count("<polyline") == 1
     assert ">0.01<" in svg and ">1<" in svg
+
+
+# Golden bytes ----------------------------------------------------------------
+# The output depends only on Python's float formatting, so these digests
+# hold on any host; a changed digest means changed panel bytes.
+
+
+def styles_chart():
+    c = Chart("Styles", "k", "value")
+    c.add_series("line", [1, 2, 3, 4, 5], [0.5, 1.5, 1.25, 2.0, 1.75], marker=True)
+    c.add_series("dashes", [1, 2, 3, 4, 5], [0.25, 0.5, 1.0, 1.5, 2.5], dashed=True)
+    c.add_series("scatter", [1.5, 2.5, 3.5], [2.25, 0.75, 1.0], scatter=True)
+    c.add_vline(2.5, label="mid")
+    return c
+
+
+def log_gaps_chart():
+    # A NaN gap, a zero and a negative value on a log axis, with lone points
+    # left between them; a vline at NaN (dropped) and one outside the data.
+    c = Chart("Gaps", "k", "error (log)", ylog=True)
+    c.add_series("nan", [1, 2, 3, 4, 5, 6], [1.0, 0.3, math.nan, 0.02, 0.01, 0.004], marker=True)
+    c.add_series("zero", [1, 2, 3, 4, 5], [0.5, 0.0, 0.05, -1.0, 0.002], dashed=True)
+    c.add_vline(math.nan, label="never")
+    c.add_vline(9, label="outside")
+    return c
+
+
+def subnormal_chart():
+    c = Chart("Subnormal", "k", "value (log)", ylog=True)
+    c.add_series("tiny", [1, 2, 3], [1e-323, 1e-310, 1e-156], marker=True)
+    c.add_series("smallest", [1, 2], [5e-324, 5e-324])
+    return c
+
+
+def smallest_chart():
+    c = Chart("Smallest", "k", "value (log)", ylog=True)
+    c.add_series("5e-324", [1, 2], [5e-324, 5e-324], marker=True)
+    return c
+
+
+def palette_chart():
+    c = Chart("Palette", "x", "y")
+    for i in range(len(PALETTE) + 2):
+        c.add_series(f"s{i}", [0, 1, 2], [i, i + 0.5, i * 0.25], dashed=i % 2 == 1)
+    return c
+
+
+@pytest.mark.parametrize(
+    "build, digest",
+    [
+        (styles_chart, "c0d559f8c479bfc47b0d1944a433b34252b954e806d8a349a9d8367de8b3bf5a"),
+        (log_gaps_chart, "1a46a8e87e1efe6b8446ba4397a63f6bc64e163252bfc8b1d2fa80fcd6c63363"),
+        (subnormal_chart, "ef8b28e75057c21a790e2df53983d6ba58784db3447598a3a5baeccc2736d1a7"),
+        (smallest_chart, "d05a34dbb4360c0b183accfb78eb856a36cc35f6e2130ae686e6f9baeeb8ece8"),
+        (palette_chart, "50afe3b09ef7ad0ff0b549cdcbca1a835321715e8325148618541a1534cfd2c8"),
+    ],
+    ids=["styles", "log-gaps", "subnormal", "smallest", "palette"],
+)
+def test_render_bytes_are_pinned(build, digest):
+    assert hashlib.sha256(build().render().encode("ascii")).hexdigest() == digest
+
+
+# Any finite input ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "ys",
+    [
+        # At 1e16 the floats are 2 apart: the tick step 0.5 cannot advance.
+        "[1e16, 1e16 + 2]",
+        # The tick limit hi + 1e-9 * span overflows to inf.
+        "[1.79e308, 1.7976931348623157e308]",
+    ],
+    ids=["step-below-spacing", "limit-overflows"],
+)
+def test_linear_ticks_end(ys):
+    # Run in a child process: the failure mode is a loop that never returns.
+    code = (
+        "from illposed.svgplot import Chart\n"
+        "c = Chart('t', 'x', 'y')\n"
+        f"c.add_series('s', [1, 2], {ys})\n"
+        "svg = c.render()\n"
+        "print(svg.count('<polyline'), 'nan' in svg or 'inf' in svg)\n"
+    )
+    src = os.path.dirname(os.path.dirname(illposed.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["1", "False"]
+
+
+@pytest.mark.parametrize(
+    "ylog, xs, ys",
+    [
+        (True, [1, 2], [1e307, 1.7e308]),  # a decade tick would be 10.0**309
+        (True, [1, 2], [1e308, 1e308]),  # the zero-span widening reaches 1e309
+        (False, [1, 2], [-1e308, 1e308]),  # hi - lo overflows
+        (False, [-1.7e308, 1.7e308], [1.0, 2.0]),  # the same on the x axis
+        (False, [1, 2], [1.7e308, 1.7e308]),  # the zero-span padding overflows
+        (False, [1, 2], [0.0, 5e-324]),  # span / 5 rounds to 0
+        (False, [1, 2], [0.0, 2e-323]),  # the tick magnitude rounds to 0
+    ],
+    ids=[
+        "log-decade-309",
+        "log-only-1e308",
+        "linear-span-overflows",
+        "linear-x-span-overflows",
+        "linear-pad-overflows",
+        "linear-span-5e-324",
+        "linear-span-2e-323",
+    ],
+)
+def test_any_finite_input_renders(ylog, xs, ys):
+    c = Chart("t", "x", "y", ylog=ylog)
+    c.add_series("s", xs, ys, marker=True)
+    svg = c.render()
+    assert svg.count('r="2.5"') == len(xs)
+    # Every coordinate and tick label is a finite number.
+    assert "nan" not in svg and "inf" not in svg
+    assert svg.count("<line") >= 2  # at least one tick on each axis
