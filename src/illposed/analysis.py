@@ -530,10 +530,9 @@ def lagrange_factor(sigma, k: int):
 
     ``|L_j^{(k)}(0)| = prod_{i<=k, i!=j} sigma_i^2 / |sigma_j^2 - sigma_i^2|``
     for j = 1..k, with the k = 1 value defined as 1.  Returns the array of
-    factors and their maximum.
-
-    Raises ``ValueError`` when two of sigma_1..sigma_k coincide within
-    1e-14 relative (the factors blow up on repeated singular values).
+    factors and their maximum, all nan when two of sigma_1..sigma_k coincide
+    within 1e-14 relative (the factors are undefined on repeated singular
+    values).  Raises ``ValueError`` for k outside 1..len(sigma).
     """
     sigma = np.asarray(sigma, dtype=float)
     if not 1 <= k <= sigma.size:
@@ -541,12 +540,8 @@ def lagrange_factor(sigma, k: int):
     if k == 1:
         return np.ones(1), 1.0
     s = sigma[:k]
-    gaps = s[:-1] - s[1:]
-    tied = np.nonzero(gaps <= 1e-14 * sigma[0])[0]
-    if tied.size:
-        raise ValueError(
-            f"singular values {tied[0] + 1} and {tied[0] + 2} coincide within 1e-14 relative"
-        )
+    if np.any(s[:-1] - s[1:] <= 1e-14 * sigma[0]):
+        return np.full(k, math.nan), math.nan
     s2 = s**2
     denom = np.abs(s2[None, :] - s2[:, None])
     np.fill_diagonal(denom, 1.0)  # the j = i term is excluded from the product
@@ -577,7 +572,8 @@ def xi_factor(delta_norm: float) -> float:
 
 @dataclass(frozen=True)
 class AnalysisRecord:
-    """Per-step spectral diagnostics of one run."""
+    """Per-step spectral diagnostics of one run, with the step's a-priori
+    bounds (``None`` where they are undefined)."""
 
     k: int
     gamma: float
@@ -591,6 +587,7 @@ class AnalysisRecord:
     near_best: bool
     natural_order: bool
     alpha_beta_sum: float
+    bounds: BoundReport | None
 
 
 @dataclass(frozen=True)
@@ -607,7 +604,6 @@ class BoundReport:
     audits therefore flag rather than fail up to a factor 2.
     """
 
-    k: int
     regime: str
     k0_used: int
     ratio_realized: float
@@ -627,23 +623,23 @@ class BoundReport:
 def bound_report(
     fact: SvdFactorization,
     picard: PicardDiagnostic,
-    spectrum: SpectrumModel,
+    spectrum: SpectrumModel | None,
     delta_norm: float,
     k: int,
     lagrange_max: float,
 ) -> BoundReport:
     """Evaluate the decay-regime bounds at step k with realized quantities.
 
-    Requires a non-empirical spectrum model (fit one first for
-    kernel-defined problems) and a positive transition index in the
+    Requires a spectrum model (a kernel has none: fit one first with
+    ``fit_spectrum_model``) and a positive transition index in the
     diagnostic.  Raises ``ValueError`` when a leading coefficient
     vanishes exactly (names the index).  ``lagrange_max`` is
-    ``lagrange_factor(sigma, k)[1]``, or nan where tied singular values
+    ``lagrange_factor(sigma, k)[1]``, nan where tied singular values
     leave it undefined; the moderate and mild bounds then raise
     ``ValueError``, and the severe ones do not use it.
     """
-    if spectrum.kind == "empirical":
-        raise ValueError("bound_report needs a decay model; fit one for empirical spectra")
+    if spectrum is None:
+        raise ValueError("bound_report needs a decay model; fit one for a kernel's spectrum")
     s = fact.sigma
     n = s.size
     if not 1 <= k <= n - 1:
@@ -681,16 +677,14 @@ def bound_report(
             raise ValueError(f"Lagrange factor undefined at k={k}: tied singular values")
         if k == 1:
             poly_plain = math.sqrt(1.0 / (2.0 * alpha - 1.0))
-            poly_split = poly_plain
         else:
             poly_plain = math.sqrt(k**2 / (4.0 * alpha**2 - 1.0) + k / (2.0 * alpha - 1.0))
-            if k <= k0:
-                poly_split = poly_plain
-            else:
-                poly_split = math.sqrt(
-                    k * k0 / (4.0 * alpha**2 - 1.0)
-                    + k * (k - k0 + 1.0) / (2.0 * alpha - 1.0)
-                )
+        if k <= k0:  # always at k = 1, since k0 >= 1
+            poly_split = poly_plain
+        else:
+            poly_split = math.sqrt(
+                k * k0 / (4.0 * alpha**2 - 1.0) + k * (k - k0 + 1.0) / (2.0 * alpha - 1.0)
+            )
         delta_b = ratio * poly_plain * lagrange_max
         delta_b_asym = ratio_asym * poly_plain * lagrange_max
         sd_b = s[k - 1] * ratio * poly_split * lagrange_max
@@ -701,7 +695,6 @@ def bound_report(
 
     near_cond = math.sqrt(1.0 + eta**2) < 0.5 * (s[k - 1] / s[k]) + 0.5
     return BoundReport(
-        k=k,
         regime=spectrum.kind,
         k0_used=int(k0),
         ratio_realized=ratio,

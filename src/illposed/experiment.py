@@ -138,6 +138,9 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown problem {self.problem!r}; choose from {', '.join(PROBLEMS)}"
             )
+        # config.txt echoes out on an ASCII key=value line that must re-parse.
+        if not (self.out.isascii() and self.out.isprintable()):
+            raise ConfigError(f"out must be printable ASCII, got {self.out!r}")
         for f in fields(self):
             if f.type == "float" and not math.isfinite(getattr(self, f.name)):
                 raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
@@ -261,17 +264,14 @@ def build_problem(config: ExperimentConfig):
             return make_deriv2(n)
         if config.problem == "heat":
             return make_heat(n, kappa=config.kappa)
-        if config.decay == "severe":
-            spectrum = SpectrumModel(
-                kind="severe", rho=config.rho, zeta=config.zeta, beta_picard=config.beta
-            )
-        else:
-            spectrum = SpectrumModel(
-                kind="moderate_or_mild",
-                alpha=config.alpha,
-                zeta=config.zeta,
-                beta_picard=config.beta,
-            )
+        severe = config.decay == "severe"
+        spectrum = SpectrumModel(
+            kind="severe" if severe else "moderate_or_mild",
+            rho=config.rho if severe else None,
+            alpha=None if severe else config.alpha,
+            zeta=config.zeta,
+            beta_picard=config.beta,
+        )
         maker = make_prescribed if config.problem == "prescribed" else make_picard_synthetic
         return maker(n, spectrum, seed=config.seed)
     except ValueError as err:
@@ -281,7 +281,9 @@ def build_problem(config: ExperimentConfig):
 # The run pipeline ============================================================
 @dataclass(frozen=True)
 class RunResult:
-    """What one run produced that its callers read, and where it wrote."""
+    """What one run produced that its callers read, and where it wrote.
+
+    ``records`` holds every ``analysis.csv`` row, bounds included."""
 
     config: ExperimentConfig
     records: tuple
@@ -291,7 +293,7 @@ class RunResult:
 
 def _spectrum_for_bounds(problem):
     """The decay model the bound evaluators use: given, else fitted."""
-    if problem.spectrum.kind != "empirical":
+    if problem.spectrum is not None:
         return problem.spectrum, "given"
     try:
         return fit_spectrum_model(problem.svd.sigma), "fitted"
@@ -300,7 +302,8 @@ def _spectrum_for_bounds(problem):
 
 
 def _analysis_records(problem, picard, state, kmax):
-    """Per-step diagnostics and bound reports for k = 1..kmax."""
+    """Per-step diagnostics with their bounds for k = 1..kmax, the decay
+    model and its source."""
     fact = problem.svd
     sigma = fact.sigma
     slack = AUDIT_SLACK * sigma[0]
@@ -308,7 +311,7 @@ def _analysis_records(problem, picard, state, kmax):
     # alpha_{k+1}, the first entry of the trailing block, exists for k <= steps.
     K = min(kmax, state.steps)
     proxy = dict(decay_diagnostic(state, K))
-    records, reports = [], []
+    records = []
     if K:
         QK = state.Q_k(K)
         gammas = gamma_exact(problem.A, QK)
@@ -320,10 +323,13 @@ def _analysis_records(problem, picard, state, kmax):
         theta = ritz_values(state, k)
         sin_theta, delta = delta_norm_via_angles(fact.V, Q, VQ)
         sd = sigma_delta_norm(VQ, sigma, k)
-        try:
-            lag = lagrange_factor(sigma, k)[1]
-        except ValueError:  # tied values: undefined, and bound_report says so
-            lag = math.nan
+        lag = lagrange_factor(sigma, k)[1]
+        bounds = None
+        if model is not None:
+            try:
+                bounds = bound_report(fact, picard, model, delta, k, lag)
+            except ValueError:  # undefined at this step; bound_report names why
+                pass
         records.append(
             AnalysisRecord(
                 k=k,
@@ -338,16 +344,10 @@ def _analysis_records(problem, picard, state, kmax):
                 near_best=near_best_predicate(gamma, sigma[k - 1], sigma[k], tol=slack),
                 natural_order=natural_order_check(theta, sigma),
                 alpha_beta_sum=proxy.get(k, math.nan),
+                bounds=bounds,
             )
         )
-        report = None
-        if model is not None:
-            try:
-                report = bound_report(fact, picard, model, delta, k, lag)
-            except ValueError:
-                report = None
-        reports.append(report)
-    return records, reports, model, source
+    return records, model, source
 
 
 def _check_invariants(records, sigma, state, lsqr, tsvd, reorth):
@@ -394,18 +394,14 @@ def _check_invariants(records, sigma, state, lsqr, tsvd, reorth):
     return viol
 
 
-def _first_failure(records, attr) -> int | None:
-    for rec in records:
-        if not getattr(rec, attr):
-            return rec.k
-    return None
+def _first_failure(records, attr):
+    """The first step whose flag ``attr`` is false, else ``"none"``."""
+    return next((rec.k for rec in records if not getattr(rec, attr)), "none")
 
 
 def _summary_dict(config, problem, instance, picard, state, tsvd, lsqr,
                   records, model, source, violations) -> dict:
     breakdown = state.breakdown
-    nat_fail = _first_failure(records, "natural_order")
-    near_fail = _first_failure(records, "near_best")
     if model is None:
         model_text = "none"
     elif model.kind == "severe":
@@ -432,8 +428,8 @@ def _summary_dict(config, problem, instance, picard, state, tsvd, lsqr,
         "k0_realized": tsvd.best_k,
         "best_lsqr_error": float(lsqr.rel_errors[lsqr.kstar - 1]),
         "best_tsvd_error": tsvd.best_error,
-        "first_natural_order_failure": nat_fail if nat_fail is not None else "none",
-        "first_near_best_failure": near_fail if near_fail is not None else "none",
+        "first_natural_order_failure": _first_failure(records, "natural_order"),
+        "first_near_best_failure": _first_failure(records, "near_best"),
         "bound_model": model_text,
         "bound_model_source": source,
         "invariant_violations": len(violations),
@@ -494,7 +490,7 @@ def run(config: ExperimentConfig) -> RunResult:
         )
     tsvd = tsvd_sweep(instance)
     lsqr = lsqr_sweep(instance, state, kmax)
-    records, reports, model, source = _analysis_records(problem, picard, state, kmax)
+    records, model, source = _analysis_records(problem, picard, state, kmax)
     violations = _check_invariants(
         records, problem.svd.sigma, state, lsqr, tsvd, config.reorth
     )
@@ -507,7 +503,7 @@ def run(config: ExperimentConfig) -> RunResult:
     write_bidiag_csv(state, path("bidiag.csv"))
     write_tsvd_csv(tsvd, path("tsvd.csv"))
     write_lsqr_csv(lsqr, path("lsqr.csv"))
-    write_analysis_csv(records, reports, path("analysis.csv"))
+    write_analysis_csv(records, path("analysis.csv"))
     write_ritz_csv(records, path("ritz.csv"))
     summary = _summary_dict(
         config, problem, instance, picard, state, tsvd, lsqr,
@@ -550,10 +546,10 @@ NOISE_INDEPENDENT_COLUMNS = frozenset(
 SEEDED_PROBLEM_PREFIXES = ("prescribed-", "picard-")
 SPECTRUM_COLUMNS = frozenset({"sigma_i", "abs_uiTbtrue", "sigma_k1", "lagrange_max"})
 
-_RECORD_COLUMNS = [f.name for f in fields(AnalysisRecord) if f.name != "ritz"]
-_BOUND_COLUMNS = [f.name for f in fields(BoundReport) if f.name != "k"]
+_RECORD_COLUMNS = [f.name for f in fields(AnalysisRecord) if f.name not in ("ritz", "bounds")]
+_BOUND_COLUMNS = [f.name for f in fields(BoundReport)]
 ANALYSIS_COLUMNS = _RECORD_COLUMNS + _BOUND_COLUMNS
-#: Bound columns of a step without a bound report.
+#: Bound columns of a step without bounds.
 _NO_BOUNDS = dict.fromkeys(_BOUND_COLUMNS, math.nan) | {"regime": "none", "k0_used": -1}
 
 
@@ -589,15 +585,12 @@ def write_lsqr_csv(trace, path) -> None:
     })
 
 
-def write_analysis_csv(records, reports, path) -> None:
-    """Export per-step records (and bound reports, where present) as CSV.
-
-    ``reports`` aligns with ``records``; entries may be ``None`` when no
-    decay model was available, in which case the bound columns are nan.
-    """
+def write_analysis_csv(records, path) -> None:
+    """Export per-step records with their bounds as CSV; a record without
+    bounds gets ``_NO_BOUNDS`` in the bound columns."""
     steps = [
-        {**(_NO_BOUNDS if rep is None else vars(rep)), **vars(rec)}
-        for rec, rep in zip(records, reports)
+        {**(_NO_BOUNDS if rec.bounds is None else vars(rec.bounds)), **vars(rec)}
+        for rec in records
     ]
     write_csv(path, "analysis", {name: [s[name] for s in steps] for name in ANALYSIS_COLUMNS})
 
@@ -774,7 +767,7 @@ def compare(dir_a, dir_b, tolerances: dict | None = None) -> CompareReport:
         try:
             kind_a, cols_a = read_csv(pa)
             kind_b, cols_b = read_csv(pb)
-        except ValueError as err:
+        except (OSError, ValueError) as err:
             raise ConfigError(str(err)) from err
         if kind_a != kind_b or list(cols_a) != list(cols_b):
             raise ConfigError(f"{name}: artifact schemas disagree")

@@ -2,8 +2,9 @@
 
 Each constructor returns an :class:`IllPosedProblem` holding the matrix, the
 exact solution, the consistent noise-free right-hand side ``b_true = A @
-x_true``, a decay model for the singular spectrum, and the (eagerly computed)
-SVD that every downstream diagnostic consumes.
+x_true``, the decay model of a prescribed singular spectrum (``None`` for the
+kernels, whose spectra have no closed form), and the (eagerly computed) SVD
+that every downstream diagnostic consumes.
 
 The integral-equation kernels are discretized with the classical recipes:
 midpoint quadrature for the image-restoration and gravity-survey kernels, a
@@ -46,7 +47,6 @@ class SpectrumModel:
     kind
         ``"severe"``    : sigma_j = zeta * rho**(-j),   rho > 1
         ``"moderate_or_mild"`` : sigma_j = zeta * j**(-alpha), alpha > 1/2
-        ``"empirical"`` : no closed form (kernel-defined spectra)
     beta_picard
         Exponent used when synthesizing right-hand sides whose coefficients
         follow ``|u_i' b_true| = sigma_i**(1+beta)``; optional otherwise.
@@ -59,21 +59,18 @@ class SpectrumModel:
     beta_picard: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("severe", "moderate_or_mild", "empirical"):
+        if self.kind not in ("severe", "moderate_or_mild"):
             raise ValueError(f"unknown spectrum kind {self.kind!r}")
         if self.zeta <= 0.0:
             raise ValueError("zeta must be positive")
         if self.kind == "severe":
             if self.rho is None or self.rho <= 1.0:
                 raise ValueError("severe decay requires rho > 1")
-        elif self.kind == "moderate_or_mild":
-            if self.alpha is None or self.alpha <= 0.5:
-                raise ValueError("moderate_or_mild decay requires alpha > 1/2")
+        elif self.alpha is None or self.alpha <= 0.5:
+            raise ValueError("moderate_or_mild decay requires alpha > 1/2")
 
     def sigma(self, n: int) -> np.ndarray:
         """Model singular values sigma_1..sigma_n."""
-        if self.kind == "empirical":
-            raise ValueError("empirical spectra have no closed form")
         j = np.arange(1, n + 1, dtype=float)
         if self.kind == "severe":
             s = self.zeta * self.rho ** (-j)
@@ -87,13 +84,14 @@ class SpectrumModel:
 # Problem container ===========================================================
 @dataclass(frozen=True)
 class IllPosedProblem:
-    """A matrix with its exact solution, consistent data, and spectrum."""
+    """A matrix with its exact solution, consistent data, and spectrum
+    (``spectrum`` is the prescribed decay model, ``None`` for a kernel)."""
 
     name: str
     A: np.ndarray
     x_true: np.ndarray
     b_true: np.ndarray
-    spectrum: SpectrumModel
+    spectrum: SpectrumModel | None
     svd: SvdFactorization
 
     @property
@@ -105,7 +103,7 @@ class IllPosedProblem:
         return self.A.shape[1]
 
 
-def _finalize(name, A, x_true, spectrum, b_true=None) -> IllPosedProblem:
+def _finalize(name, A, x_true, spectrum=None, b_true=None) -> IllPosedProblem:
     """Validate invariants shared by all constructors and attach the SVD.
 
     The SVD sets a run's peak memory, so constructors release their n x n
@@ -177,7 +175,7 @@ def make_shaw(n: int) -> IllPosedProblem:
     A *= y
     del y
     x_true = 2.0 * np.exp(-6.0 * (s - 0.8) ** 2) + np.exp(-2.0 * (s + 0.5) ** 2)
-    return _finalize("shaw", A, x_true, SpectrumModel(kind="empirical"))
+    return _finalize("shaw", A, x_true)
 
 
 def make_gravity(n: int, depth: float = 0.25) -> IllPosedProblem:
@@ -204,7 +202,7 @@ def make_gravity(n: int, depth: float = 0.25) -> IllPosedProblem:
     A = h * depth / (depth**2 + diff**2) ** 1.5
     del diff
     x_true = np.sin(np.pi * t) + 0.5 * np.sin(2.0 * np.pi * t)
-    return _finalize("gravity", A, x_true, SpectrumModel(kind="empirical"))
+    return _finalize("gravity", A, x_true)
 
 
 def make_deriv2(n: int) -> IllPosedProblem:
@@ -233,7 +231,7 @@ def make_deriv2(n: int) -> IllPosedProblem:
     A = A + A.T
     np.fill_diagonal(A, h**2 * ((i**2 - i + 0.25) * h - (i - 2.0 / 3.0)))
     x_true = h**1.5 * (i - 0.5)
-    return _finalize("deriv2", A, x_true, SpectrumModel(kind="empirical"))
+    return _finalize("deriv2", A, x_true)
 
 
 def make_heat(n: int, kappa: float = 1.0) -> IllPosedProblem:
@@ -279,7 +277,7 @@ def make_heat(n: int, kappa: float = 1.0) -> IllPosedProblem:
     )
     x_true = np.zeros(n)
     x_true[: n // 2] = head
-    return _finalize("heat", A, x_true, SpectrumModel(kind="empirical"))
+    return _finalize("heat", A, x_true)
 
 
 # Synthetic problems with prescribed spectra ==================================

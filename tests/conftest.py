@@ -5,7 +5,6 @@ full bidiagonalization plus both sweeps, so bundles are built once per
 session and shared.  Tests must treat cached objects as read-only.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,13 +59,9 @@ def poly(alpha, beta=0.5, zeta=1.0):
 
 
 def lagrange_max(sigma, k):
-    """The Lagrange factor ``run()`` records and hands to ``bound_report``:
-    ``lagrange_factor(sigma, k)[1]``, or nan where tied values leave it
-    undefined."""
-    try:
-        return lagrange_factor(sigma, k)[1]
-    except ValueError:
-        return math.nan
+    """The Lagrange factor ``run()`` records and hands to ``bound_report``
+    (nan where tied values leave it undefined)."""
+    return lagrange_factor(sigma, k)[1]
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,6 @@ from illposed.bidiag import BidiagState, bidiag_run, lower_bidiagonal
 from illposed.csvio import read_csv
 from illposed.experiment import ANALYSIS_COLUMNS, write_analysis_csv, write_ritz_csv
 from illposed.gallery import (
-    SpectrumModel,
     _finalize,
     _random_orthogonal,
     make_deriv2,
@@ -630,8 +629,12 @@ def test_lagrange_factor_blows_up_on_mild_decay():
 
 
 def test_lagrange_factor_rejects_ties_and_bad_k():
-    with pytest.raises(ValueError, match="coincide"):
-        lagrange_factor(np.array([1.0, 1.0, 0.5]), 2)
+    # Tied values leave the factors undefined: nan, not an error.
+    factors, mx = lagrange_factor(np.array([1.0, 1.0, 0.5]), 2)
+    assert np.isnan(factors).all() and factors.shape == (2,) and math.isnan(mx)
+    factors, mx = lagrange_factor(np.array([1.0, 0.5, 0.5]), 3)
+    assert np.isnan(factors).all() and math.isnan(mx)
+    assert lagrange_factor(np.array([1.0, 0.5, 0.5]), 2)[1] == pytest.approx(4.0 / 3.0)
     with pytest.raises(ValueError, match="outside"):
         lagrange_factor(np.array([2.0, 1.0]), 3)
 
@@ -771,7 +774,7 @@ def test_bound_report_rejects_bad_inputs(severe3_rig):
     prob, _, pic, _ = severe3_rig
     lag = lagrange_max(prob.svd.sigma, 2)
     with pytest.raises(ValueError, match="decay model"):
-        bound_report(prob.svd, pic, SpectrumModel(kind="empirical"), 0.3, 2, lag)
+        bound_report(prob.svd, pic, None, 0.3, 2, lag)
     with pytest.raises(ValueError, match="transition index"):
         bound_report(prob.svd, dataclasses.replace(pic, k0=0), prob.spectrum, 0.3, 2, lag)
     coef = pic.coef.copy()
@@ -808,7 +811,7 @@ def test_bound_report_takes_the_callers_lagrange_factor(moderate_rig, severe3_ri
 
 def test_analysis_reports_match_bound_report_on_tied_sigma():
     # sigma_3 = sigma_4: the Lagrange factor is undefined from k = 4 on, so
-    # the moderate-decay reports there are None, and the record says nan.
+    # the moderate-decay records there hold no bounds, and say nan.
     n, spec = 24, poly(2.0)
     sig = spec.sigma(n)
     sig[3] = sig[2]
@@ -819,16 +822,16 @@ def test_analysis_reports_match_bound_report_on_tied_sigma():
     inst = add_noise(prob, 1e-3, 0)
     pic = picard_diagnostic(inst)
     state, _ = bidiag_run(prob.A, inst.b, norm_A=float(prob.svd.sigma[0]))
-    records, reports, model, _ = experiment._analysis_records(prob, pic, state, 10)
-    assert [r is None for r in reports] == [False] * 3 + [True] * 7
-    for rec, rep in zip(records, reports):
+    records, model, _ = experiment._analysis_records(prob, pic, state, 10)
+    assert [rec.bounds is None for rec in records] == [False] * 3 + [True] * 7
+    for rec in records:
         try:
             lag = lagrange_max(prob.svd.sigma, rec.k)
             expected = bound_report(prob.svd, pic, model, rec.delta_norm, rec.k, lag)
         except ValueError:
             expected = None
-        assert repr(rep) == repr(expected)
-        assert math.isnan(rec.lagrange_max) == (rep is None)
+        assert repr(rec.bounds) == repr(expected)
+        assert math.isnan(rec.lagrange_max) == (rec.bounds is None)
 
 
 # Decay of the recurrence coefficients ----------------------------------------
@@ -861,7 +864,7 @@ def test_decay_diagnostic_on_running_state():
 
 
 # CSV export ------------------------------------------------------------------
-def _record(k):
+def _record(k, bounds=None):
     return AnalysisRecord(
         k=k,
         gamma=0.5,
@@ -875,12 +878,12 @@ def _record(k):
         near_best=True,
         natural_order=False,
         alpha_beta_sum=0.9,
+        bounds=bounds,
     )
 
 
-def _report(k):
+def _report():
     return BoundReport(
-        k=k,
         regime="severe",
         k0_used=4,
         ratio_realized=0.2,
@@ -900,19 +903,27 @@ def _report(k):
 
 def test_write_analysis_csv_round_trip(tmp_path):
     path = tmp_path / "analysis.csv"
-    write_analysis_csv([_record(1), _record(2)], [None, _report(2)], path)
+    write_analysis_csv([_record(1), _record(2, _report())], path)
     kind, cols = read_csv(path)
     assert kind == "analysis"
-    assert list(cols) == ANALYSIS_COLUMNS
-    assert len(cols) == 25
+    # The header is the file format, so it is spelled out here rather than
+    # derived from the record and report dataclasses.
+    assert list(cols) == ANALYSIS_COLUMNS == [
+        "k", "gamma", "gamma_Gk", "sigma_k1", "delta_norm", "sin_theta", "sigma_delta",
+        "lagrange_max", "near_best", "natural_order", "alpha_beta_sum",
+        "regime", "k0_used", "ratio_realized", "ratio_asymptotic", "xi_k", "eta_k",
+        "eta_k_asymptotic", "epsilon_k_bound", "delta_bound", "delta_bound_asymptotic",
+        "sigma_delta_bound", "sigma_delta_bound_asymptotic", "near_best_condition",
+        "natural_order_condition",
+    ]
     assert all(len(col) == 2 for col in cols.values())
-    # Missing report: placeholder regime, sentinel k0, nan bounds and flags.
+    # No bounds: placeholder regime, sentinel k0, nan bounds and flags.
     assert cols["regime"][0] == "none"
     assert cols["k0_used"][0] == "-1"
     assert cols["ratio_realized"][0] == "nan"
     assert cols["near_best_condition"][0] == "nan"
     assert cols["natural_order_condition"][0] == "nan"
-    # Present report: values round-trip, booleans become flags.
+    # Bounds: values round-trip, booleans become flags.
     assert cols["k"][1] == "2"
     assert float(cols["gamma"][1]) == 0.5
     assert cols["near_best"][1] == "1" and cols["natural_order"][1] == "0"

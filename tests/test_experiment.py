@@ -14,11 +14,19 @@ from hypothesis import strategies as st
 
 import illposed
 
-from illposed.analysis import delta_norm_via_angles, lagrange_factor, sigma_delta_norm
+from illposed import experiment
+from illposed.analysis import (
+    AnalysisRecord,
+    delta_norm_via_angles,
+    lagrange_factor,
+    sigma_delta_norm,
+)
 from illposed.bidiag import BreakdownError, bidiag_run
 from illposed.cli import main as cli_main
 from illposed.csvio import format_value, read_csv
 from illposed.experiment import (
+    _NO_BOUNDS,
+    ANALYSIS_COLUMNS,
     ARTIFACT_CSVS,
     NOISE_INDEPENDENT_COLUMNS,
     SPECTRUM_COLUMNS,
@@ -32,6 +40,7 @@ from illposed.experiment import (
     render_panels,
     run,
 )
+from illposed.gallery import make_deriv2
 from illposed.noise import add_noise
 
 ALL_ARTIFACTS = ("config.txt",) + ARTIFACT_CSVS + (
@@ -115,6 +124,15 @@ def test_load_config_rejects_bad_values():
     for overrides, needle in cases:
         with pytest.raises(ConfigError, match=needle):
             load_config(None, overrides)
+
+
+def test_load_config_rejects_an_out_that_config_txt_cannot_echo():
+    # config.txt is ASCII key=value lines: a non-ASCII out cannot be written
+    # there, and a line break or NUL would not re-parse.
+    for out in ("r\u00e9sultats", "a\nb", "a\rb", "a\x00b"):
+        with pytest.raises(ConfigError, match="out must be printable ASCII"):
+            load_config(None, {"problem": "deriv2", "n": "16", "out": out})
+    assert load_config(None, {"out": "runs/deriv2 n=16_#1"}).out == "runs/deriv2 n=16_#1"
 
 
 def test_load_config_reads_a_non_string_value_from_its_text():
@@ -253,6 +271,42 @@ def test_analysis_csv_holds_the_delta_routes_on_the_runs_projection(overrides, t
         assert {name: cols[name][k - 1] for name in row} == {
             name: format_value(v) for name, v in row.items()
         }
+
+
+def test_run_records_hold_every_analysis_csv_cell(tmp_path, monkeypatch):
+    # A kernel has no spectrum model, so its bounds come from a fitted one;
+    # a prescribed spectrum gives its own.  A step whose bounds are undefined
+    # (here: bound_report refuses every odd k) writes the _NO_BOUNDS cells.
+    assert make_deriv2(16).spectrum is None
+    original = experiment.bound_report
+
+    def bound_report(fact, picard, model, delta, k, lag):
+        if k % 2:
+            raise ValueError("refused")
+        return original(fact, picard, model, delta, k, lag)
+
+    record_columns = {f.name for f in fields(AnalysisRecord)}
+    cases = [({"problem": "deriv2"}, "fitted", False),
+             ({"problem": "prescribed", "decay": "moderate", "alpha": 1.5}, "given", False),
+             ({"problem": "deriv2"}, "fitted", True)]
+    for i, (overrides, source, refuse) in enumerate(cases):
+        if refuse:
+            monkeypatch.setattr(experiment, "bound_report", bound_report)
+        result = run(small_config(tmp_path / str(i), n=16, kmax=16, **overrides))
+        assert result.summary["bound_model_source"] == source
+        _, cols = read_csv(tmp_path / str(i) / "analysis.csv")
+        assert list(cols) == ANALYSIS_COLUMNS and len(cols["k"]) == len(result.records) == 15
+        assert [rec.bounds is None for rec in result.records] == [
+            refuse and k % 2 == 1 for k in range(1, 16)
+        ]
+        for row, rec in enumerate(result.records):
+            for name in ANALYSIS_COLUMNS:
+                if name in record_columns:
+                    value = getattr(rec, name)
+                else:
+                    value = _NO_BOUNDS[name] if rec.bounds is None else getattr(rec.bounds, name)
+                assert cols[name][row] == format_value(value), (i, rec.k, name)
+    assert read_summary(tmp_path / "0")["bound_model_source"] == "fitted"
 
 
 def test_run_config_echo_reloads(base_run):
@@ -485,6 +539,29 @@ def test_cli_non_ascii_config_exits_2(tmp_path):
     assert proc.stderr.startswith("config error:")
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("name", ["r\u00e9sultats", "a\nb"])
+def test_cli_out_that_config_txt_cannot_echo_exits_2(name, tmp_path):
+    # Rejected before any directory is made, not after the whole run.
+    proc = _cli("run", "--problem", "deriv2", "--n", "16", "--out", str(tmp_path / name))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: out must be printable ASCII")
+    assert "Traceback" not in proc.stderr
+    assert os.listdir(tmp_path) == []
+
+
+def test_cli_compare_unreadable_artifact_exits_2(base_run, tmp_path):
+    other = tmp_path / "other"
+    shutil.copytree(base_run.outdir, other)
+    os.remove(other / "lsqr.csv")
+    os.mkdir(other / "lsqr.csv")
+    with pytest.raises(ConfigError, match="lsqr.csv"):
+        compare(base_run.outdir, str(other))
+    proc = _cli("compare", base_run.outdir, str(other))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error:")
+    assert "RESULT" not in proc.stdout and "Traceback" not in proc.stderr
 
 
 def test_cli_compare_non_ascii_summary_exits_2(base_run, tmp_path):

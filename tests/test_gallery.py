@@ -115,12 +115,11 @@ def test_spectrum_model_formulas_and_validation():
         SpectrumModel(kind="severe", rho=1.0)
     with pytest.raises(ValueError, match="alpha > 1/2"):
         SpectrumModel(kind="moderate_or_mild", alpha=0.5)
-    with pytest.raises(ValueError, match="kind"):
-        SpectrumModel(kind="gentle")
+    for kind in ("gentle", "empirical"):
+        with pytest.raises(ValueError, match="kind"):
+            SpectrumModel(kind=kind)
     with pytest.raises(ValueError, match="zeta"):
         SpectrumModel(kind="severe", rho=2.0, zeta=0.0)
-    with pytest.raises(ValueError, match="closed form"):
-        SpectrumModel(kind="empirical").sigma(4)
 
 
 def test_prescribed_spectrum_is_exact():
