@@ -41,8 +41,9 @@ __all__ = [
     "decay_diagnostic",
 ]
 
-#: Relative slack of the invariant audit and the Ritz-value checks: values
-#: within ``AUDIT_SLACK * sigma_1`` of a bound count as on it (roundoff ties).
+#: Relative slack of the invariant audit and of every per-step predicate:
+#: values within ``AUDIT_SLACK * sigma_1`` of a bound count as on it
+#: (roundoff ties); basis orthogonality is held to ``AUDIT_SLACK`` itself.
 AUDIT_SLACK = 1e-12
 #: Vandermonde systems with condition estimates beyond this are refused.
 VANDERMONDE_COND_LIMIT = 1e12
@@ -379,56 +380,44 @@ def ritz_values(state: BidiagState, k: int) -> np.ndarray:
     return np.linalg.svd(state.B(k), compute_uv=False)
 
 
-def natural_order_check(theta, sigma, tol: float | None = None) -> bool:
-    """True iff sigma_{i+1} < theta_i < sigma_i for every i <= k.
-
-    ``tol`` is an additive slack (default ``AUDIT_SLACK * sigma_1``) absorbing
-    roundoff ties: converged Ritz values can sit within machine precision
-    of the singular value they approximate.
-    """
-    theta = np.asarray(theta, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
+def natural_order_check(theta, sigma) -> bool:
+    """True iff sigma_{i+1} < theta_i < sigma_i for every i <= k, each arm
+    widened by the audit slack: converged Ritz values can sit within
+    machine precision of the singular value they approximate."""
+    theta, sigma = np.asarray(theta, dtype=float), np.asarray(sigma, dtype=float)
     k = theta.size
     if sigma.size < k + 1:
         raise ValueError("need sigma_1..sigma_{k+1} to test the natural order")
-    if tol is None:
-        tol = AUDIT_SLACK * sigma[0]
-    lower = sigma[1 : k + 1] - tol < theta
-    upper = theta < sigma[:k] + tol
-    return bool(np.all(lower & upper))
+    return _bracketed(theta, sigma, sigma[1 : k + 1])
 
 
-def cauchy_interlace_check(theta, sigma, tol: float | None = None) -> bool:
-    """Strict interlacing sigma_{n-k+i} < theta_i < sigma_i (with slack)."""
-    theta = np.asarray(theta, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    k = theta.size
-    n = sigma.size
+def cauchy_interlace_check(theta, sigma) -> bool:
+    """Strict interlacing sigma_{n-k+i} < theta_i < sigma_i (with the audit slack)."""
+    theta, sigma = np.asarray(theta, dtype=float), np.asarray(sigma, dtype=float)
+    k, n = theta.size, sigma.size
     if k > n:
         raise ValueError("more Ritz values than singular values")
-    if tol is None:
-        tol = AUDIT_SLACK * sigma[0]
-    lower = sigma[n - k :] - tol < theta
-    upper = theta < sigma[:k] + tol
-    return bool(np.all(lower & upper))
+    return _bracketed(theta, sigma, sigma[n - k :])
 
 
-def mirsky_gap_check(theta, sigma, gamma, tol: float | None = None) -> bool:
-    """True iff 0 < sigma_i - theta_i <= gamma_k for every i <= k.
-
-    Both arms carry an additive slack (default ``1e-10 * sigma_1``): the
-    positive gap is guaranteed by strict interlacing but shrinks below
-    machine precision once a Ritz value converges.
-    """
-    theta = np.asarray(theta, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
+def mirsky_gap_check(theta, sigma, gamma) -> bool:
+    """True iff 0 < sigma_i - theta_i <= gamma_k for every i <= k, each arm
+    widened by the audit slack: a converged Ritz value closes the gap to
+    roundoff."""
+    theta, sigma = np.asarray(theta, dtype=float), np.asarray(sigma, dtype=float)
     k = theta.size
     if sigma.size < k:
         raise ValueError("need at least k singular values")
-    if tol is None:
-        tol = 1e-10 * sigma[0]
-    gap = sigma[:k] - theta
-    return bool(np.all((gap > -tol) & (gap <= gamma + tol)))
+    return _bracketed(theta, sigma, sigma[:k] - gamma)
+
+
+def _bracketed(theta, sigma, lower) -> bool:
+    """Whether lower_i < theta_i < sigma_i for every i <= k = theta.size,
+    each arm widened by ``AUDIT_SLACK * sigma_1``.  Within the slack a
+    value counts as on its bound, so a non-strict bound is tested the same
+    way as a strict one."""
+    slack = AUDIT_SLACK * sigma[0]
+    return bool(np.all((lower - slack < theta) & (theta < sigma[: theta.size] + slack)))
 
 
 # Subspace distance ==========================================================
@@ -552,10 +541,13 @@ def lagrange_factor(sigma, k: int):
 
 
 # Predicates and bounds ======================================================
-def near_best_predicate(gamma, sigma_k, sigma_k1, tol: float = 0.0) -> bool:
+def near_best_predicate(gamma, sigma, k: int) -> bool:
     """Is the rank-k approximation near best:
-    sigma_{k+1} <= gamma_k < (sigma_k + sigma_{k+1}) / 2 (additive slack)."""
-    return bool((gamma >= sigma_k1 - tol) and (gamma < 0.5 * (sigma_k + sigma_k1) + tol))
+    sigma_{k+1} <= gamma_k < (sigma_k + sigma_{k+1}) / 2, each arm widened
+    by ``AUDIT_SLACK * sigma_1``."""
+    slack = AUDIT_SLACK * sigma[0]
+    mid = 0.5 * (sigma[k - 1] + sigma[k])
+    return bool((gamma >= sigma[k] - slack) and (gamma < mid + slack))
 
 
 def xi_factor(delta_norm: float) -> float:

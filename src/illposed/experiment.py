@@ -138,9 +138,12 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown problem {self.problem!r}; choose from {', '.join(PROBLEMS)}"
             )
-        # config.txt echoes out on an ASCII key=value line that must re-parse.
-        if not (self.out.isascii() and self.out.isprintable()):
-            raise ConfigError(f"out must be printable ASCII, got {self.out!r}")
+        # config.txt echoes out on an ASCII key=value line that must re-parse
+        # to the same value, and parsing strips it.
+        if not (self.out.isascii() and self.out.isprintable() and self.out == self.out.strip()):
+            raise ConfigError(
+                f"out must be printable ASCII without surrounding whitespace, got {self.out!r}"
+            )
         for f in fields(self):
             if f.type == "float" and not math.isfinite(getattr(self, f.name)):
                 raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
@@ -306,7 +309,6 @@ def _analysis_records(problem, picard, state, kmax):
     model and its source."""
     fact = problem.svd
     sigma = fact.sigma
-    slack = AUDIT_SLACK * sigma[0]
     model, source = _spectrum_for_bounds(problem)
     # alpha_{k+1}, the first entry of the trailing block, exists for k <= steps.
     K = min(kmax, state.steps)
@@ -341,7 +343,7 @@ def _analysis_records(problem, picard, state, kmax):
                 sin_theta=sin_theta,
                 sigma_delta=sd,
                 lagrange_max=lag,
-                near_best=near_best_predicate(gamma, sigma[k - 1], sigma[k], tol=slack),
+                near_best=near_best_predicate(gamma, sigma, k),
                 natural_order=natural_order_check(theta, sigma),
                 alpha_beta_sum=proxy.get(k, math.nan),
                 bounds=bounds,
@@ -351,7 +353,8 @@ def _analysis_records(problem, picard, state, kmax):
 
 
 def _check_invariants(records, sigma, state, lsqr, tsvd, reorth):
-    """Audit the universal inequalities; returns human-readable violations."""
+    """Audit the universal inequalities to ``AUDIT_SLACK`` (times sigma_1, or
+    sigma_1^2, on sigma's scale); returns human-readable violations."""
     sigma1 = float(sigma[0])
     slack = AUDIT_SLACK * sigma1
     viol = []
@@ -387,9 +390,9 @@ def _check_invariants(records, sigma, state, lsqr, tsvd, reorth):
     if reorth and records:
         resid = recurrence_residuals(state, records[-1].k)
         for key in ("ortho_P", "ortho_Q"):
-            if resid[key] > 1e-10:
+            if resid[key] > AUDIT_SLACK:
                 viol.append(f"basis orthogonality lost: {key} = {resid[key]:.3e}")
-        if resid["forward"] > 1e-10 * sigma1:
+        if resid["forward"] > slack:
             viol.append(f"recurrence residual too large: {resid['forward']:.3e}")
     return viol
 

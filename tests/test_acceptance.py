@@ -107,9 +107,9 @@ def test_criterion_1_universal_inequalities(cache):
                 violations.append(f"beta<gamma at {tag}")
             if math.sqrt(2.0 * a_next * b_next) > g + slack:
                 violations.append(f"2ab<=gamma^2 at {tag}")
-            if not cauchy_interlace_check(theta, sigma, tol=slack):
+            if not cauchy_interlace_check(theta, sigma):
                 violations.append(f"interlacing at {tag}")
-            if not mirsky_gap_check(theta, sigma, g, tol=slack):
+            if not mirsky_gap_check(theta, sigma, g):
                 violations.append(f"0<sigma-theta<=gamma at {tag}")
     elapsed = time.perf_counter() - t0
     ok = not violations and elapsed < 300.0
@@ -345,7 +345,7 @@ def test_criterion_6_desk_scale_tracking(cache):
         gks = gamma_via_Gk(run.state, kstar)
         for k in range(1, kstar + 1):
             g = gks[k - 1]
-            if not near_best_predicate(g, sigma[k - 1], sigma[k]):
+            if not near_best_predicate(g, sigma, k):
                 failures.append(
                     f"{name}: near-best fails at k={k} (gamma={g:.4f} outside "
                     f"[{sigma[k]:.4f}, {0.5 * (sigma[k - 1] + sigma[k]):.4f}))"
@@ -380,7 +380,7 @@ def test_criterion_7_mild_decay_breakdown(cache):
     sigma = run.sigma
     nat = [natural_order_check(ritz_values(run.state, k), sigma) for k in range(1, 6)]
     gks = gamma_via_Gk(run.state, 5)
-    near = [near_best_predicate(gks[k - 1], sigma[k - 1], sigma[k]) for k in range(1, 6)]
+    near = [near_best_predicate(gks[k - 1], sigma, k) for k in range(1, 6)]
     kstar = run.lsqr.kstar
     k0r = run.tsvd.best_k
     ok = (not all(nat)) and (not all(near)) and kstar < k0r

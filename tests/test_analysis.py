@@ -14,6 +14,7 @@ from conftest import lagrange_max, poly, severe
 
 from illposed import analysis, experiment
 from illposed.analysis import (
+    AUDIT_SLACK,
     LANCZOS_RTOL,
     AnalysisRecord,
     BoundReport,
@@ -470,7 +471,7 @@ def test_natural_order_check_cases():
     assert not natural_order_check([1.5], sigma)
     # A converged Ritz value ties its singular value within the slack.
     assert natural_order_check([4.0 - 1e-15], sigma)
-    assert not natural_order_check([4.0 + 1e-6], sigma, tol=0.0)
+    assert not natural_order_check([4.0 + 1e-6], sigma)
     with pytest.raises(ValueError, match="need sigma"):
         natural_order_check([3.0, 1.5, 0.5], sigma)
 
@@ -494,6 +495,64 @@ def test_mirsky_gap_check_cases():
     assert mirsky_gap_check([4.0, 2.0 - 1e-14], sigma, gamma=0.1)
     with pytest.raises(ValueError, match="at least k"):
         mirsky_gap_check([1.0] * 4, sigma, gamma=1.0)
+
+
+def test_mirsky_gap_check_holds_the_positive_gap_to_the_audit_slack():
+    sigma = np.array([4.0, 2.0, 1.0])
+    assert not mirsky_gap_check([4.0 * (1.0 + 5e-11), 1.8], sigma, gamma=0.6)
+    assert mirsky_gap_check([4.0 * (1.0 + 5e-13), 1.8], sigma, gamma=0.6)
+
+
+#: Offsets of a value from a bracket end, outward, in units of the audit slack.
+OUTWARD_STEPS = (-2.0, -0.5, 0.5, 2.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    gaps=st.lists(st.floats(0.05, 1.0), min_size=2, max_size=8),
+    gamma=st.floats(0.01, 1.0),
+    k_pick=st.integers(0, 100),
+    i_pick=st.integers(0, 100),
+    upper=st.booleans(),
+    out=st.sampled_from(OUTWARD_STEPS),
+)
+def test_checks_equal_their_formulas_around_every_bracket_end(
+    gaps, gamma, k_pick, i_pick, upper, out
+):
+    # One value sits half a slack or two slacks inside or outside one end of
+    # its bracket; every other value sits well inside its own.  Each check
+    # agrees with its inequality written out, and fails exactly when the
+    # value lies two slacks outside.
+    sigma = np.cumsum(gaps[::-1])[::-1]
+    n = sigma.size
+    k = 1 + k_pick % (n - 1)
+    i = i_pick % k
+    s = AUDIT_SLACK * sigma[0]
+    shift = out * s if upper else -out * s
+
+    # Natural order: sigma_{j+1} < theta_j < sigma_j.
+    theta = 0.5 * (sigma[:k] + sigma[1 : k + 1])
+    theta[i] = (sigma[i] if upper else sigma[i + 1]) + shift
+    want = all(sigma[j + 1] - s < theta[j] < sigma[j] + s for j in range(k))
+    assert natural_order_check(theta, sigma) == want == (out < 1.0)
+
+    # Cauchy interlacing: sigma_{n-k+j} < theta_j < sigma_j.
+    theta = 0.5 * (sigma[:k] + sigma[n - k :])
+    theta[i] = (sigma[i] if upper else sigma[n - k + i]) + shift
+    want = all(sigma[n - k + j] - s < theta[j] < sigma[j] + s for j in range(k))
+    assert cauchy_interlace_check(theta, sigma) == want == (out < 1.0)
+
+    # Mirsky: 0 < sigma_j - theta_j <= gamma.
+    theta = sigma[:k] - 0.5 * gamma
+    theta[i] = (sigma[i] if upper else sigma[i] - gamma) + shift
+    want = all(-s < sigma[j] - theta[j] <= gamma + s for j in range(k))
+    assert mirsky_gap_check(theta, sigma, gamma) == want == (out < 1.0)
+
+    # Near-best: sigma_{k+1} <= gamma_k < (sigma_k + sigma_{k+1}) / 2.
+    mid = 0.5 * (sigma[k - 1] + sigma[k])
+    g = (mid if upper else sigma[k]) + shift
+    want = sigma[k] - s <= g < mid + s
+    assert near_best_predicate(g, sigma, k) == want == (out < 1.0)
 
 
 # Subspace distance -----------------------------------------------------------
@@ -641,11 +700,12 @@ def test_lagrange_factor_rejects_ties_and_bad_k():
 
 # Predicates and bounds -------------------------------------------------------
 def test_near_best_predicate_endpoints():
-    assert near_best_predicate(1.0, 2.0, 1.0)
-    assert not near_best_predicate(1.5, 2.0, 1.0)  # strict at the midpoint
-    assert near_best_predicate(1.5 - 1e-9, 2.0, 1.0)
-    assert not near_best_predicate(0.9, 2.0, 1.0)
-    assert near_best_predicate(1.5, 2.0, 1.0, tol=1e-6)
+    sigma = np.array([2.0, 1.0])
+    assert near_best_predicate(1.0, sigma, 1)
+    assert not near_best_predicate(1.5 + 1e-9, sigma, 1)  # strict past the slack
+    assert near_best_predicate(1.5 - 1e-9, sigma, 1)
+    assert not near_best_predicate(0.9, sigma, 1)
+    assert near_best_predicate(1.5, sigma, 1)  # on the midpoint, within the slack
 
 
 def test_bound_report_severe_identities(severe3_rig):
@@ -693,7 +753,7 @@ def test_bound_report_severe_realized_audit(severe3_rig):
         gk = gks[k - 1]
         assert gk <= 2.0 * math.sqrt(1.0 + rep.eta_k**2) * s[k]
         assert rep.near_best_condition
-        assert near_best_predicate(gk, s[k - 1], s[k], tol=1e-12 * s[0])
+        assert near_best_predicate(gk, s, k)
         assert natural_order_check(ritz_values(state, k), s)
 
 

@@ -135,6 +135,16 @@ def test_load_config_rejects_an_out_that_config_txt_cannot_echo():
     assert load_config(None, {"out": "runs/deriv2 n=16_#1"}).out == "runs/deriv2 n=16_#1"
 
 
+def test_run_rejects_an_out_that_config_txt_would_strip(tmp_path, monkeypatch):
+    # Reading config.txt strips each value, so its echo of "ws_out " would
+    # name another directory; the run stops before making any.
+    monkeypatch.chdir(tmp_path)
+    for out in (str(tmp_path / "ws_out "), " ws_out"):
+        with pytest.raises(ConfigError, match="without surrounding whitespace"):
+            run(ExperimentConfig(problem="deriv2", n=16, out=out))
+    assert os.listdir(tmp_path) == []
+
+
 def test_load_config_reads_a_non_string_value_from_its_text():
     # A library caller may pass numbers; a float is not an int setting.
     for key, value in (("seed", 1.5), ("n", 32.5), ("kmax", 3.5)):

@@ -1,6 +1,6 @@
 """The case list of ``tools/verify.py`` keeps every case of both verifications,
-its first line names the BLAS in use, and the benchmark's check keeps the
-audit slack of the package."""
+its first line names the BLAS in use, the benchmark's check keeps the audit
+slack of the package, and the benchmark's tracer still sees every stage."""
 
 import importlib.util
 import re
@@ -11,7 +11,9 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
 
 from illposed.analysis import AUDIT_SLACK  # noqa: E402
+from illposed.experiment import ExperimentConfig, run  # noqa: E402
 from perfbench import check, env  # noqa: E402
+from perfbench.tracer import Tracer  # noqa: E402
 from perfbench.workloads import case, case_key, grid  # noqa: E402
 
 _spec = importlib.util.spec_from_file_location("verify", ROOT / "tools" / "verify.py")
@@ -32,6 +34,17 @@ def test_case_list_covers_the_grid_the_seeds_and_the_kernels():
 def test_benchmark_slack_is_the_audit_slack():
     # perfbench/check.py keeps its own copy; its tolerances follow the audit's.
     assert check.AUDIT_SLACK == AUDIT_SLACK
+
+
+def test_tracer_sees_every_check_and_bound_of_a_run(tmp_path):
+    # The tracer patches the names run() resolves in illposed.experiment, so
+    # each predicate and bound evaluator must be called through them.
+    with Tracer() as tracer:
+        run(ExperimentConfig(problem="deriv2", n=24, out=str(tmp_path), panels="none"))
+    called = {span.name for span in tracer.spans}
+    for name in ("near_best_predicate", "natural_order_check", "cauchy_interlace_check",
+                 "mirsky_gap_check", "bound_report", "lagrange_factor"):
+        assert f"illposed.experiment.{name}" in called, name
 
 
 def test_first_line_names_the_blas_library_version_and_threads():
