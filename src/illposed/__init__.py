@@ -60,7 +60,6 @@ from .experiment import (
     build_problem,
     compare,
     load_config,
-    render_panels,
     run,
 )
 from .gallery import (

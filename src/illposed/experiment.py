@@ -10,14 +10,15 @@ One run turns a configuration into a directory of artifacts:
     analysis.csv    per-step gap/subspace/bound report
     ritz.csv        Ritz values in long format
     summary.txt     headline indices and errors (key=value lines)
-    panel_[abcd].svg  figure panels, rendered purely from the CSVs
+    panel_[abcd].svg  figure panels of values the CSVs hold
 
-The numbers behind every panel exist in CSV before any SVG is drawn, and a
-rerun of the same configuration reproduces every file byte for byte.  After
-writing the artifacts the runner audits the universal inequalities (gap
-monotonicity, interlacing, ...) and raises :class:`InvariantViolation` if
-any fails beyond slack; the comparison tool diffs two artifact directories
-column by column with optional per-column tolerances.
+Every panel plots values the CSVs hold, drawn from the run's results in
+memory after the CSVs are written, and a rerun of the same configuration
+reproduces every file byte for byte.  After writing the artifacts the runner
+audits the universal inequalities (gap monotonicity, interlacing, ...) and
+raises :class:`InvariantViolation` if any fails beyond slack; the comparison
+tool diffs two artifact directories column by column with optional
+per-column tolerances.
 """
 
 from __future__ import annotations
@@ -513,7 +514,7 @@ def run(config: ExperimentConfig) -> RunResult:
         records, model, source, violations,
     )
     _write_lines(path("summary.txt"), summary_lines(summary))
-    render_panels(outdir, config.panel_set())
+    render_panels(outdir, config.panel_set(), records, problem.svd.sigma, lsqr, tsvd)
 
     if violations:
         raise InvariantViolation(
@@ -607,67 +608,54 @@ def write_ritz_csv(records, path) -> None:
     })
 
 
-# Figure panels (pure functions of the CSV artifacts) ========================
-def render_panels(outdir, panels: str = "abcd") -> list:
-    """Render the requested figure panels by reading the CSVs in ``outdir``.
+# Figure panels (the run's own results) ======================================
+def render_panels(outdir, panels, records, sigma, lsqr, tsvd) -> list:
+    """Render the requested figure panels into ``outdir`` from a run's
+    analysis records, the problem's singular values and the two sweeps.
 
-    The CSVs are the only input -- rendering twice from the same files
-    produces identical SVGs.  Returns the list of files written.
+    Each panel plots values its CSVs hold, and the k* and k0 lines sit at
+    ``lsqr.kstar`` and ``tsvd.best_k``, the summary's ``kstar`` and
+    ``k0_realized``.  Returns the list of files written.
     """
+    charts = {}
 
-    def path(name):
-        return os.path.join(outdir, name)
+    def chart(letter, title, xlabel="k", ylabel="value (log)"):
+        charts[letter] = Chart(title, xlabel, ylabel, ylog=True)
+        return charts[letter]
 
-    def columns(name):
-        return read_csv(path(name))[1]
-
-    written = []
-
-    def emit(letter, chart):
-        name = f"panel_{letter}.svg"
-        with open(path(name), "w", encoding="ascii", newline="\n") as fh:
-            fh.write(chart.render())
-        written.append(name)
-
-    # Chart converts its inputs to float, so columns go in as read.
-    if "a" in panels or "c" in panels:
-        analysis = columns("analysis.csv")
-        ks, gamma = analysis["k"], analysis["gamma"]
+    ks = [rec.k for rec in records]
+    gamma = [rec.gamma for rec in records]
     if "a" in panels:
-        chart = Chart("Rank-k gap vs trailing singular value", "k", "value (log)", ylog=True)
-        chart.add_series("gamma_k", ks, gamma, marker=True)
-        chart.add_series("sigma_{k+1}", ks, analysis["sigma_k1"], dashed=True)
-        emit("a", chart)
+        a = chart("a", "Rank-k gap vs trailing singular value")
+        a.add_series("gamma_k", ks, gamma, marker=True)
+        a.add_series("sigma_{k+1}", ks, [rec.sigma_k1 for rec in records], dashed=True)
     if "b" in panels:
-        ritz, picard = columns("ritz.csv"), columns("picard.csv")
-        top = int(max(map(float, ritz["k"]))) + 1 if ritz["k"] else len(picard["i"])
-        chart = Chart("Ritz values against the spectrum", "index", "value (log)", ylog=True)
-        chart.add_series("theta_i(k) at x=k", ritz["k"], ritz["theta"], scatter=True)
-        chart.add_series(
-            "sigma_i at x=i", picard["i"][:top], picard["sigma_i"][:top], dashed=True
+        b = chart("b", "Ritz values against the spectrum", xlabel="index")
+        b.add_series(
+            "theta_i(k) at x=k",
+            [rec.k for rec in records for _ in rec.ritz],
+            [theta for rec in records for theta in rec.ritz],
+            scatter=True,
         )
-        emit("b", chart)
+        head = sigma[: ks[-1] + 1] if ks else sigma
+        b.add_series("sigma_i at x=i", range(1, head.size + 1), head, dashed=True)
     if "c" in panels:
-        chart = Chart("Gap decay vs recurrence coefficients", "k", "value (log)", ylog=True)
-        chart.add_series("alpha_{k+1}+beta_{k+2}", ks, analysis["alpha_beta_sum"], marker=True)
-        chart.add_series("gamma_k", ks, gamma, dashed=True)
-        emit("c", chart)
+        c = chart("c", "Gap decay vs recurrence coefficients")
+        proxy = [rec.alpha_beta_sum for rec in records]
+        c.add_series("alpha_{k+1}+beta_{k+2}", ks, proxy, marker=True)
+        c.add_series("gamma_k", ks, gamma, dashed=True)
     if "d" in panels:
-        lsqr, tsvd = columns("lsqr.csv"), columns("tsvd.csv")
-        lk, tk = lsqr["k"], tsvd["k"]
-        terr = [float(e) for e in tsvd["rel_error"]]
-        best = min(range(len(terr)), key=terr.__getitem__) if terr else 0
-        span = max(int(lk[-1]) if lk else 0, (best + 1) + 5)
-        keep = [j for j, k in enumerate(tk) if int(k) <= span]
-        chart = Chart("Semi-convergence of the iterates", "k", "relative error (log)", ylog=True)
-        chart.add_series("lsqr", lk, lsqr["rel_error"], marker=True)
-        chart.add_series("tsvd", [tk[j] for j in keep], [terr[j] for j in keep])
-        if "1" in lsqr["is_kstar"]:
-            chart.add_vline(lk[lsqr["is_kstar"].index("1")], "k*")
-        if terr:
-            chart.add_vline(tk[best], "k0")
-        emit("d", chart)
-    return written
+        d = chart("d", "Semi-convergence of the iterates", ylabel="relative error (log)")
+        d.add_series("lsqr", lsqr.ks, lsqr.rel_errors, marker=True)
+        keep = tsvd.ks <= max(lsqr.ks[-1], tsvd.best_k + 5)
+        d.add_series("tsvd", tsvd.ks[keep], tsvd.rel_errors[keep])
+        d.add_vline(lsqr.kstar, "k*")
+        d.add_vline(tsvd.best_k, "k0")
+    names = [f"panel_{letter}.svg" for letter in charts]
+    for name, panel in zip(names, charts.values()):
+        with open(os.path.join(outdir, name), "w", encoding="ascii", newline="\n") as fh:
+            fh.write(panel.render())
+    return names
 
 
 # Artifact comparison =========================================================

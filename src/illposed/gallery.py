@@ -111,10 +111,8 @@ def _finalize(name, A, x_true, spectrum=None, b_true=None) -> IllPosedProblem:
     """
     A = as_matrix(A)
     x_true = as_vector(x_true, "x_true")
-    if b_true is None:
-        b_true = A @ x_true
-    else:
-        b_true = as_vector(b_true, "b_true")
+    given = b_true is not None
+    b_true = as_vector(b_true, "b_true") if given else A @ x_true
     with np.errstate(over="ignore"):  # an overflow is reported below
         nb = float(np.linalg.norm(b_true))
     if nb == 0.0:
@@ -124,9 +122,10 @@ def _finalize(name, A, x_true, spectrum=None, b_true=None) -> IllPosedProblem:
         raise ValueError(f"{name}: b_true is identically zero")
     if not np.isfinite(nb):
         raise ValueError(f"{name}: ||b_true||^2 overflows float64")
-    resid = float(np.linalg.norm(A @ x_true - b_true))
-    if resid > 1e-12 * nb:
-        raise ValueError(f"{name}: A @ x_true differs from b_true ({resid:.3e})")
+    if given:  # a computed b_true is A @ x_true by construction
+        resid = float(np.linalg.norm(A @ x_true - b_true))
+        if resid > 1e-12 * nb:
+            raise ValueError(f"{name}: A @ x_true differs from b_true (residual {resid:.3e})")
     fact = svd(A)
     if fact.sigma[0] > SQRT_FLOAT_MAX:
         raise ValueError(f"{name}: sigma_1^2 overflows float64")

@@ -698,6 +698,14 @@ def test_lagrange_factor_rejects_ties_and_bad_k():
         lagrange_factor(np.array([2.0, 1.0]), 3)
 
 
+def test_lagrange_factor_past_float64_reads_inf_without_a_warning():
+    # Mild decay at deep k: the product overflows. The suite turns a
+    # RuntimeWarning into an error, so the overflow must stay silent.
+    factors, mx = lagrange_factor(np.arange(1, 1025.0) ** -0.6, 800)
+    assert mx == math.inf
+    assert np.isinf(factors).any() and np.isfinite(factors).any()
+
+
 # Predicates and bounds -------------------------------------------------------
 def test_near_best_predicate_endpoints():
     sigma = np.array([2.0, 1.0])
@@ -1002,3 +1010,20 @@ def test_write_ritz_csv_long_format(tmp_path):
     assert list(cols) == ["k", "i", "theta"]
     assert list(zip(cols["k"], cols["i"])) == [("1", "1"), ("2", "1"), ("2", "2")]
     assert float(cols["theta"][0]) == 1.5
+
+
+def test_bound_report_past_float64_reads_inf_and_false_without_a_warning():
+    # Power-law bounds at deep k: first eta_k^2 overflows, then eta_k itself.
+    # The cells read what float64 arithmetic gives, and no warning is raised.
+    prob = make_prescribed(32, poly(2.0), seed=0)
+    pic = picard_diagnostic(add_noise(prob, 1e-3, 0))
+    k = 3
+    rep = bound_report(prob.svd, pic, prob.spectrum, 0.5, k, 1e160)
+    ratio = float(np.max(pic.coef[k:]) / np.min(pic.coef[:k]))
+    plain = math.sqrt(k**2 / (4.0 * 2.0**2 - 1.0) + k / (2.0 * 2.0 - 1.0))
+    assert rep.delta_bound == ratio * plain * 1e160
+    assert math.isfinite(rep.eta_k) and rep.eta_k > 1e155
+    assert not rep.near_best_condition and not rep.natural_order_condition
+    rep = bound_report(prob.svd, pic, prob.spectrum, 0.5, k, 1e307)
+    assert rep.eta_k == rep.epsilon_k_bound == rep.delta_bound == math.inf
+    assert not rep.near_best_condition and not rep.natural_order_condition

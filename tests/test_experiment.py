@@ -1,6 +1,7 @@
 """Unit tests for the experiment runner, artifact comparison, and CLI."""
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -41,7 +42,9 @@ from illposed.experiment import (
     run,
 )
 from illposed.gallery import make_deriv2
+from illposed.lsqr import lsqr_sweep
 from illposed.noise import add_noise
+from illposed.tsvd import tsvd_sweep
 
 ALL_ARTIFACTS = ("config.txt",) + ARTIFACT_CSVS + (
     "summary.txt",
@@ -346,13 +349,48 @@ def test_run_respects_panel_subset(tmp_path):
     assert not any(n.endswith(".svg") for n in os.listdir(outdir2))
 
 
-def test_panels_are_pure_functions_of_csvs(base_run):
-    path = os.path.join(base_run.outdir, "panel_a.svg")
-    before = open(path, "rb").read()
-    os.remove(path)
-    written = render_panels(base_run.outdir, "a")
-    assert written == ["panel_a.svg"]
-    assert open(path, "rb").read() == before
+def _run_results(config):
+    """The spectrum and both sweeps ``run(config)`` computes, recomputed."""
+    problem = build_problem(config)
+    instance = add_noise(problem, config.noise, config.seed)
+    sigma = problem.svd.sigma
+    state, _ = bidiag_run(problem.A, instance.b, reorth=config.reorth, norm_A=float(sigma[0]))
+    lsqr = lsqr_sweep(instance, state, config.effective_kmax(problem.n))
+    return sigma, lsqr, tsvd_sweep(instance)
+
+
+def test_panels_redraw_from_the_runs_results(base_run, tmp_path):
+    # Drawn into an empty directory: the panels read no CSV back.
+    sigma, lsqr, tsvd = _run_results(base_run.config)
+    written = render_panels(str(tmp_path), "abcd", base_run.records, sigma, lsqr, tsvd)
+    assert written == ["panel_a.svg", "panel_b.svg", "panel_c.svg", "panel_d.svg"]
+    assert sorted(os.listdir(tmp_path)) == written
+    for name in written:
+        assert (tmp_path / name).read_bytes() == Path(base_run.outdir, name).read_bytes()
+
+
+def _x_pixel_map(svg):
+    """The x axis of a panel, read from its labelled vertical grid lines."""
+    ticks = re.findall(
+        r'<line x1="([-\d.]+)" y1="\d+" x2="[-\d.]+" y2="\d+" stroke="#dddddd"[^\n]*\n'
+        r'<text [^>]*>([^<]+)</text>',
+        svg,
+    )
+    (p0, t0), (p1, t1) = [(float(p), float(t)) for p, t in (ticks[0], ticks[-1])]
+    return lambda x: p0 + (x - t0) * (p1 - p0) / (t1 - t0)
+
+
+@pytest.mark.parametrize("overrides", [{}, {"problem": "shaw", "n": 64, "kmax": 40}])
+def test_panel_d_marks_the_summarys_kstar_and_k0(overrides, tmp_path):
+    result = run(small_config(tmp_path, **overrides))
+    svg = (tmp_path / "panel_d.svg").read_text()
+    vline = r'<line x1="([-\d.]+)" [^\n]*stroke-dasharray="2,3"/>\n<text [^>]*>([^<]+)</text>'
+    lines = {label: float(px) for px, label in re.findall(vline, svg)}
+    assert sorted(lines) == ["k*", "k0"]
+    pixel = _x_pixel_map(svg)
+    summary = result.summary
+    assert lines["k*"] == pytest.approx(pixel(summary["kstar"]), abs=0.01)
+    assert lines["k0"] == pytest.approx(pixel(summary["k0_realized"]), abs=0.01)
 
 
 def test_run_raises_after_writing_artifacts_on_violation(tmp_path, monkeypatch):

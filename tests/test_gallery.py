@@ -14,6 +14,7 @@ from conftest import poly, severe
 
 from illposed.gallery import (
     SpectrumModel,
+    _finalize,
     fit_spectrum_model,
     make_deriv2,
     make_gravity,
@@ -183,3 +184,11 @@ def test_fit_spectrum_model_on_deriv2():
     fitted = fit_spectrum_model(make_deriv2(64).svd.sigma)
     assert fitted.kind == "moderate_or_mild"
     assert 1.5 <= fitted.alpha <= 2.5
+
+
+def test_a_given_b_true_must_equal_A_x_true():
+    A = make_deriv2(8).A
+    x = np.ones(8)
+    assert _finalize("demo", A, x, b_true=A @ x).b_true.tolist() == (A @ x).tolist()
+    with pytest.raises(ValueError, match=r"demo: A @ x_true differs from b_true \(residual "):
+        _finalize("demo", A, x, b_true=A @ x + 1e-6)

@@ -38,13 +38,23 @@ def test_benchmark_slack_is_the_audit_slack():
 
 def test_tracer_sees_every_check_and_bound_of_a_run(tmp_path):
     # The tracer patches the names run() resolves in illposed.experiment, so
-    # each predicate and bound evaluator must be called through them.
+    # each predicate, bound evaluator and writer must be called through them,
+    # and its byte counts read the writers' arguments and results.
     with Tracer() as tracer:
-        run(ExperimentConfig(problem="deriv2", n=24, out=str(tmp_path), panels="none"))
-    called = {span.name for span in tracer.spans}
+        run(ExperimentConfig(problem="deriv2", n=24, out=str(tmp_path)))
+    spans = {}
+    for span in tracer.spans:
+        spans.setdefault(span.name.removeprefix("illposed.experiment."), []).append(span)
     for name in ("near_best_predicate", "natural_order_check", "cauchy_interlace_check",
                  "mirsky_gap_check", "bound_report", "lagrange_factor"):
-        assert f"illposed.experiment.{name}" in called, name
+        assert name in spans, name
+    (panels,) = spans["render_panels"]
+    svgs = sorted(tmp_path.glob("panel_*.svg"))
+    assert len(svgs) == 4
+    assert panels.counts["bytes"] == sum(p.stat().st_size for p in svgs)
+    for csv in ("picard", "bidiag", "tsvd", "lsqr", "analysis", "ritz"):
+        (writer,) = spans[f"write_{csv}_csv"]
+        assert writer.counts["bytes"] > 0, csv
 
 
 def test_first_line_names_the_blas_library_version_and_threads():
