@@ -13,7 +13,7 @@ Typical flow::
 
     problem = make_shaw(256)
     instance = add_noise(problem, 1e-3, seed=42)
-    state, _ = bidiag_run(problem.A, instance.b, norm_A=problem.svd.sigma[0])
+    state = bidiag_run(problem.A, instance.b, norm_A=problem.svd.sigma[0])
     reference = tsvd_sweep(instance)
     trace = lsqr_sweep(instance, state, kmax=40)
     assert trace.kstar <= reference.best_k
@@ -46,7 +46,6 @@ from .analysis import (
 )
 from .bidiag import (
     BidiagState,
-    BreakdownError,
     bidiag_run,
     bidiag_start,
     bidiag_step,

@@ -76,7 +76,7 @@ LANCZOS_MAX_ITER = 100
 LANCZOS_BLOCK = 8
 
 _EPS = float(np.finfo(float).eps)
-_PIVMIN = float(np.finfo(float).tiny)
+_TINY = float(np.finfo(float).tiny)  # the smallest normal float64
 
 
 def gamma_exact(A, Q) -> np.ndarray:
@@ -361,16 +361,16 @@ def _has_eigenvalue_above(e2, x) -> bool:
     """Whether the zero-diagonal tridiagonal with squared off-diagonal ``e2``
     has an eigenvalue above x > 0, i.e. T - x I has a positive pivot.
 
-    Pivots within ``_PIVMIN`` of zero count as negative (LAPACK's rule).
+    Pivots within ``_TINY`` of zero count as negative (LAPACK's rule).
     """
     negx = -x
     d = negx
     for s in e2:
         d = negx - s / d
-        if d > -_PIVMIN:
-            if d >= _PIVMIN:
+        if d > -_TINY:
+            if d >= _TINY:
                 return True
-            d = -_PIVMIN
+            d = -_TINY
     return False
 
 
@@ -531,6 +531,8 @@ def lagrange_factor(sigma, k: int):
     s = sigma[:k]
     if np.any(s[:-1] - s[1:] <= 1e-14 * sigma[0]):
         return np.full(k, math.nan), math.nan
+    if s[-1] ** 2 < _TINY:  # squares go subnormal; the factors are scale-free
+        s = s / s[0]
     s2 = s**2
     denom = np.abs(s2[None, :] - s2[:, None])
     np.fill_diagonal(denom, 1.0)  # the j = i term is excluded from the product
@@ -630,7 +632,9 @@ def bound_report(
     vanishes exactly (names the index).  ``lagrange_max`` is
     ``lagrange_factor(sigma, k)[1]``, nan where tied singular values
     leave it undefined; the moderate and mild bounds then raise
-    ``ValueError``, and the severe ones do not use it.
+    ``ValueError``, and the severe ones do not use it.  A computed
+    sigma_{k+1} = 0 leaves the gap ratio sigma_k / sigma_{k+1} unbounded and
+    also raises; a factor that overflows makes its bounds read inf.
     """
     if spectrum is None:
         raise ValueError("bound_report needs a decay model; fit one for a kernel's spectrum")
@@ -641,6 +645,8 @@ def bound_report(
     k0 = picard.k0
     if k0 < 1:
         raise ValueError("transition index k0 = 0: bounds are undefined")
+    if s[k] == 0.0:
+        raise ValueError(f"sigma_{k + 1} = 0: the gap ratio sigma_{k} / sigma_{k + 1} is unbounded")
     head = picard.coef[:k]
     zero = np.nonzero(head == 0.0)[0]
     if zero.size:

@@ -20,7 +20,6 @@ import numpy as np
 from .linalg import as_matrix, as_vector, spectral_norm
 
 __all__ = [
-    "BreakdownError",
     "BidiagState",
     "bidiag_start",
     "bidiag_step",
@@ -33,27 +32,6 @@ __all__ = [
 BREAKDOWN_REL = 1e-14
 #: For a square matrix the final subdiagonal entry must vanish within this.
 FINAL_BETA_REL = 1e-12
-
-
-class BreakdownError(RuntimeError):
-    """The next basis vector vanished (numerically invariant subspace).
-
-    Attributes
-    ----------
-    step : int
-        Number of complete steps when the recurrence stopped.
-    entry : str
-        Name of the entry that fell below tolerance, e.g. ``"beta_3"``.
-    """
-
-    def __init__(self, step, entry, value, tol):
-        self.step = int(step)
-        self.entry = entry
-        self.value = float(value)
-        self.tol = float(tol)
-        super().__init__(
-            f"breakdown after {step} steps: {entry} = {value:.3e} below tolerance {tol:.3e}"
-        )
 
 
 class _GrowingBasis:
@@ -186,14 +164,27 @@ class BidiagState:
                 w = w - V @ (V.T @ w)
         return float(np.linalg.norm(w)), w
 
+    def _extend(self, w, basis: _GrowingBasis, coeffs: list, entry: str) -> bool:
+        """One half-step: reorthogonalize w and test its norm against
+        ``atol``.  Below it, record ``entry`` as the breakdown; otherwise
+        append the normalized vector to ``basis`` and the norm to
+        ``coeffs``.  True when the bases grew."""
+        norm, w = self._reorthogonalize(w, basis)
+        if norm < self.atol:
+            self.breakdown = entry
+            return False
+        basis.append(w / norm)
+        coeffs.append(norm)
+        return True
+
 
 def bidiag_start(A, b, reorth: bool = True, norm_A: float | None = None) -> BidiagState:
     """Initialize the recurrence: beta_1, p_1, alpha_1, q_1.
 
     ``norm_A`` (the spectral norm) sets the breakdown tolerance
     ``1e-14 * ||A||``; it is computed on the spot when not supplied.
-
-    Raises ``BreakdownError`` when b = 0 or A' b vanishes numerically.
+    When b = 0 or A' b vanishes numerically, the state records ``beta_1``
+    or ``alpha_1`` as its breakdown and is terminal.
     """
     A = as_matrix(A)
     b = as_vector(b)
@@ -204,26 +195,20 @@ def bidiag_start(A, b, reorth: bool = True, norm_A: float | None = None) -> Bidi
     beta1 = float(np.linalg.norm(b))
     if beta1 == 0.0:
         state.breakdown = "beta_1"
-        raise BreakdownError(0, "beta_1", 0.0, state.atol)
+        return state
     p1 = b / beta1
-    w = A.T @ p1
-    alpha1 = float(np.linalg.norm(w))
-    if alpha1 < state.atol:
-        state.breakdown = "alpha_1"
-        raise BreakdownError(0, "alpha_1", alpha1, state.atol)
     state._P.append(p1)
-    state._Q.append(w / alpha1)
     state.betas.append(beta1)
-    state.alphas.append(alpha1)
+    state._extend(A.T @ p1, state._Q, state.alphas, "alpha_1")
     return state
 
 
 def bidiag_step(state: BidiagState) -> BidiagState:
     """Advance one full step, appending beta_{k+1}, p_{k+1}, alpha_{k+1}, q_{k+1}.
 
-    Raises ``BreakdownError`` when the next vector in either half falls
-    below the breakdown tolerance; the state keeps everything computed
-    before the failing entry and is marked terminal.
+    When the next vector in either half falls below the breakdown
+    tolerance, the state records that entry as its breakdown, keeps
+    everything computed before it and is terminal.
     """
     if state.terminal:
         raise RuntimeError("cannot step a terminal factorization state")
@@ -231,18 +216,10 @@ def bidiag_step(state: BidiagState) -> BidiagState:
         raise RuntimeError("Krylov space exhausted; use bidiag_run for the final entry")
     k = state.steps  # performing step k+1
     A, P, Q = state.A, state._P, state._Q
-    beta, w = state._reorthogonalize(A @ Q.view()[:, k] - state.alphas[-1] * P.view()[:, k], P)
-    if beta < state.atol:
-        state.breakdown = f"beta_{k + 2}"
-        raise BreakdownError(k, state.breakdown, beta, state.atol)
-    P.append(w / beta)
-    state.betas.append(beta)
-    alpha, w = state._reorthogonalize(A.T @ P.view()[:, k + 1] - beta * Q.view()[:, k], Q)
-    if alpha < state.atol:
-        state.breakdown = f"alpha_{k + 2}"
-        raise BreakdownError(k, state.breakdown, alpha, state.atol)
-    Q.append(w / alpha)
-    state.alphas.append(alpha)
+    w = A @ Q.view()[:, k] - state.alphas[-1] * P.view()[:, k]
+    if state._extend(w, P, state.betas, f"beta_{k + 2}"):
+        w = A.T @ P.view()[:, k + 1] - state.betas[-1] * Q.view()[:, k]
+        state._extend(w, Q, state.alphas, f"alpha_{k + 2}")
     return state
 
 
@@ -273,29 +250,27 @@ def _finish(state: BidiagState) -> BidiagState:
     return state
 
 
-def bidiag_run(A, b, steps: int | None = None, reorth: bool = True, norm_A: float | None = None):
-    """Drive the recurrence: returns ``(state, breakdown)``.
+def bidiag_run(
+    A, b, steps: int | None = None, reorth: bool = True, norm_A: float | None = None
+) -> BidiagState:
+    """Drive the recurrence and return its state.
 
     Runs ``steps`` full steps, or by default n-1 steps plus the trailing
     half-step for beta_{n+1}, which gives the full factorization P' A Q = B.
     For a square matrix the dimension count forces beta_{n+1} = 0; under
     full reorthogonalization the computed value must vanish within
-    ``1e-12 * ||A||`` and is recorded as zero.  A breakdown truncates the
-    run and is returned as the second element, not raised; a completed or
-    broken-down state is terminal, so the trailing-block norms are
-    available.  A breakdown at the very start (b = 0 or A' b = 0) still
-    raises: there is nothing to analyze.
+    ``1e-12 * ||A||`` and is recorded as zero.  A breakdown, at the start
+    or in a step, truncates the run and is recorded in ``state.breakdown``;
+    a completed or broken-down state is terminal, so the trailing-block
+    norms are available.
     """
     state = bidiag_start(A, b, reorth=reorth, norm_A=norm_A)
     target = state.n - 1 if steps is None else min(steps, state.n - 1)
-    try:
-        while state.steps < target:
-            bidiag_step(state)
-    except BreakdownError as err:
-        return state, err
-    if steps is None:
+    while not state.terminal and state.steps < target:
+        bidiag_step(state)
+    if steps is None and not state.terminal:
         _finish(state)
-    return state, None
+    return state
 
 
 def recurrence_residuals(state: BidiagState, k: int) -> dict:

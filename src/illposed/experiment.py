@@ -46,7 +46,7 @@ from .analysis import (
     ritz_values,
     sigma_delta_norm,
 )
-from .bidiag import BreakdownError, bidiag_run, recurrence_residuals
+from .bidiag import bidiag_run, recurrence_residuals
 from .csvio import format_value, read_csv, write_csv
 from .gallery import (
     SpectrumModel,
@@ -456,11 +456,12 @@ def run(config: ExperimentConfig) -> RunResult:
 
     Raises :class:`ConfigError` on an invalid configuration, an output
     directory that cannot be created, a noise level so small that the
-    noise draw underflows to zero, noisy data whose ||b||^2 overflows or a
-    recurrence that breaks down before its first step, all before any
-    artifact is written, and
-    :class:`InvariantViolation` -- after all artifacts are written -- when
-    a universal inequality fails beyond slack.
+    noise draw underflows to zero, noisy data whose ||b||^2 overflows, a
+    recurrence that breaks down before its first step or a square
+    factorization that cannot complete because sigma_1 is so small that
+    the squares in its norms underflow, all before any artifact is written,
+    and :class:`InvariantViolation` -- after all artifacts are written --
+    when a universal inequality fails beyond slack.
     A later breakdown of the recurrence is not an error: the sweeps and
     analysis are truncated at the breakdown step, which the summary records.
     """
@@ -482,15 +483,17 @@ def run(config: ExperimentConfig) -> RunResult:
     kmax = config.effective_kmax(problem.n)
 
     try:
-        state, _ = bidiag_run(
-            problem.A, instance.b, steps=None, reorth=config.reorth, norm_A=sigma1
-        )
-    except BreakdownError as err:  # at beta_1 or alpha_1, in bidiag_start
-        raise ConfigError(f"the recurrence broke down at its start: {err}") from err
-    if state.max_k < 1:
+        state = bidiag_run(problem.A, instance.b, steps=None, reorth=config.reorth, norm_A=sigma1)
+    except RuntimeError as err:  # the square completion check in bidiag._finish
+        raise ConfigError(
+            f"at sigma_1 = {sigma1:.3e} the squares inside the recurrence's norms "
+            f"underflow float64, and the factorization cannot complete: {err}"
+        ) from err
+    if state.max_k < 1:  # beta_1, alpha_1 or beta_2 vanished
         raise ConfigError(
             f"the recurrence broke down at {state.breakdown} before its first step "
-            "(A A' maps b onto itself, as for a spectrum flat to rounding)"
+            "(b or A' b vanishes, or A A' maps b onto itself, as for a spectrum flat "
+            "to rounding)"
         )
     tsvd = tsvd_sweep(instance)
     lsqr = lsqr_sweep(instance, state, kmax)

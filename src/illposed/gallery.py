@@ -323,13 +323,22 @@ def make_picard_synthetic(n: int, spectrum: SpectrumModel, seed: int, m: int | N
         u_i' b_true = sigma_i**(1 + beta),   x_true = V @ sigma**beta,
 
     with ``beta = spectrum.beta_picard`` (must be set, >= 0).  By
-    construction ``A @ x_true = b_true`` to machine precision.
+    construction ``A @ x_true = b_true`` to machine precision.  Raises
+    ``ValueError`` when sigma_1**(1 + beta) = u_1' b_true, and so
+    ||b_true||^2, overflows: below that bound no entry of either product can.
     """
     beta = spectrum.beta_picard
     if beta is None or beta < 0.0:
         raise ValueError("make_picard_synthetic requires spectrum.beta_picard >= 0")
-    U, V, A = _drawn_factors(n, spectrum, seed, m)
     sig = spectrum.sigma(n)
+    with np.errstate(over="ignore"):  # an overflow is reported here
+        top = sig[0] ** (1.0 + beta)
+    if not top < SQRT_FLOAT_MAX:
+        raise ValueError(
+            f"picard-{spectrum.kind}: ||b_true||^2 overflows float64: u_1' b_true = "
+            f"sigma_1**(1 + beta) = {top:.4g} (sigma_1 = {sig[0]:.4g}, beta = {beta!r})"
+        )
+    U, V, A = _drawn_factors(n, spectrum, seed, m)
     x_true = V @ sig**beta
     b_true = U @ sig ** (1.0 + beta)
     del U, V

@@ -9,6 +9,7 @@ the laboratory.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,7 +112,8 @@ class PicardDiagnostic:
         for every i <= k (n when the coefficients never cross).
     beta_fit : float
         Slope-derived decay exponent: fitting log|u_i' b_true| to
-        (1 + beta) log sigma_i over i <= k0 gives beta; nan when k0 < 2.
+        (1 + beta) log sigma_i over i <= k0 gives beta; nan when k0 < 2 or
+        when tied sigma_i leave the fit rank-deficient.
     """
 
     sigma: np.ndarray
@@ -146,8 +148,13 @@ def picard_diagnostic(instance: NoisyInstance) -> PicardDiagnostic:
         c_head = coef_true[:k0]
         good = (s_head > 0.0) & (c_head > 0.0)
         if int(good.sum()) >= 2:
-            slope = np.polyfit(np.log(s_head[good]), np.log(c_head[good]), 1)[0]
-            beta_fit = float(slope - 1.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a rank-deficient fit (tied sigma_i) warns
+                try:
+                    slope = np.polyfit(np.log(s_head[good]), np.log(c_head[good]), 1)[0]
+                    beta_fit = float(slope - 1.0)
+                except Warning:
+                    pass
 
     return PicardDiagnostic(
         sigma=fact.sigma.copy(),

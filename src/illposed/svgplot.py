@@ -87,11 +87,9 @@ def _nice_linear_ticks(lo: float, hi: float, target: int = 5):
     return ticks
 
 
-def _decade_ticks(lo: float, hi: float, max_ticks: int = 12):
-    lo_e = max(math.floor(math.log10(lo)), -323)  # 10.0**-324 rounds to 0
-    hi_e = math.ceil(math.log10(hi))
+def _decade_ticks(lo_e: int, hi_e: int, max_ticks: int = 12):
     stride = max(1, math.ceil((hi_e - lo_e + 1) / max_ticks))
-    return [10.0**e for e in range(lo_e, min(hi_e, 308) + 1, stride)]  # 10.0**309 overflows
+    return [10.0**e for e in range(lo_e, hi_e + 1, stride)]
 
 
 class _Axis:
@@ -119,17 +117,20 @@ class _Axis:
     def finish(self):
         if self.lo > self.hi:  # no admissible data at all
             self.lo, self.hi = (0.1, 10.0) if self.log else (0.0, 1.0)
-        # pixels() maps scale(v) with the offset and span fixed here.  Two
-        # distinct values one ulp apart can share a log10, so the test for a
-        # zero span compares the scaled values.
-        scale = math.log10 if self.log else float
-        if scale is float and self.hi - self.lo == math.inf:  # the span overflows: map halves
-            scale = (0.5).__mul__
-        if scale(self.hi) == scale(self.lo):
-            if self.log:
-                # lo / 10 can underflow to 0, which has no log10.
-                self.lo, self.hi = max(self.lo / 10.0, math.ulp(0.0)), min(self.hi * 10.0, _MAX)
-            else:
+        # pixels() maps scale(v) with the offset and span fixed here.
+        if self.log:
+            # Widen to whole decades, at least one, so every decade tick lies
+            # on the axis; 10.0**-324 rounds to 0 and 10.0**309 overflows.
+            lo_e = max(math.floor(math.log10(self.lo)), -323)
+            hi_e = min(max(math.ceil(math.log10(self.hi)), lo_e + 1), 308)
+            lo_e = min(lo_e, hi_e - 1)
+            self._decades = lo_e, hi_e
+            self.lo, self.hi = min(self.lo, 10.0**lo_e), max(self.hi, 10.0**hi_e)
+            scale = math.log10
+        else:
+            # A span that overflows maps halves.
+            scale = (0.5).__mul__ if self.hi - self.lo == math.inf else float
+            if scale(self.hi) == scale(self.lo):
                 pad = 0.5 * max(1.0, abs(self.lo))
                 self.lo, self.hi = max(self.lo - pad, -_MAX), min(self.hi + pad, _MAX)
         self._origin = scale(self.lo)
@@ -145,7 +146,7 @@ class _Axis:
         return [start + ((scale(v) - origin) / span - flip) * length for v in values]
 
     def ticks(self):
-        return _decade_ticks(self.lo, self.hi) if self.log else _nice_linear_ticks(self.lo, self.hi)
+        return _decade_ticks(*self._decades) if self.log else _nice_linear_ticks(self.lo, self.hi)
 
 
 class Chart:

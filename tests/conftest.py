@@ -106,7 +106,7 @@ class BundleCache:
                 instance = noiseless_instance(problem)
             else:
                 instance = add_noise(problem, eps, seed)
-            state, _ = bidiag_run(
+            state = bidiag_run(
                 problem.A, instance.b, norm_A=float(problem.svd.sigma[0])
             )
             self._bundles[key] = RunBundle(

@@ -56,7 +56,7 @@ def severe3_rig():
     # entries sink below the tolerance); the state stays terminal.
     prob = make_picard_synthetic(32, severe(3.0), seed=0)
     inst = add_noise(prob, 1e-3, 0)
-    state, _ = bidiag_run(prob.A, inst.b, norm_A=float(prob.svd.sigma[0]))
+    state = bidiag_run(prob.A, inst.b, norm_A=float(prob.svd.sigma[0]))
     return prob, inst, picard_diagnostic(inst), state
 
 
@@ -64,8 +64,8 @@ def severe3_rig():
 def severe4_small_rig():
     prob = make_picard_synthetic(6, severe(4.0), seed=0)
     inst = add_noise(prob, 1e-2, 0)
-    state, err = bidiag_run(prob.A, inst.b, norm_A=float(prob.svd.sigma[0]))
-    assert err is None
+    state = bidiag_run(prob.A, inst.b, norm_A=float(prob.svd.sigma[0]))
+    assert state.breakdown is None
     return prob, inst, state
 
 
@@ -73,8 +73,8 @@ def severe4_small_rig():
 def moderate_rig():
     prob = make_picard_synthetic(48, poly(2.0), seed=0)
     inst = add_noise(prob, 1e-3, 0)
-    state, err = bidiag_run(prob.A, inst.b, norm_A=float(prob.svd.sigma[0]))
-    assert err is None
+    state = bidiag_run(prob.A, inst.b, norm_A=float(prob.svd.sigma[0]))
+    assert state.breakdown is None
     return prob, inst, picard_diagnostic(inst), state
 
 
@@ -88,15 +88,15 @@ def test_gamma_exact_k1_oracle():
     resid = A - np.outer(A @ q1, q1)
     oracle = float(np.linalg.norm(resid, 2))
     assert gamma_exact(A, q1[:, None])[0] == pytest.approx(oracle, rel=1e-14)
-    state, err = bidiag_run(A, b, steps=1)
-    assert err is None
+    state = bidiag_run(A, b, steps=1)
+    assert state.breakdown is None
     assert gamma_exact(A, state.Q_k(1))[0] == pytest.approx(oracle, rel=1e-13)
 
 
 def test_gamma_exact_vanishes_on_full_space():
     prob = make_picard_synthetic(8, severe(2.0), seed=0)
-    state, err = bidiag_run(prob.A, prob.b_true, norm_A=float(prob.svd.sigma[0]))
-    assert err is None and state.max_k == 8
+    state = bidiag_run(prob.A, prob.b_true, norm_A=float(prob.svd.sigma[0]))
+    assert state.breakdown is None and state.max_k == 8
     assert gamma_exact(prob.A, state.Q_k(8))[-1] < 1e-12 * prob.svd.sigma[0]
 
 
@@ -106,7 +106,7 @@ def test_gamma_via_Gk_matches_exact():
         (make_picard_synthetic(12, severe(2.0), seed=1), "noisy"),
     ]:
         inst = add_noise(prob, 1e-3, 1) if b else noiseless_instance(prob)
-        state, _ = bidiag_run(prob.A, inst.b, norm_A=float(prob.svd.sigma[0]))
+        state = bidiag_run(prob.A, inst.b, norm_A=float(prob.svd.sigma[0]))
         s1 = prob.svd.sigma[0]
         K = state.max_k - 1
         gks = gamma_via_Gk(state, K)
@@ -121,8 +121,8 @@ def test_gamma_via_Gk_last_step_closed_form():
     # so the gap collapses to a hypotenuse; rectangular A keeps beta_{n+1} > 0.
     prob = make_prescribed(6, severe(2.0), seed=2, m=10)
     inst = noiseless_instance(prob)
-    state, err = bidiag_run(prob.A, inst.b, norm_A=float(prob.svd.sigma[0]))
-    assert err is None
+    state = bidiag_run(prob.A, inst.b, norm_A=float(prob.svd.sigma[0]))
+    assert state.breakdown is None
     assert state.betas[-1] > 0.0
     expected = math.hypot(state.alphas[-1], state.betas[-1])
     assert gamma_via_Gk(state, 5)[-1] == pytest.approx(expected, rel=1e-13)
@@ -133,10 +133,10 @@ def test_gamma_via_Gk_last_step_closed_form():
 
 def test_gamma_via_Gk_rejects_bad_states():
     prob = make_picard_synthetic(8, severe(2.0), seed=3)
-    partial, _ = bidiag_run(prob.A, prob.b_true, steps=3)
+    partial = bidiag_run(prob.A, prob.b_true, steps=3)
     with pytest.raises(ValueError, match="complete or broken-down"):
         gamma_via_Gk(partial, 1)
-    full, _ = bidiag_run(prob.A, prob.b_true, norm_A=float(prob.svd.sigma[0]))
+    full = bidiag_run(prob.A, prob.b_true, norm_A=float(prob.svd.sigma[0]))
     with pytest.raises(ValueError, match="no trailing block"):
         gamma_via_Gk(full, 8)
 
@@ -161,18 +161,17 @@ def _planted_rig(n, rank, alpha_breakdown):
         s[rank:] = 0.0
         b[rank] = 1.0
     A = np.diag(s)
-    state, err = bidiag_run(A, b, norm_A=1.0)
-    assert err is not None
-    assert err.entry == f"{'alpha' if alpha_breakdown else 'beta'}_{rank + 1}"
+    state = bidiag_run(A, b, norm_A=1.0)
+    assert state.breakdown == f"{'alpha' if alpha_breakdown else 'beta'}_{rank + 1}"
     return A, state
 
 
 def _rigs(n):
     prob = make_deriv2(n)
-    complete, err = bidiag_run(
+    complete = bidiag_run(
         prob.A, add_noise(prob, 1e-3, 0).b, norm_A=float(prob.svd.sigma[0])
     )
-    assert err is None
+    assert complete.breakdown is None
     rank = 2 * n // 3
     return [
         ("complete", prob.A, complete),
@@ -205,10 +204,10 @@ def test_max_proxy_k_is_the_last_step_with_both_coefficients():
     n = 64
     rank = 2 * n // 3
     shaw = make_shaw(n)
-    shaw_state, err = bidiag_run(
+    shaw_state = bidiag_run(
         shaw.A, add_noise(shaw, 1e-3, 0).b, norm_A=float(shaw.svd.sigma[0])
     )
-    assert err.entry == "alpha_20"
+    assert shaw_state.breakdown == "alpha_20"
     states = [(name, state) for name, _, state in _rigs(n)] + [("shaw", shaw_state)]
     expected = {"complete": n - 1, "beta breakdown": rank - 2,
                 "alpha breakdown": rank - 1, "shaw": 18}
@@ -240,10 +239,10 @@ def test_gamma_routes_last_step_closed_form_on_iterative_paths(monkeypatch):
     monkeypatch.setattr(analysis, "GK_BISECTION_MIN", 1)
     monkeypatch.setattr(analysis, "LANCZOS_MIN", 1)
     prob = make_prescribed(6, severe(2.0), seed=2, m=10)
-    state, err = bidiag_run(
+    state = bidiag_run(
         prob.A, noiseless_instance(prob).b, norm_A=float(prob.svd.sigma[0])
     )
-    assert err is None
+    assert state.breakdown is None
     expected = math.hypot(state.alphas[-1], state.betas[-1])
     assert gamma_via_Gk(state, 5)[-1] == pytest.approx(expected, rel=1e-15)
     assert gamma_exact(prob.A, state.Q_k(5))[-1] == pytest.approx(expected, rel=1e-13)
@@ -254,14 +253,14 @@ def test_gamma_exact_full_space_on_iterative_path(monkeypatch):
     # certified value stays within the tolerance of zero.
     monkeypatch.setattr(analysis, "LANCZOS_MIN", 0)
     prob = make_picard_synthetic(8, severe(2.0), seed=0)
-    state, err = bidiag_run(prob.A, prob.b_true, norm_A=float(prob.svd.sigma[0]))
-    assert err is None
+    state = bidiag_run(prob.A, prob.b_true, norm_A=float(prob.svd.sigma[0]))
+    assert state.breakdown is None
     assert 0.0 <= gamma_exact(prob.A, state.Q_k(8))[-1] <= LANCZOS_RTOL * np.linalg.norm(prob.A)
 
 
 def test_gamma_exact_dense_fallback_when_uncertified(monkeypatch):
     prob = make_deriv2(300)
-    state, _ = bidiag_run(prob.A, prob.b_true, steps=5)
+    state = bidiag_run(prob.A, prob.b_true, steps=5)
     Q = state.Q_k(5)
     certified = gamma_exact(prob.A, Q)[-1]
     monkeypatch.setattr(analysis, "LANCZOS_MAX_ITER", 1)
@@ -276,10 +275,10 @@ def test_gamma_exact_dense_fallback_when_uncertified(monkeypatch):
 def _rig(kind, n):
     if kind == "complete":
         prob = make_deriv2(n)
-        state, err = bidiag_run(
+        state = bidiag_run(
             prob.A, add_noise(prob, 1e-3, 0).b, norm_A=float(prob.svd.sigma[0])
         )
-        assert err is None
+        assert state.breakdown is None
         return prob.A, state
     return _planted_rig(n, 2 * n // 3, alpha_breakdown=kind == "alpha breakdown")
 
@@ -436,8 +435,8 @@ def test_all_k_route_a_needs_few_counts():
 
 def test_gamma_via_Gk_reads_only_the_coefficients():
     prob = make_deriv2(300)
-    state, err = bidiag_run(prob.A, prob.b_true, norm_A=float(prob.svd.sigma[0]))
-    assert err is None
+    state = bidiag_run(prob.A, prob.b_true, norm_A=float(prob.svd.sigma[0]))
+    assert state.breakdown is None
     expected = gamma_via_Gk(state, 200)
     bare = copy.copy(state)
     bare.A = bare._P = bare._Q = None
@@ -457,8 +456,8 @@ def test_ritz_first_step_closed_form(severe4_small_rig):
 def test_ritz_full_factorization_recovers_spectrum():
     prob = make_prescribed(12, poly(0.6, beta=0.0), seed=4)
     inst = noiseless_instance(prob)
-    state, err = bidiag_run(prob.A, inst.b, norm_A=float(prob.svd.sigma[0]))
-    assert err is None
+    state = bidiag_run(prob.A, inst.b, norm_A=float(prob.svd.sigma[0]))
+    assert state.breakdown is None
     np.testing.assert_allclose(
         ritz_values(state, 12), prob.svd.sigma, atol=1e-9 * prob.svd.sigma[0]
     )
@@ -562,8 +561,8 @@ def test_delta_two_by_two_oracle():
     A = np.diag([1.0, 0.5])
     b = np.array([1.0, 0.5])
     fact = svd(A)
-    state, err = bidiag_run(A, b, steps=1)
-    assert err is None
+    state = bidiag_run(A, b, steps=1)
+    assert state.breakdown is None
     Q = state.Q_k(1)
     np.testing.assert_allclose(np.abs(Q[:, 0]), np.array([4.0, 1.0]) / math.sqrt(17.0))
     VQ = fact.V.T @ Q
@@ -606,8 +605,8 @@ def test_delta_amplification(severe4_small_rig):
     rigs = [(prob.svd, inst.b, state, 4)]
     prob2 = make_picard_synthetic(8, poly(2.0), seed=1)
     inst2 = noiseless_instance(prob2)
-    state2, err2 = bidiag_run(prob2.A, inst2.b, norm_A=float(prob2.svd.sigma[0]))
-    assert err2 is None
+    state2 = bidiag_run(prob2.A, inst2.b, norm_A=float(prob2.svd.sigma[0]))
+    assert state2.breakdown is None
     rigs.append((prob2.svd, inst2.b, state2, 4))
     for fact, b, st, kmax in rigs:
         d = fact.sigma * fact.coefficients(b)
@@ -889,7 +888,7 @@ def test_analysis_reports_match_bound_report_on_tied_sigma():
     prob = _finalize("tied", (U * sig) @ V.T, np.ones(n), spec)
     inst = add_noise(prob, 1e-3, 0)
     pic = picard_diagnostic(inst)
-    state, _ = bidiag_run(prob.A, inst.b, norm_A=float(prob.svd.sigma[0]))
+    state = bidiag_run(prob.A, inst.b, norm_A=float(prob.svd.sigma[0]))
     records, model, _ = experiment._analysis_records(prob, pic, state, 10)
     assert [rec.bounds is None for rec in records] == [False] * 3 + [True] * 7
     for rec in records:
@@ -906,8 +905,8 @@ def test_analysis_reports_match_bound_report_on_tied_sigma():
 def test_decay_diagnostic_rows():
     prob = make_picard_synthetic(12, severe(2.0), seed=5)
     inst = add_noise(prob, 1e-3, 5)
-    state, err = bidiag_run(prob.A, inst.b, norm_A=float(prob.svd.sigma[0]))
-    assert err is None
+    state = bidiag_run(prob.A, inst.b, norm_A=float(prob.svd.sigma[0]))
+    assert state.breakdown is None
     rows = decay_diagnostic(state)
     assert [r[0] for r in rows] == list(range(1, 12))
     gks = gamma_via_Gk(state, 11)
@@ -926,7 +925,7 @@ def test_decay_diagnostic_rows():
 
 def test_decay_diagnostic_on_running_state():
     prob = make_picard_synthetic(12, severe(2.0), seed=5)
-    state, _ = bidiag_run(prob.A, prob.b_true, steps=4)
+    state = bidiag_run(prob.A, prob.b_true, steps=4)
     rows = decay_diagnostic(state)
     assert len(rows) == 3
 

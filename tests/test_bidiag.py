@@ -11,7 +11,6 @@ from illposed import bidiag
 from illposed.csvio import read_csv
 from illposed.gallery import make_deriv2, make_picard_synthetic, make_shaw
 from illposed.bidiag import (
-    BreakdownError,
     bidiag_run,
     bidiag_start,
     bidiag_step,
@@ -27,8 +26,8 @@ def test_two_by_two_invariant_oracle():
     # norm (a1^2 + b2^2 + a2^2 = ||A||_F^2 = 5), and |det B| = |det A| = 2.
     A = np.diag([2.0, 1.0])
     b = np.array([1.0, 1.0])
-    state, err = bidiag_run(A, b)
-    assert err is None
+    state = bidiag_run(A, b)
+    assert state.breakdown is None
     a1 = math.sqrt(5.0 / 2.0)
     a2 = 2.0 / a1
     b2 = math.sqrt(5.0 - a1**2 - a2**2)
@@ -82,18 +81,18 @@ def test_bidiag_run_advances_through_module_bidiag_step(monkeypatch):
 
     monkeypatch.setattr(bidiag, "bidiag_step", counted)
     prob = make_deriv2(12)
-    state, err = bidiag_run(prob.A, prob.b_true)
-    assert err is None and state.completed
+    state = bidiag_run(prob.A, prob.b_true)
+    assert state.breakdown is None and state.completed
     assert calls == list(range(state.steps)) and state.steps == 11
     calls.clear()
-    state, err = bidiag_run(prob.A, prob.b_true, steps=4)
-    assert err is None and calls == [0, 1, 2, 3]
+    state = bidiag_run(prob.A, prob.b_true, steps=4)
+    assert state.breakdown is None and calls == [0, 1, 2, 3]
 
 
 def test_complete_square_forces_zero_trailing_beta():
     prob = make_shaw(12)
-    state, err = bidiag_run(prob.A, prob.b_true + 1e-3)
-    assert err is None and state.completed
+    state = bidiag_run(prob.A, prob.b_true + 1e-3)
+    assert state.breakdown is None and state.completed
     assert state.betas[-1] == 0.0
     assert len(state.alphas) == 12 and len(state.betas) == 13
 
@@ -104,23 +103,23 @@ def test_complete_square_without_reorthogonalization_keeps_computed_beta():
     # vector is kept.  With reorthogonalization it is still exactly zero.
     prob = make_deriv2(16)
     b = prob.b_true + 1e-3
-    plain, err = bidiag_run(prob.A, b, reorth=False)
-    assert err is None and plain.completed
+    plain = bidiag_run(prob.A, b, reorth=False)
+    assert plain.breakdown is None and plain.completed
     assert len(plain.alphas) == 16 and len(plain.betas) == 17
     assert plain.betas[-1] > 0.0
     plain.P_k(16)
     with pytest.raises(ValueError, match="have 16 columns"):
         plain.P_k(17)
-    reo, err = bidiag_run(prob.A, b)
-    assert err is None and reo.betas[-1] == 0.0
+    reo = bidiag_run(prob.A, b)
+    assert reo.breakdown is None and reo.betas[-1] == 0.0
 
 
 def test_complete_rectangular_keeps_trailing_beta():
     rng = np.random.default_rng(1)
     A = rng.standard_normal((9, 5))
     b = rng.standard_normal(9)
-    state, err = bidiag_run(A, b)
-    assert err is None and state.completed
+    state = bidiag_run(A, b)
+    assert state.breakdown is None and state.completed
     assert state.betas[-1] > 0.0
     # Full identity A Q_n = P_{n+1} B_n including the trailing row.
     B = lower_bidiagonal(state.alphas, state.betas[1:])
@@ -133,8 +132,8 @@ def test_full_ritz_values_match_spectrum():
     rng = np.random.default_rng(2)
     A = rng.standard_normal((12, 12)) + 6.0 * np.eye(12)
     b = rng.standard_normal(12)
-    state, err = bidiag_run(A, b)
-    assert err is None and state.completed
+    state = bidiag_run(A, b)
+    assert state.breakdown is None and state.completed
     B = lower_bidiagonal(state.alphas, state.betas[1:-1])  # square completion
     theta = np.linalg.svd(B, compute_uv=False)
     sigma = np.linalg.svd(A, compute_uv=False)
@@ -146,8 +145,8 @@ def test_krylov_span():
     rng = np.random.default_rng(3)
     A = rng.standard_normal((8, 8)) + 4.0 * np.eye(8)
     b = rng.standard_normal(8)
-    state, err = bidiag_run(A, b, steps=2)
-    assert err is None and state.steps == 2 and state.max_k == 2
+    state = bidiag_run(A, b, steps=2)
+    assert state.breakdown is None and state.steps == 2 and state.max_k == 2
     v = A.T @ b
     K = np.column_stack([v, (A.T @ A) @ v, (A.T @ A) @ ((A.T @ A) @ v)])
     Qk, _ = np.linalg.qr(K)
@@ -160,8 +159,8 @@ def test_reorthogonalization_restores_orthogonality():
     # orthogonality; two-pass reorthogonalization keeps it at roundoff.
     prob = make_shaw(64)
     b = prob.b_true
-    plain, _ = bidiag_run(prob.A, b, steps=20, reorth=False)
-    reo, _ = bidiag_run(prob.A, b, steps=20, reorth=True)
+    plain = bidiag_run(prob.A, b, steps=20, reorth=False)
+    reo = bidiag_run(prob.A, b, steps=20, reorth=True)
     k = min(plain.max_k, reo.max_k)
     loose = recurrence_residuals(plain, k)
     tight = recurrence_residuals(reo, k)
@@ -179,38 +178,51 @@ def test_breakdown_on_invariant_subspace():
     # so the second left vector vanishes: breakdown at beta_2.
     prob = make_picard_synthetic(8, severe(2.0), seed=0)
     b = prob.svd.U[:, 0]
-    state, err = bidiag_run(prob.A, b)
-    assert isinstance(err, BreakdownError)
-    assert err.entry == "beta_2" and err.step == 0  # zero complete steps
-    assert state.breakdown == "beta_2"
+    state = bidiag_run(prob.A, b)
+    assert state.breakdown == "beta_2" and state.steps == 0  # zero complete steps
     assert state.terminal and not state.completed
     assert state.max_k == 0  # the vanished beta_2 is not recorded
     with pytest.raises(RuntimeError, match="terminal"):
         bidiag_step(state)
 
 
-def test_breakdown_raises_from_strict_drivers():
-    # bidiag_step raises the breakdown that bidiag_run returns.
+def test_bidiag_step_records_the_breakdown():
+    # bidiag_step records the same vanished entry that bidiag_run reports.
     prob = make_picard_synthetic(8, severe(2.0), seed=0)
     state = bidiag_start(prob.A, prob.svd.U[:, 0])
-    with pytest.raises(BreakdownError, match="beta_2"):
-        bidiag_step(state)
+    assert state.breakdown is None
+    assert bidiag_step(state) is state
+    assert state.breakdown == "beta_2" and state.terminal
+    assert len(state.betas) == 1 and len(state.alphas) == 1
+    assert state.P_k(1).shape == (8, 1)
+    with pytest.raises(ValueError, match="have 1 columns"):
+        state.P_k(2)
 
 
-def test_zero_b_still_raises_in_run():
-    A = np.eye(3)
-    with pytest.raises(BreakdownError, match="beta_1"):
-        bidiag_run(A, np.zeros(3))
+def test_vanishing_start_is_recorded_in_run():
+    # b = 0 stops at beta_1 before any vector is kept; b in the null space
+    # of A' keeps p_1 and beta_1 and stops at alpha_1.  Either state is
+    # terminal and bidiag_run returns it without stepping.
+    A = np.diag([1.0, 1.0, 0.0])
+    zero = bidiag_run(A, np.zeros(3))
+    assert zero.breakdown == "beta_1" and zero.terminal and not zero.completed
+    assert zero.betas == [] and zero.alphas == [] and zero.max_k == -1
+    null = bidiag_run(A, [0.0, 0.0, 2.0])
+    assert null.breakdown == "alpha_1" and null.terminal and not null.completed
+    assert null.betas == [2.0] and null.alphas == [] and null.max_k == 0
+    np.testing.assert_array_equal(null.P_k(1)[:, 0], [0.0, 0.0, 1.0])
+    with pytest.raises(ValueError, match="have 0 columns"):
+        null.Q_k(1)
 
 
 def test_partial_run_is_not_terminal():
     rng = np.random.default_rng(4)
     A = rng.standard_normal((7, 7)) + 4.0 * np.eye(7)
-    state, err = bidiag_run(A, rng.standard_normal(7), steps=3)
-    assert err is None
+    state = bidiag_run(A, rng.standard_normal(7), steps=3)
+    assert state.breakdown is None
     assert state.steps == 3 and not state.terminal
-    full, err = bidiag_run(A, A @ np.ones(7))
-    assert err is None and full.terminal and full.completed
+    full = bidiag_run(A, A @ np.ones(7))
+    assert full.breakdown is None and full.terminal and full.completed
 
 
 def test_b_length_validated():
@@ -229,8 +241,8 @@ def test_lower_bidiagonal_shapes():
 
 def test_write_bidiag_csv(tmp_path):
     A = np.diag([2.0, 1.0])
-    state, err = bidiag_run(A, [1.0, 1.0])
-    assert err is None
+    state = bidiag_run(A, [1.0, 1.0])
+    assert state.breakdown is None
     path = tmp_path / "bidiag.csv"
     from illposed.experiment import write_bidiag_csv
 

@@ -9,8 +9,9 @@ import tempfile
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import illposed
@@ -22,7 +23,7 @@ from illposed.analysis import (
     lagrange_factor,
     sigma_delta_norm,
 )
-from illposed.bidiag import BreakdownError, bidiag_run
+from illposed.bidiag import bidiag_run
 from illposed.cli import main as cli_main
 from illposed.csvio import format_value, read_csv
 from illposed.experiment import (
@@ -269,7 +270,7 @@ def test_analysis_csv_holds_the_delta_routes_on_the_runs_projection(overrides, t
     problem = build_problem(config)
     fact = problem.svd
     instance = add_noise(problem, config.noise, config.seed)
-    state, _ = bidiag_run(problem.A, instance.b, norm_A=float(fact.sigma[0]))
+    state = bidiag_run(problem.A, instance.b, norm_A=float(fact.sigma[0]))
     K = len(cols["k"])
     VQ = fact.V.T @ state.Q_k(K)
     for k in range(1, K + 1):
@@ -354,7 +355,7 @@ def _run_results(config):
     problem = build_problem(config)
     instance = add_noise(problem, config.noise, config.seed)
     sigma = problem.svd.sigma
-    state, _ = bidiag_run(problem.A, instance.b, reorth=config.reorth, norm_A=float(sigma[0]))
+    state = bidiag_run(problem.A, instance.b, reorth=config.reorth, norm_A=float(sigma[0]))
     lsqr = lsqr_sweep(instance, state, config.effective_kmax(problem.n))
     return sigma, lsqr, tsvd_sweep(instance)
 
@@ -707,15 +708,47 @@ def test_cli_noisy_data_whose_square_overflows_exits_2(tmp_path):
     assert os.listdir(out) == []
 
 
+def test_cli_picard_coefficients_that_overflow_exit_2(tmp_path):
+    # sigma_1**(1 + beta) = (5.7e255)**1.677 overflows: the products that
+    # build x_true and b_true used to warn and leave non-finite entries.
+    out = tmp_path / "huge"
+    proc = _cli("run", "--problem", "picard_synthetic", "--n", "16", "--noise", "0.5",
+                "--seed", "24", "--kmax", "1", "--zeta", "5.7e255", "--beta", "0.677",
+                "--decay", "mild", "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error:")
+    assert "overflows" in proc.stderr and "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stdout + proc.stderr
+    assert os.listdir(out) == []
+
+
+def test_cli_spectrum_too_small_to_complete_exits_2(tmp_path):
+    # At sigma_1 = 2.9e-160 the squares inside the recurrence's norms go
+    # subnormal, so beta_25 of the square factorization stays near sigma_1:
+    # its completion check used to end the run in a traceback.
+    out = tmp_path / "tiny"
+    proc = _cli("run", "--problem", "picard_synthetic", "--n", "16", "--scale", "1.5",
+                "--noise", "0.001", "--seed", "11", "--kmax", "3",
+                "--alpha", "0.5000000041898818", "--zeta", "2.899194740418965e-160",
+                "--beta", "7.330494367382181e-05", "--decay", "mild", "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error:")
+    assert "sigma_1 = 2.899e-160" in proc.stderr and "underflow" in proc.stderr
+    assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+    assert os.listdir(out) == []
+
+
 def test_run_maps_a_breakdown_at_the_start_to_a_config_error(tmp_path, monkeypatch):
     import illposed.experiment as experiment
 
-    def broken(A, b, **kwargs):
-        raise BreakdownError(0, "alpha_1", 0.0, 1e-14)
+    def annihilated(A, b, **kwargs):  # A' b = 0: the state records alpha_1
+        return bidiag_run(np.zeros_like(A), b, **kwargs)
 
-    monkeypatch.setattr(experiment, "bidiag_run", broken)
-    with pytest.raises(ConfigError, match="alpha_1"):
-        run(ExperimentConfig(problem="deriv2", n=8, out=str(tmp_path / "x")))
+    monkeypatch.setattr(experiment, "bidiag_run", annihilated)
+    out = tmp_path / "x"
+    with pytest.raises(ConfigError, match="alpha_1 before its first step"):
+        run(ExperimentConfig(problem="deriv2", n=8, out=str(out)))
+    assert os.listdir(out) == []
 
 
 def test_cli_kernel_of_subnormal_values_renders_its_panels(tmp_path):
@@ -833,6 +866,71 @@ def test_run_returns_or_raises_only_documented_errors(problem, decay, n, noise, 
             problem=problem, decay=decay, n=n, noise=noise, seed=seed, out=out,
             reorth=reorth,
         )
+        try:
+            run(config)
+        except (ConfigError, InvariantViolation):
+            pass
+
+
+def _log_uniform(lo, hi):
+    """10**e for e drawn uniformly from [lo, hi]."""
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+@st.composite
+def _valid_configs(draw, out):
+    """A configuration that passes validation, every key drawn, n * scale <= 24."""
+    problem = draw(st.sampled_from(experiment.PROBLEMS))
+    n = draw(st.integers(2, 16))
+    scale = draw(st.floats(1.0, 24.0 / n))
+    if problem == "shaw":  # shaw has even orders only
+        assume(round(n * scale) % 2 == 0)
+    return ExperimentConfig(
+        problem=problem,
+        n=n,
+        noise=draw(_log_uniform(-14, -0.05)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        kmax=draw(st.none() | st.integers(1, n)),
+        out=out,
+        panels=draw(st.sampled_from(["abcd", "none", "a", "b", "c", "d", "bd"])),
+        scale=scale,
+        depth=draw(_log_uniform(-100, 100)),
+        kappa=draw(_log_uniform(-3, 150)),
+        rho=1.0 + draw(_log_uniform(-15, 100)),
+        alpha=0.5 + draw(_log_uniform(-9, 1)),
+        zeta=draw(_log_uniform(-170, 250)),
+        beta=draw(st.floats(0.0, 50.0)),
+        decay=draw(st.sampled_from(experiment.DECAYS)),
+        reorth=draw(st.booleans()),
+    )
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        # sigma_k**2 underflows to 0 and lagrange_factor divided 0 by 0.
+        {"problem": "prescribed", "n": 12, "zeta": 1e-159, "reorth": False},
+        # The computed sigma_16 of heat is exactly 0: bound_report divided by it.
+        {"problem": "heat", "n": 16, "kappa": 0.1, "reorth": False},
+        # Both sigma_i of gravity at this depth are equal: polyfit warned.
+        {"problem": "gravity", "n": 2, "depth": 1e-5},
+    ],
+    ids=["subnormal-squares", "zero-sigma", "tied-sigma"],
+)
+def test_spectra_at_the_edges_of_float64_run_without_warnings(overrides, tmp_path):
+    try:
+        run(ExperimentConfig(noise=0.1, out=str(tmp_path), **overrides))
+    except InvariantViolation:
+        pass
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_valid_configs_never_end_in_a_traceback(data):
+    # A valid configuration ends in artifacts or a documented error, with
+    # every RuntimeWarning an error (pyproject's filterwarnings).
+    with tempfile.TemporaryDirectory() as out:
+        config = data.draw(_valid_configs(out))
         try:
             run(config)
         except (ConfigError, InvariantViolation):

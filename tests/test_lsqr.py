@@ -19,8 +19,8 @@ def test_first_iterate_closed_form():
     # gives t = 17/65 and x_1 = (68/65, 17/65).
     A = np.diag([2.0, 1.0])
     b = np.array([2.0, 1.0])
-    state, err = bidiag_run(A, b)
-    assert err is None
+    state = bidiag_run(A, b)
+    assert state.breakdown is None
     x1 = lsqr_iterate(state, 1)
     np.testing.assert_allclose(x1, [68.0 / 65.0, 17.0 / 65.0], rtol=1e-14)
 
@@ -32,8 +32,8 @@ def test_iterate_matches_explicit_krylov_basis():
     # of the bidiagonalization.
     prob = make_picard_synthetic(64, severe(2.0), seed=3)
     inst = add_noise(prob, 1e-3, 3)
-    state, err = bidiag_run(prob.A, inst.b, steps=10)
-    assert err is None
+    state = bidiag_run(prob.A, inst.b, steps=10)
+    assert state.breakdown is None
     M = prob.A.T @ prob.A
     q = prob.A.T @ inst.b
     basis = [q / np.linalg.norm(q)]
@@ -52,13 +52,13 @@ def test_iterate_matches_explicit_krylov_basis():
 def _sweep(inst, kmax):
     """The sweep over a fresh factorization of the instance's (A, b)."""
     prob = inst.problem
-    state, _ = bidiag_run(prob.A, inst.b, norm_A=float(prob.svd.sigma[0]))
+    state = bidiag_run(prob.A, inst.b, norm_A=float(prob.svd.sigma[0]))
     return lsqr_sweep(inst, state, kmax)
 
 
 def test_iterate_validates_k():
     A = np.diag([2.0, 1.0])
-    state, _ = bidiag_run(A, np.array([2.0, 1.0]))
+    state = bidiag_run(A, np.array([2.0, 1.0]))
     with pytest.raises(ValueError, match="outside"):
         lsqr_iterate(state, 0)
     with pytest.raises(ValueError, match="outside"):
@@ -77,7 +77,7 @@ def test_sweep_noiseless_converges_without_semi_convergence():
     # true solution and the error never turns upward.
     prob = make_prescribed(24, poly(0.6, beta=0.0), seed=5)
     inst = noiseless_instance(prob)
-    state, _ = bidiag_run(prob.A, inst.b, norm_A=float(prob.svd.sigma[0]))
+    state = bidiag_run(prob.A, inst.b, norm_A=float(prob.svd.sigma[0]))
     trace = lsqr_sweep(inst, state, 24)
     assert trace.rel_errors[-1] < 1e-8
     assert not trace.semi_convergent
@@ -103,7 +103,7 @@ def test_sweep_reuses_supplied_state():
     # trace, and every row is the iterate of that state.
     prob = make_picard_synthetic(24, severe(2.0), seed=6)
     inst = add_noise(prob, 1e-3, 6)
-    state, _ = bidiag_run(prob.A, inst.b, steps=12, norm_A=float(prob.svd.sigma[0]))
+    state = bidiag_run(prob.A, inst.b, steps=12, norm_A=float(prob.svd.sigma[0]))
     trace = lsqr_sweep(inst, state, 20)
     assert list(trace.ks) == list(range(1, 13))
     nx = np.linalg.norm(prob.x_true)
@@ -116,7 +116,7 @@ def test_sweep_reuses_supplied_state():
 def test_sweep_respects_kmax():
     prob = make_picard_synthetic(16, severe(2.0), seed=7)
     inst = add_noise(prob, 1e-2, 7)
-    state, _ = bidiag_run(prob.A, inst.b, norm_A=float(prob.svd.sigma[0]))
+    state = bidiag_run(prob.A, inst.b, norm_A=float(prob.svd.sigma[0]))
     trace = lsqr_sweep(inst, state, 5)
     assert list(trace.ks) == [1, 2, 3, 4, 5]
     with pytest.raises(ValueError, match="kmax"):
@@ -132,8 +132,7 @@ def test_sweep_records_breakdown():
     inst = NoisyInstance(
         problem=prob, epsilon=0.0, seed=None, e=np.zeros(6), b=b, eta=0.0
     )
-    state, err = bidiag_run(prob.A, b, steps=6, norm_A=float(prob.svd.sigma[0]))
-    assert err is not None and err.entry == "beta_3"
+    state = bidiag_run(prob.A, b, steps=6, norm_A=float(prob.svd.sigma[0]))
     assert state.breakdown == "beta_3"
     trace = lsqr_sweep(inst, state, 6)
     assert list(trace.ks) == [1]

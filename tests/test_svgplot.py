@@ -3,6 +3,7 @@
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -10,7 +11,8 @@ import pytest
 
 import illposed
 
-from illposed.svgplot import PALETTE, Chart
+from illposed.experiment import ExperimentConfig, run
+from illposed.svgplot import HEIGHT, MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T, PALETTE, WIDTH, Chart
 
 
 def make_chart():
@@ -78,7 +80,7 @@ def test_log_axis_skips_nonpositive_and_uses_decades():
     [
         # log10(1e-323) floors to -324, and 10.0**-324 == 0 has no logarithm.
         [1e-323, 1e-156],
-        # A zero span is widened by a decade, and 5e-324 / 10 underflows to 0.
+        # A zero span is widened to a decade, and log10(5e-324) floors to -324.
         [5e-324, 5e-324],
     ],
     ids=["1e-323", "5e-324"],
@@ -123,15 +125,68 @@ def test_palette_cycles():
 
 
 def test_log_axis_of_values_one_ulp_apart_is_widened():
-    # Two distinct values with the same log10: the span of the log axis is
-    # zero although lo != hi, so it is widened by a decade on each side.
+    # Two distinct values with the same log10: the data's log span is zero
+    # although lo != hi, and the axis is widened to the decade around them.
     lo, hi = 0.3346060094765285, 0.3346060094765286
     assert lo != hi and math.log10(lo) == math.log10(hi)
     c = Chart("t", "k", "value (log)", ylog=True)
     c.add_series("s", [1, 2], [lo, hi], marker=True)
     svg = c.render()
     assert svg.count("<polyline") == 1
-    assert ">0.01<" in svg and ">1<" in svg
+    assert ">0.1<" in svg and ">1<" in svg and ">0.01<" not in svg
+
+
+def test_log_axis_of_one_power_of_ten_spans_a_decade():
+    c = Chart("t", "k", "value (log)", ylog=True)
+    c.add_series("s", [1, 2], [1.0, 1.0], marker=True)
+    svg = c.render()
+    assert ">1<" in svg and ">10<" in svg and ">0.1<" not in svg
+
+
+# Ticks inside the frame -------------------------------------------------------
+_TICK = re.compile(
+    r'<line x1="([-\d.]+)" y1="([-\d.]+)" x2="([-\d.]+)" y2="([-\d.]+)" stroke="#dddddd"[^\n]*\n'
+    r'<text x="([-\d.]+)" y="([-\d.]+)"[^>]*>([^<]+)</text>'
+)
+
+
+def ticks_outside_the_frame(svg) -> list:
+    """Every tick whose grid line, or whose label's anchor along the axis,
+    leaves the plot frame; a y label sits 4 px below its line."""
+    x0, x1, y0, y1 = MARGIN_L, WIDTH - MARGIN_R, MARGIN_T, HEIGHT - MARGIN_B
+    ticks = _TICK.findall(svg)
+    assert ticks, "no ticks found"
+    bad = []
+    for *ends, tx, ty, label in ticks:
+        lx1, ly1, lx2, ly2, tx, ty = map(float, (*ends, tx, ty))
+        if lx1 == lx2:  # a vertical grid line: an x tick
+            inside = x0 <= lx1 <= x1 and x0 <= tx <= x1
+        else:
+            inside = y0 <= ly1 == ly2 <= y1 and y0 <= ty - 4 <= y1
+        if not inside:
+            bad.append(label)
+    return bad
+
+
+#: Families of the benchmark grid: the four kernels and both synthetic kinds
+#: at every decay.
+_GRID_FAMILIES = [("shaw", "severe"), ("gravity", "severe"), ("deriv2", "severe"),
+                  ("heat", "severe")] + [
+    (p, d) for p in ("prescribed", "picard_synthetic") for d in ("severe", "moderate", "mild")
+]
+
+
+@pytest.mark.parametrize("problem, decay", _GRID_FAMILIES)
+@pytest.mark.parametrize("n, noise", [(16, 1e-2), (64, 1e-5)])
+def test_grid_panels_keep_their_ticks_inside_the_frame(problem, decay, n, noise, tmp_path):
+    try:
+        run(ExperimentConfig(problem=problem, decay=decay, n=n, noise=noise, out=str(tmp_path)))
+    except illposed.InvariantViolation:  # the panels are written first
+        pass
+    panels = sorted(tmp_path.glob("panel_*.svg"))
+    assert len(panels) == 4
+    for panel in panels:
+        assert ticks_outside_the_frame(panel.read_text()) == [], panel.name
 
 
 # Golden bytes ----------------------------------------------------------------
@@ -183,15 +238,22 @@ def palette_chart():
     "build, digest",
     [
         (styles_chart, "c0d559f8c479bfc47b0d1944a433b34252b954e806d8a349a9d8367de8b3bf5a"),
-        (log_gaps_chart, "1a46a8e87e1efe6b8446ba4397a63f6bc64e163252bfc8b1d2fa80fcd6c63363"),
+        (log_gaps_chart, "c47caceff2ee9094f267706e223e289a98900ea229f26a8d9716141c5a513e85"),
         (subnormal_chart, "ef8b28e75057c21a790e2df53983d6ba58784db3447598a3a5baeccc2736d1a7"),
-        (smallest_chart, "d05a34dbb4360c0b183accfb78eb856a36cc35f6e2130ae686e6f9baeeb8ece8"),
+        (smallest_chart, "994978b1826c146872304a2f94a1bfcfce175dfd1664184d28e6e3892b2cad67"),
         (palette_chart, "50afe3b09ef7ad0ff0b549cdcbca1a835321715e8325148618541a1534cfd2c8"),
     ],
     ids=["styles", "log-gaps", "subnormal", "smallest", "palette"],
 )
 def test_render_bytes_are_pinned(build, digest):
     assert hashlib.sha256(build().render().encode("ascii")).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "build", [make_chart, styles_chart, log_gaps_chart, subnormal_chart, smallest_chart, palette_chart]
+)
+def test_pinned_charts_keep_their_ticks_inside_the_frame(build):
+    assert ticks_outside_the_frame(build().render()) == []
 
 
 # Any finite input ------------------------------------------------------------
