@@ -81,7 +81,7 @@ from .noise import (
     noiseless_instance,
     picard_diagnostic,
 )
-from .tsvd import TsvdSweep, tsvd_solution, tsvd_sweep
+from .tsvd import TsvdSweep, tsvd_sweep
 
 __version__ = "0.1.0"
 

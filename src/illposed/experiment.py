@@ -703,14 +703,11 @@ def _cells_differ(a: str, b: str, tol: float):
         fa, fb = float(a), float(b)
     except ValueError:
         return True, math.inf
-    if math.isnan(fa) and math.isnan(fb):
+    if fa == fb or (math.isnan(fa) and math.isnan(fb)):
         return False, 0.0
-    if fa == fb:
-        return False, 0.0
-    scale = max(abs(fa), abs(fb))
-    if not math.isfinite(scale):
+    if not (math.isfinite(fa) and math.isfinite(fb)):  # nan against a number too
         return True, math.inf
-    rel = abs(fa - fb) / scale
+    rel = abs(fa - fb) / max(abs(fa), abs(fb))
     return rel > tol, rel
 
 

@@ -14,45 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SvdFactorization, as_vector
 from .noise import NoisyInstance
 
 __all__ = [
     "RANK_FLOOR_REL",
     "TsvdSweep",
-    "tsvd_solution",
     "tsvd_sweep",
 ]
 
 #: Components with sigma_k at or below this multiple of sigma_1 are not
 #: inverted; they carry no information at working precision.
 RANK_FLOOR_REL = 1e-14
-
-
-def tsvd_solution(fact: SvdFactorization, b, k: int) -> np.ndarray:
-    """The rank-k spectral-cutoff solution.
-
-    Raises ``ValueError`` when k is outside 1..n or sigma_k sits at the
-    numerical rank floor (``1e-14 * sigma_1``).
-    """
-    b = as_vector(b)
-    s = fact.sigma
-    if not 1 <= k <= s.size:
-        raise ValueError(f"k={k} outside 1..{s.size}")
-    if s[k - 1] <= RANK_FLOOR_REL * s[0]:
-        raise ValueError(
-            f"sigma_{k} = {s[k - 1]:.3e} is at the numerical rank floor; "
-            "the truncated solution is not defined there"
-        )
-    c = fact.coefficients(b)[:k]
-    return fact.V[:, :k] @ (c / s[:k])
-
-
-def _column_norms_inplace(M) -> np.ndarray:
-    """``np.linalg.norm(M, axis=0)`` bit for bit (its own formula for real
-    input), squaring ``M`` in place instead of in a copy."""
-    M *= M
-    return np.sqrt(np.add.reduce(M, axis=0))
 
 
 @dataclass(frozen=True)
@@ -72,24 +44,34 @@ class TsvdSweep:
 
 
 def tsvd_sweep(instance: NoisyInstance) -> TsvdSweep:
-    """Sweep truncation levels k = 1..rank, every sigma_k above the rank floor."""
+    """Sweep truncation levels k = 1..rank, every sigma_k above the rank floor.
+
+    In the singular basis, with c = U'b and w = V'x_true, x_k has the
+    coordinates c_i/sigma_i for i <= k and 0 beyond, so
+
+        ||x_k - x_true||^2 = sum_{i<=k} (c_i/sigma_i - w_i)^2 + sum_{i>k} w_i^2,
+        ||A x_k - b||^2    = sum_{i>k} c_i^2 + ||b - U c||^2,
+
+    the residuals being those of the computed factorization.  No iterate is
+    formed: the whole sweep is O(n) after two products with U and one with V.
+    """
     prob = instance.problem
     fact = prob.svd
     s = fact.sigma
     rank = int(np.sum(s > RANK_FLOOR_REL * s[0]))
     if rank < 1:
         raise ValueError("matrix has no components above the rank floor")
-    c = fact.coefficients(instance.b)[:rank]
-    # Column k-1 of the cumulative sum is x_k; one pass gives the whole sweep.
-    # Two n x rank arrays in all: X (then its error) and A X - b.
-    X = fact.V[:, :rank] * (c / s[:rank])
-    np.cumsum(X, axis=1, out=X)
-    R = prob.A @ X
-    R -= instance.b[:, None]
-    residuals = _column_norms_inplace(R)
-    X -= prob.x_true[:, None]
-    nx = float(np.linalg.norm(prob.x_true))
-    rel_errors = _column_norms_inplace(X) / nx
+    c = fact.coefficients(instance.b)
+    w = fact.V.T @ prob.x_true
+    outside = float(np.sum((instance.b - fact.U @ c) ** 2))
+
+    def tails(v):
+        """sum_{i>k} v_i^2 for k = 1..rank."""
+        return np.append(np.cumsum(v[::-1] ** 2)[::-1], 0.0)[1 : rank + 1]
+
+    errors = np.sqrt(np.cumsum((c[:rank] / s[:rank] - w[:rank]) ** 2) + tails(w))
+    rel_errors = errors / np.linalg.norm(prob.x_true)
+    residuals = np.sqrt(tails(c) + outside)
     best = int(np.argmin(rel_errors))
     return TsvdSweep(
         ks=np.arange(1, rank + 1),

@@ -1,11 +1,13 @@
 """Unit tests for the experiment runner, artifact comparison, and CLI."""
 
+import math
 import os
 import re
 import shutil
 import subprocess
 import sys
 import tempfile
+import textwrap
 from dataclasses import fields
 from pathlib import Path
 
@@ -208,6 +210,16 @@ def test_readme_library_tour_runs_as_documented(capsys):
     exec(compile(code, "README.md", "exec"), {})
     lines = capsys.readouterr().out.splitlines()
     assert (lines[0], lines[-1]) == ("7 7 7", "True")
+
+
+def test_package_docstring_flow_runs_as_documented():
+    # The "Typical flow::" literal block of the package docstring, which
+    # ends in an assert of its own.
+    after = illposed.__doc__.split("Typical flow::\n")[1]
+    block = re.match(r"(?:(?: {4}.*)?\n)*", after).group(0)
+    code = textwrap.dedent(block)
+    assert "tsvd_sweep(instance)" in code
+    exec(compile(code, "illposed/__init__.py", "exec"), {})
 
 
 def test_build_problem_dispatch_and_errors():
@@ -465,6 +477,23 @@ def test_compare_accepts_an_infinite_tolerance(base_run):
     report = compare(base_run.outdir, base_run.outdir, {"gamma": float("inf")})
     assert report.ok
     assert "NOTE column gamma: tolerance relaxed to inf" in report.lines()
+
+
+def test_compare_flags_a_nan_cell_in_either_order(base_run, tmp_path):
+    # nan against a number is a difference of inf, whichever side holds it.
+    edited = tmp_path / "nan-cell"
+    shutil.copytree(base_run.outdir, edited)
+    tsvd = edited / "tsvd.csv"
+    lines = tsvd.read_text(encoding="ascii").splitlines()
+    cells = lines[2].split(",")  # k, rel_error, residual of the first row
+    lines[2] = ",".join([cells[0], "nan", cells[2]])
+    tsvd.write_text("\n".join(lines) + "\n", encoding="ascii")
+    for a, b in ((base_run.outdir, str(edited)), (str(edited), base_run.outdir)):
+        report = compare(a, b)
+        assert [(d.file, d.column, d.count, d.max_rel) for d in report.diffs] == [
+            ("tsvd.csv", "rel_error", 1, math.inf)
+        ]
+        assert report.lines()[-1] == "RESULT mismatch"
 
 
 def test_compare_rejects_tampered_schema(base_run, tmp_path):

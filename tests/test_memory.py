@@ -3,8 +3,8 @@
 tracemalloc sees numpy's array buffers (not LAPACK's workspace), so these
 bounds count arrays.  The problem SVD sets a run's high-water mark, so each
 constructor must release its own n x n temporaries before ``_finalize``
-calls ``gallery.svd``: only A may be alive then.  The TSVD sweep, which
-runs to the numerical rank (n for deriv2), may hold two n x rank arrays.
+calls ``gallery.svd``: only A may be alive then.  The TSVD sweep works in
+the singular basis and holds O(n) memory, even at full rank (n for deriv2).
 """
 
 import tracemalloc
@@ -66,11 +66,10 @@ def test_constructor_holds_only_A_when_the_svd_runs(name, monkeypatch):
     )
 
 
-def test_tsvd_sweep_peak_is_two_n_by_rank_arrays():
+def test_tsvd_sweep_peak_is_o_of_n():
     prob = gallery.make_deriv2(N)
     inst = add_noise(prob, 1e-3, 0)
     sweep, base, peak = _traced(lambda: tsvd_sweep(inst))
-    cols = sweep.ks.size
-    assert cols == N
-    bound = 2 * N * cols * 8 + SLACK + UFUNC_BUFFER
-    assert peak - base <= bound, f"peak {peak - base} bytes, one n x rank array {N * cols * 8}"
+    assert sweep.ks.size == N
+    bound = SLACK + UFUNC_BUFFER
+    assert peak - base <= bound, f"peak {peak - base} bytes, O(n) bound {bound}"
