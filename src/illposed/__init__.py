@@ -16,7 +16,7 @@ Typical flow::
     state = bidiag_run(problem.A, instance.b, norm_A=problem.svd.sigma[0])
     reference = tsvd_sweep(instance)
     trace = lsqr_sweep(instance, state, kmax=40)
-    assert trace.kstar <= reference.best_k
+    assert trace.best_k <= reference.best_k
 
 The same pipeline, with CSV/SVG artifacts and an invariant audit, runs from
 the command line as ``illposed run`` / ``illposed compare``.
@@ -73,7 +73,6 @@ from .gallery import (
     make_shaw,
 )
 from .linalg import SvdFactorization, spectral_norm, svd
-from .lsqr import LsqrTrace, lsqr_iterate, lsqr_sweep
 from .noise import (
     NoisyInstance,
     PicardDiagnostic,
@@ -81,7 +80,7 @@ from .noise import (
     noiseless_instance,
     picard_diagnostic,
 )
-from .tsvd import TsvdSweep, tsvd_sweep
+from .sweeps import Sweep, lsqr_iterate, lsqr_sweep, tsvd_sweep
 
 __version__ = "0.1.0"
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .bidiag import BidiagState, lower_bidiagonal
 from .gallery import SpectrumModel
-from .linalg import SvdFactorization, spectral_norm
+from .linalg import SvdFactorization, norm, spectral_norm
 from .noise import PicardDiagnostic
 
 __all__ = [
@@ -125,7 +125,7 @@ def _lanczos_gaps(A, Q, ks) -> list:
     each step applies A and A' to the whole block with one product each,
     and a process leaves its block once it has its value.
     """
-    tol = LANCZOS_RTOL * float(np.linalg.norm(A))
+    tol = LANCZOS_RTOL * float(norm(A))
     start = np.random.default_rng(0).standard_normal(A.shape[1])
     out = []
     for i in range(0, len(ks), LANCZOS_BLOCK):
@@ -147,7 +147,7 @@ def _lanczos_block(A, Q, ks, start, tol) -> list:
         return X - ((X @ Q) * own[live]) @ Q.T
 
     v = deflate(np.broadcast_to(start, (p, n)))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    v /= norm(v, axis=1)[:, None]
     U = np.empty((p, LANCZOS_MAX_ITER, m))
     V = np.empty((p, LANCZOS_MAX_ITER, n))
     ab = np.zeros((p, LANCZOS_MAX_ITER, 2))  # alpha_i and beta_{i+1} of B_j
@@ -159,7 +159,7 @@ def _lanczos_block(A, Q, ks, start, tol) -> list:
         if j:
             w -= beta[:, None] * U[:, j - 1]
             w = _reorthogonalize(w, U[:, :j])
-        alpha = np.linalg.norm(w, axis=1)
+        alpha = norm(w, axis=1)
         # alpha_{j+1} <= tol ends a process with the value of B_{j+1} at
         # alpha_{j+1} = 0; alpha_1 = 0 ends it uncertified.
         broke = alpha <= tol if j else alpha == 0.0
@@ -167,7 +167,7 @@ def _lanczos_block(A, Q, ks, start, tol) -> list:
         U[:, j] = w / np.where(broke, 1.0, alpha)[:, None]
         r = deflate(U[:, j] @ A) - alpha[:, None] * v
         r = _reorthogonalize(r, V[:, : j + 1])
-        beta = np.linalg.norm(r, axis=1)
+        beta = norm(r, axis=1)
         ab[:, j, 0] = alpha
         X, s, _ = np.linalg.svd(_upper_bidiagonal(ab[:, : j + 1, 0], ab[:, :j, 1]))
         done = broke | (beta * np.abs(X[:, j, 0]) <= tol)

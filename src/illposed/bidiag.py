@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector, spectral_norm
+from .linalg import as_matrix, as_vector, norm, spectral_norm
 
 __all__ = [
     "BidiagState",
@@ -162,7 +162,7 @@ class BidiagState:
             V = basis.view()
             for _ in range(2):
                 w = w - V @ (V.T @ w)
-        return float(np.linalg.norm(w)), w
+        return float(norm(w)), w
 
     def _extend(self, w, basis: _GrowingBasis, coeffs: list, entry: str) -> bool:
         """One half-step: reorthogonalize w and test its norm against
@@ -192,7 +192,7 @@ def bidiag_start(A, b, reorth: bool = True, norm_A: float | None = None) -> Bidi
         raise ValueError(f"b has length {b.shape[0]}, expected {A.shape[0]}")
     nA = spectral_norm(A) if norm_A is None else float(norm_A)
     state = BidiagState(A, atol=BREAKDOWN_REL * nA, reorth=reorth)
-    beta1 = float(np.linalg.norm(b))
+    beta1 = float(norm(b))
     if beta1 == 0.0:
         state.breakdown = "beta_1"
         return state

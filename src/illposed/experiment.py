@@ -58,10 +58,9 @@ from .gallery import (
     make_prescribed,
     make_shaw,
 )
-from .lsqr import lsqr_sweep
 from .noise import add_noise, picard_diagnostic
 from .svgplot import Chart
-from .tsvd import tsvd_sweep
+from .sweeps import lsqr_sweep, tsvd_sweep
 
 __all__ = [
     "ConfigError",
@@ -224,8 +223,9 @@ def _coerce(key: str, value):
 
 
 def parse_config_file(path) -> dict:
-    """Read a flat key=value file (# comments and blank lines ignored)."""
-    raw = {}
+    """Read a flat key=value file (# comments and blank lines ignored); a
+    key given twice is an error."""
+    raw, first = {}, {}
     try:
         with open(path, "r", encoding="ascii") as fh:
             lines = fh.readlines()
@@ -238,7 +238,11 @@ def parse_config_file(path) -> dict:
         if "=" not in text:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {text!r}")
         key, _, value = text.partition("=")
-        raw[key.strip()] = value.strip()
+        key = key.strip()
+        if key in first:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line {first[key]}")
+        first[key] = lineno
+        raw[key] = value.strip()
     return raw
 
 
@@ -383,9 +387,9 @@ def _check_invariants(records, sigma, state, lsqr, tsvd, reorth):
             viol.append(f"Ritz gap bound fails at k={k}")
     # One index of slack: near-flat error curves around the minimum can move
     # either argmin by one, so only a gap of two or more is a real violation.
-    if lsqr.kstar > tsvd.best_k + 1:
+    if lsqr.best_k > tsvd.best_k + 1:
         viol.append(
-            f"semi-convergence index {lsqr.kstar} exceeds realized "
+            f"semi-convergence index {lsqr.best_k} exceeds realized "
             f"transition index {tsvd.best_k} by more than one"
         )
     if reorth and records:
@@ -425,12 +429,12 @@ def _summary_dict(config, problem, instance, picard, state, tsvd, lsqr,
         "analysis_rows": len(records),
         "breakdown": breakdown if breakdown is not None else "none",
         "breakdown_step": state.steps if breakdown is not None else "none",
-        "kstar": lsqr.kstar,
+        "kstar": lsqr.best_k,
         "semi_convergent": lsqr.semi_convergent,
         "k0_windowed": picard.k0,
         "k0_naive": picard.k0_naive,
         "k0_realized": tsvd.best_k,
-        "best_lsqr_error": float(lsqr.rel_errors[lsqr.kstar - 1]),
+        "best_lsqr_error": lsqr.best_error,
         "best_tsvd_error": tsvd.best_error,
         "first_natural_order_failure": _first_failure(records, "natural_order"),
         "first_near_best_failure": _first_failure(records, "near_best"),
@@ -458,10 +462,9 @@ def run(config: ExperimentConfig) -> RunResult:
     directory that cannot be created, a noise level so small that the
     noise draw underflows to zero, noisy data whose ||b||^2 overflows, a
     recurrence that breaks down before its first step or a square
-    factorization that cannot complete because sigma_1 is so small that
-    the squares in its norms underflow, all before any artifact is written,
-    and :class:`InvariantViolation` -- after all artifacts are written --
-    when a universal inequality fails beyond slack.
+    factorization whose trailing beta_{n+1} does not vanish, all before any
+    artifact is written, and :class:`InvariantViolation` -- after all
+    artifacts are written -- when a universal inequality fails beyond slack.
     A later breakdown of the recurrence is not an error: the sweeps and
     analysis are truncated at the breakdown step, which the summary records.
     """
@@ -486,8 +489,7 @@ def run(config: ExperimentConfig) -> RunResult:
         state = bidiag_run(problem.A, instance.b, steps=None, reorth=config.reorth, norm_A=sigma1)
     except RuntimeError as err:  # the square completion check in bidiag._finish
         raise ConfigError(
-            f"at sigma_1 = {sigma1:.3e} the squares inside the recurrence's norms "
-            f"underflow float64, and the factorization cannot complete: {err}"
+            f"the square factorization cannot complete at sigma_1 = {sigma1:.3e}: {err}"
         ) from err
     if state.max_k < 1:  # beta_1, alpha_1 or beta_2 vanished
         raise ConfigError(
@@ -584,11 +586,11 @@ def write_tsvd_csv(sweep, path) -> None:
     write_csv(path, "tsvd", columns)
 
 
-def write_lsqr_csv(trace, path) -> None:
-    """Export the projected-iteration trace as CSV (kind ``lsqr``); flags the kstar row."""
+def write_lsqr_csv(sweep, path) -> None:
+    """Export the projected-iteration sweep as CSV (kind ``lsqr``); flags the kstar row."""
     write_csv(path, "lsqr", {
-        "k": trace.ks, "rel_error": trace.rel_errors,
-        "residual": trace.residuals, "is_kstar": trace.ks == trace.kstar,
+        "k": sweep.ks, "rel_error": sweep.rel_errors,
+        "residual": sweep.residuals, "is_kstar": sweep.ks == sweep.best_k,
     })
 
 
@@ -617,7 +619,7 @@ def render_panels(outdir, panels, records, sigma, lsqr, tsvd) -> list:
     analysis records, the problem's singular values and the two sweeps.
 
     Each panel plots values its CSVs hold, and the k* and k0 lines sit at
-    ``lsqr.kstar`` and ``tsvd.best_k``, the summary's ``kstar`` and
+    ``lsqr.best_k`` and ``tsvd.best_k``, the summary's ``kstar`` and
     ``k0_realized``.  Returns the list of files written.
     """
     charts = {}
@@ -652,7 +654,7 @@ def render_panels(outdir, panels, records, sigma, lsqr, tsvd) -> list:
         d.add_series("lsqr", lsqr.ks, lsqr.rel_errors, marker=True)
         keep = tsvd.ks <= max(lsqr.ks[-1], tsvd.best_k + 5)
         d.add_series("tsvd", tsvd.ks[keep], tsvd.rel_errors[keep])
-        d.add_vline(lsqr.kstar, "k*")
+        d.add_vline(lsqr.best_k, "k*")
         d.add_vline(tsvd.best_k, "k0")
     names = [f"panel_{letter}.svg" for letter in charts]
     for name, panel in zip(names, charts.values()):
@@ -702,11 +704,11 @@ def _cells_differ(a: str, b: str, tol: float):
     try:
         fa, fb = float(a), float(b)
     except ValueError:
-        return True, math.inf
+        return math.inf > tol, math.inf
     if fa == fb or (math.isnan(fa) and math.isnan(fb)):
         return False, 0.0
     if not (math.isfinite(fa) and math.isfinite(fb)):  # nan against a number too
-        return True, math.inf
+        return math.inf > tol, math.inf
     rel = abs(fa - fb) / max(abs(fa), abs(fb))
     return rel > tol, rel
 

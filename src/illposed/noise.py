@@ -16,6 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .gallery import IllPosedProblem
+from .linalg import norm
 
 __all__ = [
     "NoisyInstance",
@@ -65,12 +66,9 @@ def add_noise(problem: IllPosedProblem, epsilon: float, seed: int) -> NoisyInsta
     ng = float(np.linalg.norm(g))
     if ng == 0.0:
         raise ValueError("degenerate zero noise draw")
-    e = g * (epsilon * float(np.linalg.norm(problem.b_true)) / ng)
+    e = g * (epsilon * float(norm(problem.b_true)) / ng)
     b = problem.b_true + e
-    eta = float(np.linalg.norm(e)) / np.sqrt(problem.m)
-    if eta == 0.0 and np.any(e):  # the squares underflowed; rescale first
-        top = float(np.max(np.abs(e)))
-        eta = top * float(np.linalg.norm(e / top)) / np.sqrt(problem.m)
+    eta = float(norm(e)) / np.sqrt(problem.m)
     return NoisyInstance(
         problem=problem, epsilon=float(epsilon), seed=int(seed), e=e, b=b, eta=eta
     )

@@ -29,8 +29,7 @@ from illposed import (
 from illposed.analysis import lagrange_factor
 from illposed.bidiag import bidiag_run
 from illposed.noise import NoisyInstance
-from illposed.tsvd import TsvdSweep
-from illposed.lsqr import LsqrTrace
+from illposed.sweeps import Sweep
 
 
 def build_problem(name: str, n: int, **kw) -> IllPosedProblem:
@@ -72,8 +71,8 @@ class RunBundle:
     instance: NoisyInstance
     picard: object
     state: object  # terminal BidiagState
-    tsvd: TsvdSweep
-    lsqr: LsqrTrace
+    tsvd: Sweep
+    lsqr: Sweep
 
     @property
     def sigma(self):

@@ -35,7 +35,7 @@ from illposed.analysis import (
     sigma_delta_norm,
 )
 from illposed.linalg import spectral_norm
-from illposed.lsqr import lsqr_iterate
+from illposed.sweeps import lsqr_iterate
 
 GALLERY = ("shaw", "gravity", "deriv2", "heat")
 
@@ -294,7 +294,7 @@ def test_criterion_5_semi_convergence_ordering(cache):
     equivalence_viol = []
     for name, n, eps, seed, kw in runs:
         run = cache.bundle(name, n, eps, seed, **kw)
-        kstar = run.lsqr.kstar
+        kstar = run.lsqr.best_k
         k0r = run.tsvd.best_k
         sigma = run.sigma
         tag = f"{name} n={n} eps={eps:g} seed={seed}"
@@ -337,7 +337,7 @@ def test_criterion_6_desk_scale_tracking(cache):
     summary = []
     for name in ("shaw", "gravity"):
         run = cache.bundle(name, 256, 1e-3, 42)
-        kstar = run.lsqr.kstar
+        kstar = run.lsqr.best_k
         k0r = run.tsvd.best_k
         sigma = run.sigma
         if kstar != k0r:
@@ -381,7 +381,7 @@ def test_criterion_7_mild_decay_breakdown(cache):
     nat = [natural_order_check(ritz_values(run.state, k), sigma) for k in range(1, 6)]
     gks = gamma_via_Gk(run.state, 5)
     near = [near_best_predicate(gks[k - 1], sigma, k) for k in range(1, 6)]
-    kstar = run.lsqr.kstar
+    kstar = run.lsqr.best_k
     k0r = run.tsvd.best_k
     ok = (not all(nat)) and (not all(near)) and kstar < k0r
     line = _verdict(
@@ -405,7 +405,7 @@ def test_criterion_8_decay_proxy_fidelity(cache):
     for rho in (2.0, 3.0, 4.0):
         for seed in (0, 1, 3):
             run = cache.bundle("picard", 64, 1e-3, seed, spectrum=severe(rho))
-            kstar = run.lsqr.kstar
+            kstar = run.lsqr.best_k
             rows = decay_diagnostic(run.state, kmax=kstar)
             tag = f"rho={rho} seed={seed}"
             if len(rows) < 2:

@@ -271,6 +271,20 @@ def test_gamma_exact_dense_fallback_when_uncertified(monkeypatch):
     )
 
 
+def test_lanczos_gaps_keep_their_digits_at_tiny_scale():
+    # Scaling A by 2^-520 scales every gap by it, but the squares inside the
+    # Lanczos norms and the Frobenius tolerance go subnormal: unrescaled,
+    # the certified gaps kept only 8 digits.
+    prob = make_prescribed(100, severe(1.2, beta=0.0), seed=0)
+    Q = bidiag_run(prob.A, prob.b_true, steps=6).Q_k(6)
+    ks = list(range(1, 7))
+    scale = 2.0**-520
+    tiny = analysis._lanczos_gaps(prob.A * scale, Q, ks)
+    np.testing.assert_allclose(
+        np.array(tiny) / scale, analysis._lanczos_gaps(prob.A, Q, ks), rtol=1e-13
+    )
+
+
 # All gaps of one run: the lockstep Lanczos processes against the dense oracle.
 def _rig(kind, n):
     if kind == "complete":

@@ -45,9 +45,8 @@ from illposed.experiment import (
     run,
 )
 from illposed.gallery import make_deriv2
-from illposed.lsqr import lsqr_sweep
 from illposed.noise import add_noise
-from illposed.tsvd import tsvd_sweep
+from illposed.sweeps import lsqr_sweep, tsvd_sweep
 
 ALL_ARTIFACTS = ("config.txt",) + ARTIFACT_CSVS + (
     "summary.txt",
@@ -480,7 +479,8 @@ def test_compare_accepts_an_infinite_tolerance(base_run):
 
 
 def test_compare_flags_a_nan_cell_in_either_order(base_run, tmp_path):
-    # nan against a number is a difference of inf, whichever side holds it.
+    # nan against a number is a difference of inf, whichever side holds it;
+    # only a tolerance of inf ignores it.
     edited = tmp_path / "nan-cell"
     shutil.copytree(base_run.outdir, edited)
     tsvd = edited / "tsvd.csv"
@@ -494,6 +494,22 @@ def test_compare_flags_a_nan_cell_in_either_order(base_run, tmp_path):
             ("tsvd.csv", "rel_error", 1, math.inf)
         ]
         assert report.lines()[-1] == "RESULT mismatch"
+        assert compare(a, b, {"rel_error": math.inf}).ok
+
+
+def test_compare_infinite_tolerance_ignores_a_string_key(base_run, tmp_path):
+    # Two different strings differ by inf, which only a tolerance of inf
+    # does not exceed.
+    edited = tmp_path / "edited"
+    shutil.copytree(base_run.outdir, edited)
+    path = edited / "summary.txt"
+    lines = path.read_text(encoding="ascii").splitlines()
+    at = next(i for i, ln in enumerate(lines) if ln.startswith("bound_model="))
+    lines[at] = "bound_model=edited"
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    assert compare(base_run.outdir, str(edited)).lines()[-1] == "RESULT mismatch"
+    relaxed = compare(base_run.outdir, str(edited), {"bound_model": math.inf})
+    assert relaxed.lines()[-1] == "RESULT match"
 
 
 def test_compare_rejects_tampered_schema(base_run, tmp_path):
@@ -616,6 +632,16 @@ def test_cli_non_ascii_config_exits_2(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("config error:")
     assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "x").exists()
+
+
+def test_cli_config_file_that_repeats_a_key_exits_2(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("problem=deriv2\nn=16\n# size\nn=32\n", encoding="ascii")
+    proc = _cli("run", "--config", str(cfg), "--out", str(tmp_path / "x"))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error:")
+    assert f"{cfg}:4: key 'n' repeats line 2" in proc.stderr
     assert not (tmp_path / "x").exists()
 
 
@@ -751,19 +777,40 @@ def test_cli_picard_coefficients_that_overflow_exit_2(tmp_path):
     assert os.listdir(out) == []
 
 
-def test_cli_spectrum_too_small_to_complete_exits_2(tmp_path):
+def test_cli_tiny_spectrum_completes_without_violations(tmp_path):
     # At sigma_1 = 2.9e-160 the squares inside the recurrence's norms go
-    # subnormal, so beta_25 of the square factorization stays near sigma_1:
-    # its completion check used to end the run in a traceback.
+    # subnormal.  Summed unrescaled, they left beta_25 of the square
+    # factorization near sigma_1, and its completion check failed.
     out = tmp_path / "tiny"
     proc = _cli("run", "--problem", "picard_synthetic", "--n", "16", "--scale", "1.5",
                 "--noise", "0.001", "--seed", "11", "--kmax", "3",
                 "--alpha", "0.5000000041898818", "--zeta", "2.899194740418965e-160",
                 "--beta", "7.330494367382181e-05", "--decay", "mild", "--out", str(out))
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("config error:")
-    assert "sigma_1 = 2.899e-160" in proc.stderr and "underflow" in proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    assert "invariant_violations=0" in proc.stdout.splitlines()
     assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+
+
+@pytest.mark.parametrize("n, zeta", [(16, 1e-155), (96, 1e-155), (128, 1e-150)])
+def test_tiny_spectra_run_without_violations(n, zeta, tmp_path):
+    # Entries below about 1e-154 have subnormal squares.  Summed unrescaled,
+    # they gave n = 16 twenty false violations (interlacing, Ritz gaps),
+    # n = 96 an overflow in the recurrence (renormalized by too small a
+    # norm), and n = 128 a violation from the Lanczos gaps (n - k >= 72).
+    config = ExperimentConfig(problem="prescribed", n=n, zeta=zeta, out=str(tmp_path))
+    assert run(config).summary["invariant_violations"] == 0
+
+
+def test_run_maps_a_failed_square_completion_to_a_config_error(tmp_path, monkeypatch):
+    import illposed.bidiag as bidiag
+
+    def incomplete(state):
+        raise RuntimeError("square factorization ended with beta_9 = 1.000e+00")
+
+    monkeypatch.setattr(bidiag, "_finish", incomplete)
+    out = tmp_path / "x"
+    with pytest.raises(ConfigError, match=r"cannot complete at sigma_1 = .*: square .* beta_9"):
+        run(ExperimentConfig(problem="deriv2", n=8, out=str(out)))
     assert os.listdir(out) == []
 
 

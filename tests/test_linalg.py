@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from illposed.linalg import as_matrix, as_vector, spectral_norm, svd
+from illposed.linalg import RESCALE_BELOW, as_matrix, as_vector, norm, spectral_norm, svd
 
 
 def test_as_matrix_validates():
@@ -94,3 +94,23 @@ def test_spectral_norm_against_svd():
     A = rng.standard_normal((6, 5))
     assert spectral_norm(A) == pytest.approx(np.linalg.norm(A, 2), rel=1e-13)
     assert spectral_norm(np.diag([2.0, 7.0, 1.0])) == pytest.approx(7.0)
+
+
+def test_norm_keeps_the_digits_of_subnormal_squares():
+    # The squares of 1e-170 underflow to zero, so np.linalg.norm reads 0.
+    x = np.full(9, 1e-170)
+    assert np.linalg.norm(x) == 0.0
+    assert norm(x) == pytest.approx(3e-170, rel=1e-15)
+    rows = np.array([[3e-170, 4e-170], [3.0, 4.0], [0.0, 0.0]])
+    np.testing.assert_allclose(norm(rows, axis=1), [5e-170, 5.0, 0.0], rtol=1e-15)
+    assert norm(rows[:1]) == pytest.approx(5e-170, rel=1e-15)  # Frobenius
+    assert norm(np.zeros(4)) == 0.0
+
+
+def test_norm_is_numpys_bit_for_bit_above_the_rescale_bound():
+    rng = np.random.default_rng(5)
+    for scale in (1.0, 2.0**-400, RESCALE_BELOW):
+        M = rng.standard_normal((7, 30)) * scale
+        assert norm(M) == np.linalg.norm(M)
+        np.testing.assert_array_equal(norm(M, axis=1), np.linalg.norm(M, axis=1))
+        np.testing.assert_array_equal(norm(M, axis=0), np.linalg.norm(M, axis=0))

@@ -9,7 +9,7 @@ from illposed.bidiag import bidiag_run
 from illposed.csvio import read_csv
 from illposed.experiment import write_lsqr_csv
 from illposed.gallery import make_picard_synthetic, make_prescribed
-from illposed.lsqr import lsqr_iterate, lsqr_sweep
+from illposed.sweeps import lsqr_iterate, lsqr_sweep
 from illposed.noise import NoisyInstance, add_noise, noiseless_instance
 
 
@@ -92,10 +92,10 @@ def test_sweep_noisy_is_semi_convergent():
     inst = add_noise(prob, 1e-3, 0)
     trace = _sweep(inst, 25)
     assert trace.semi_convergent
-    assert 1 < trace.kstar < 25
-    assert trace.rel_errors[trace.kstar - 1] == np.min(trace.rel_errors)
+    assert 1 < trace.best_k < 25
+    assert trace.rel_errors[trace.best_k - 1] == np.min(trace.rel_errors)
     # Errors fall to kstar, then end above the minimum.
-    assert trace.rel_errors[-1] > trace.rel_errors[trace.kstar - 1]
+    assert trace.rel_errors[-1] > trace.rel_errors[trace.best_k - 1]
 
 
 def test_sweep_reuses_supplied_state():
@@ -150,5 +150,5 @@ def test_write_lsqr_csv(tmp_path):
     assert cols["k"] == [str(k) for k in range(1, 11)]
     flags = cols["is_kstar"]
     assert flags.count("1") == 1 and flags.count("0") == 9
-    assert int(cols["k"][flags.index("1")]) == trace.kstar
+    assert int(cols["k"][flags.index("1")]) == trace.best_k
     assert [float(v) for v in cols["residual"]] == trace.residuals.tolist()

@@ -16,7 +16,7 @@ from conftest import poly, severe
 
 from illposed import gallery
 from illposed.noise import add_noise
-from illposed.tsvd import tsvd_sweep
+from illposed.sweeps import tsvd_sweep
 
 N = 256
 #: O(n) allowance: a few length-n vectors (nodes, x_true, b_true, sigma).

@@ -10,7 +10,7 @@ from conftest import severe
 
 from illposed.csvio import read_csv
 from illposed.experiment import write_picard_csv
-from illposed.gallery import make_picard_synthetic, make_shaw
+from illposed.gallery import make_picard_synthetic, make_prescribed, make_shaw
 from illposed.noise import (
     FLOOR_FACTOR,
     WINDOW_HALF,
@@ -31,6 +31,17 @@ def test_add_noise_exact_scaling():
     assert inst.eta == pytest.approx(np.linalg.norm(inst.e) / math.sqrt(prob.m), rel=1e-14)
     assert inst.generator == "numpy-pcg64"
     assert inst.seed == 11 and inst.epsilon == 1e-3
+
+
+def test_add_noise_exact_scaling_of_a_tiny_b_true():
+    # ||b_true|| = 3e-161 has subnormal squares; scaling by 2^600 is exact
+    # and brings both norms back to where np.linalg.norm keeps every digit.
+    prob = make_prescribed(16, severe(2.0, beta=0.0, zeta=1e-160), seed=0)
+    inst = add_noise(prob, 1e-3, 0)
+    scale = 2.0**600
+    assert np.linalg.norm(inst.e * scale) == pytest.approx(
+        1e-3 * np.linalg.norm(prob.b_true * scale), rel=1e-14
+    )
 
 
 @pytest.mark.parametrize("epsilon", [1e-200, 1e-300])

@@ -1,0 +1,41 @@
+"""The one record both regularization sweeps return."""
+
+import numpy as np
+
+from conftest import severe
+
+from illposed.bidiag import bidiag_run
+from illposed.gallery import IllPosedProblem, make_picard_synthetic
+from illposed.linalg import svd
+from illposed.noise import add_noise, noiseless_instance
+from illposed.sweeps import Sweep, lsqr_sweep, tsvd_sweep
+
+
+def test_best_k_takes_the_first_of_tied_minima():
+    sweep = Sweep(rel_errors=np.array([3.0, 1.0, 2.0, 1.0, 1.5]), residuals=np.ones(5))
+    np.testing.assert_array_equal(sweep.ks, [1, 2, 3, 4, 5])
+    assert (sweep.best_k, sweep.best_error, sweep.semi_convergent) == (2, 1.0, True)
+    flat = Sweep(rel_errors=np.array([2.0, 1.0, 1.0]), residuals=np.ones(3))
+    assert (flat.best_k, flat.semi_convergent) == (2, False)
+
+
+def test_tsvd_sweep_ties_at_exact_recovery():
+    # A = diag(4, 2, 1) and x_true = (2, 1, 0): x_2 and x_3 both equal
+    # x_true, so the errors at k = 2 and 3 are both zero.
+    A = np.diag([4.0, 2.0, 1.0])
+    x_true = np.array([2.0, 1.0, 0.0])
+    prob = IllPosedProblem("diag", A, x_true, A @ x_true, None, svd(A))
+    sweep = tsvd_sweep(noiseless_instance(prob))
+    assert sweep.rel_errors[1] == sweep.rel_errors[2] == 0.0
+    assert sweep.best_k == 2
+
+
+def test_both_sweeps_return_the_record_over_k_from_one():
+    prob = make_picard_synthetic(24, severe(2.0), seed=0)
+    inst = add_noise(prob, 1e-3, 0)
+    state = bidiag_run(prob.A, inst.b, norm_A=float(prob.svd.sigma[0]))
+    for sweep in (tsvd_sweep(inst), lsqr_sweep(inst, state, 10)):
+        assert type(sweep) is Sweep
+        np.testing.assert_array_equal(sweep.ks, np.arange(1, len(sweep.rel_errors) + 1))
+        assert sweep.residuals.shape == sweep.rel_errors.shape
+        assert sweep.best_error == np.min(sweep.rel_errors)

@@ -10,7 +10,7 @@ from illposed.experiment import write_tsvd_csv
 from illposed.gallery import IllPosedProblem, make_picard_synthetic
 from illposed.linalg import svd
 from illposed.noise import add_noise, noiseless_instance
-from illposed.tsvd import tsvd_sweep
+from illposed.sweeps import tsvd_sweep
 
 
 def test_sweep_diagonal_oracle():
