@@ -80,7 +80,7 @@ from .noise import (
     noiseless_instance,
     picard_diagnostic,
 )
-from .sweeps import Sweep, lsqr_iterate, lsqr_sweep, tsvd_sweep
+from .sweeps import Sweep, lsqr_sweep, tsvd_sweep
 
 __version__ = "0.1.0"
 

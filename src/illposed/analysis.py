@@ -421,28 +421,17 @@ def _bracketed(theta, sigma, lower) -> bool:
 
 
 # Subspace distance ==========================================================
-def delta_norm_via_angles(V, Q, VQ):
+def delta_norm_via_angles(VQ, k: int):
     """Largest principal angle between span(V_k) and the Krylov space.
 
-    Parameters
-    ----------
-    V : (n, >=k) ndarray
-        Right singular vectors (columns 1..k are used).
-    Q : (n, k) ndarray
-        Orthonormal Krylov basis.
-    VQ : (>=k, >=k) ndarray
-        V'Q_K for a basis Q_K whose leading k columns are Q; one such
-        projection serves every k <= K.
-
-    Returns
-    -------
-    (sin_theta, delta_norm) : tuple of float
-        ``sin_theta = ||(I - Q Q') V_k||`` and the tangent
-        ``delta_norm = sin/sqrt(1 - sin^2)``; ``inf`` once sin saturates
-        within 1e-12 of 1.
+    ``VQ`` is V'Q_K for the full right singular basis V and a Krylov basis
+    whose leading k columns are Q_k, so one projection serves every k <= K.
+    Returns ``(sin_theta, delta_norm)``: sin_theta = ||V_perp' Q_k||, the
+    norm of the trailing block ``VQ[k:, :k]`` (for an orthonormal Q_k this
+    is ||(I - Q_k Q_k') V_k||), and the tangent sin/sqrt(1 - sin^2), which
+    is ``inf`` once sin saturates within 1e-12 of 1.
     """
-    k = Q.shape[1]
-    sin_theta = min(spectral_norm(V[:, :k] - Q @ VQ[:k, :k].T), 1.0)
+    sin_theta = min(spectral_norm(VQ[k:, :k]), 1.0)
     if sin_theta >= SIN_SATURATION:
         return sin_theta, math.inf
     return sin_theta, sin_theta / math.sqrt((1.0 - sin_theta) * (1.0 + sin_theta))

@@ -325,10 +325,9 @@ def _analysis_records(problem, picard, state, kmax):
         gammas_gk = gamma_via_Gk(state, K)
         VQ = fact.V.T @ QK
     for k in range(1, K + 1):
-        Q = state.Q_k(k)
         gamma = float(gammas[k - 1])
         theta = ritz_values(state, k)
-        sin_theta, delta = delta_norm_via_angles(fact.V, Q, VQ)
+        sin_theta, delta = delta_norm_via_angles(VQ, k)
         sd = sigma_delta_norm(VQ, sigma, k)
         lag = lagrange_factor(sigma, k)[1]
         bounds = None

@@ -5,9 +5,11 @@ Both methods give one regularized solution x_k per k = 1, 2, ...:
 - truncated SVD keeps the first k spectral components of the data,
   x_k = sum_{i<=k} (u_i' b / sigma_i) v_i, and is the reference every
   iterative method is compared against;
-- LSQR solves the projected problem min_y ||B_k y - beta_1 e_1|| and lifts
-  the solution back, x_k = Q_k y_k, the minimizer of ||A x - b|| over the
-  k-th Krylov space of (A'A, A'b).
+- LSQR takes x_k = Q_k y_k with y_k = argmin ||B_k y - beta_1 e_1||, the
+  minimizer of ||A x - b|| over the k-th Krylov space of (A'A, A'b).  The
+  sweep never solves that projected problem afresh: the Paige-Saunders
+  recurrence updates x_{k-1} to x_k with one Givens rotation of B_k, and
+  a step costs O(n) plus the product A x_k of its residual.
 
 On noisy data either realized error falls, bottoms out at the sweep's
 ``best_k`` (for LSQR the semi-convergence index k*, for TSVD the realized
@@ -16,17 +18,18 @@ transition index) and rises again as the solutions start inverting noise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bidiag import BidiagState
+from .linalg import RESCALE_BELOW, norm
 from .noise import NoisyInstance
 
 __all__ = [
     "RANK_FLOOR_REL",
     "Sweep",
-    "lsqr_iterate",
     "lsqr_sweep",
     "tsvd_sweep",
 ]
@@ -85,7 +88,10 @@ def tsvd_sweep(instance: NoisyInstance) -> Sweep:
         raise ValueError("matrix has no components above the rank floor")
     c = fact.coefficients(instance.b)
     w = fact.V.T @ prob.x_true
-    outside = float(np.sum((instance.b - fact.U @ c) ** 2))
+    # The residual sums square c / t, with t as in linalg.norm's rescaling:
+    # 1 unless ||b|| is so small that the squares may go subnormal.
+    t = float(np.max(np.abs(instance.b))) if norm(instance.b) < RESCALE_BELOW else 1.0
+    outside = float(np.sum(((instance.b - fact.U @ c) / t) ** 2))
 
     def tails(v):
         """sum_{i>k} v_i^2 for k = 1..rank."""
@@ -94,27 +100,23 @@ def tsvd_sweep(instance: NoisyInstance) -> Sweep:
     errors = np.sqrt(np.cumsum((c[:rank] / s[:rank] - w[:rank]) ** 2) + tails(w))
     return Sweep(
         rel_errors=errors / np.linalg.norm(prob.x_true),
-        residuals=np.sqrt(tails(c) + outside),
+        residuals=t * np.sqrt(tails(c / t) + outside),
     )
 
 
-def lsqr_iterate(state: BidiagState, k: int) -> np.ndarray:
-    """The k-th projected solution x_k = Q_k B_k^+ (beta_1 e_1)."""
-    if not 1 <= k <= state.max_k:
-        raise ValueError(f"k={k} outside available range 1..{state.max_k}")
-    B = state.B(k)
-    rhs = np.zeros(B.shape[0])
-    rhs[0] = state.betas[0]
-    y = np.linalg.lstsq(B, rhs, rcond=None)[0]
-    return state.Q_k(k) @ y
-
-
 def lsqr_sweep(instance: NoisyInstance, state: BidiagState, kmax: int) -> Sweep:
-    """Run the projected iteration for k = 1..kmax on ``state``, the
-    factorization of the noisy instance's (A, b).
+    """LSQR for k = 1..kmax on ``state``, the factorization of the noisy
+    instance's (A, b), by the Paige-Saunders recurrence.
 
-    A factorization that broke down earlier truncates the sweep at its last
-    step, ``state.max_k``.
+    Step k rotates beta_{k+1} out of B_k by one Givens rotation (c, s) and
+    moves x_{k-1} along w_k by phi_k/rho_k, with phi_k = c phibar_k; then
+    phibar_{k+1} = s phibar_k, rhobar_{k+1} = -c alpha_{k+1} and w_{k+1} =
+    q_{k+1} - (s alpha_{k+1}/rho_k) w_k, from phibar_1 = beta_1, rhobar_1 =
+    alpha_1 and w_1 = q_1.  No step assumes orthonormal bases or truncates a
+    singular value of B_k: past its numerical rank a row is still the
+    recurrence's Krylov iterate.  Each residual ||A x_k - b|| is computed
+    directly.  A factorization that broke down earlier truncates the sweep
+    at its last step, ``state.max_k``.
     """
     prob = instance.problem
     if kmax < 1:
@@ -122,11 +124,22 @@ def lsqr_sweep(instance: NoisyInstance, state: BidiagState, kmax: int) -> Sweep:
     K = min(kmax, state.max_k)
     if K < 1:
         raise ValueError("factorization broke down before the first iterate")
-    nx = float(np.linalg.norm(prob.x_true))
+    Q = state.Q_k(K)
+    nx = float(norm(prob.x_true))
     rel_errors = np.empty(K)
     residuals = np.empty(K)
+    x = np.zeros(state.n)
+    w = Q[:, 0]
+    phibar, rhobar = state.betas[0], state.alphas[0]
     for k in range(1, K + 1):
-        x = lsqr_iterate(state, k)
-        rel_errors[k - 1] = np.linalg.norm(x - prob.x_true) / nx
-        residuals[k - 1] = np.linalg.norm(prob.A @ x - instance.b)
+        rho = math.hypot(rhobar, state.betas[k])
+        c, s = rhobar / rho, state.betas[k] / rho
+        x += (c * phibar / rho) * w
+        phibar *= s
+        if k < K:
+            alpha = state.alphas[k]
+            rhobar = -c * alpha
+            w = Q[:, k] - (s * alpha / rho) * w
+        rel_errors[k - 1] = norm(x - prob.x_true) / nx
+        residuals[k - 1] = norm(prob.A @ x - instance.b)
     return Sweep(rel_errors=rel_errors, residuals=residuals)

@@ -580,7 +580,7 @@ def test_delta_two_by_two_oracle():
     Q = state.Q_k(1)
     np.testing.assert_allclose(np.abs(Q[:, 0]), np.array([4.0, 1.0]) / math.sqrt(17.0))
     VQ = fact.V.T @ Q
-    sin_theta, dn = delta_norm_via_angles(fact.V, Q, VQ)
+    sin_theta, dn = delta_norm_via_angles(VQ, 1)
     assert sin_theta == pytest.approx(1.0 / math.sqrt(17.0), rel=1e-12)
     assert dn == pytest.approx(0.25, rel=1e-12)
     np.testing.assert_allclose(delta_matrix_via_projection(VQ, 1), [[0.25]], atol=1e-14)
@@ -588,6 +588,22 @@ def test_delta_two_by_two_oracle():
     direct = spectral_norm(delta_direct(fact, b, 1) * fact.sigma[:1])
     assert direct == pytest.approx(0.25, rel=1e-13)
     assert sigma_delta_norm(VQ, fact.sigma, 1) == pytest.approx(0.25, rel=1e-12)
+
+
+@pytest.mark.parametrize("make", [make_shaw, make_deriv2])
+def test_delta_angle_is_the_trailing_block_of_the_projection(make):
+    # sin(theta_k) = ||V_perp' Q_k|| read from V'Q_K equals the n x k
+    # formula ||V_k - Q_k (V_k' Q_k)'|| = ||(I - Q_k Q_k') V_k|| at every k,
+    # through the saturated angles deriv2 reaches and up to k = n.
+    prob = make(32)
+    inst = add_noise(prob, 1e-3, 0)
+    state = bidiag_run(prob.A, inst.b, norm_A=float(prob.svd.sigma[0]))
+    V = prob.svd.V
+    VQ = V.T @ state.Q_k(state.max_k)
+    for k in range(1, state.max_k + 1):
+        Q = state.Q_k(k)
+        want = min(spectral_norm(V[:, :k] - Q @ VQ[:k, :k].T), 1.0)
+        assert abs(delta_norm_via_angles(VQ, k)[0] - want) <= 1e-14
 
 
 def test_delta_direct_first_column():
@@ -652,7 +668,7 @@ def test_delta_saturated_angle_reports_infinity():
     V = np.eye(3)
     Q = V[:, 2:]
     VQ = V.T @ Q
-    sin_theta, dn = delta_norm_via_angles(V, Q, VQ)
+    sin_theta, dn = delta_norm_via_angles(VQ, 1)
     assert sin_theta == 1.0
     assert math.isinf(dn)
     assert delta_matrix_via_projection(VQ, 1) is None
@@ -766,7 +782,7 @@ def test_bound_report_severe_realized_audit(severe3_rig):
     gks = gamma_via_Gk(state, pic.k0)
     for k in range(1, pic.k0 + 1):
         VQ = prob.svd.V.T @ state.Q_k(k)
-        _, dn = delta_norm_via_angles(prob.svd.V, state.Q_k(k), VQ)
+        _, dn = delta_norm_via_angles(VQ, k)
         rep = bound_report(prob.svd, pic, prob.spectrum, dn, k, lagrange_max(s, k))
         assert dn <= 2.0 * rep.delta_bound
         sd = sigma_delta_norm(VQ, s, k)
@@ -833,7 +849,7 @@ def test_bound_report_moderate_realized_audit(moderate_rig):
     s = prob.svd.sigma
     for k in range(1, 9):
         VQ = prob.svd.V.T @ state.Q_k(k)
-        _, dn = delta_norm_via_angles(prob.svd.V, state.Q_k(k), VQ)
+        _, dn = delta_norm_via_angles(VQ, k)
         if not math.isfinite(dn):
             continue
         rep = bound_report(prob.svd, pic, prob.spectrum, dn, k, lagrange_max(s, k))

@@ -5,6 +5,7 @@ import numpy as np
 from conftest import severe
 
 from illposed.bidiag import bidiag_run
+from illposed.experiment import ExperimentConfig, build_problem
 from illposed.gallery import IllPosedProblem, make_picard_synthetic
 from illposed.linalg import svd
 from illposed.noise import add_noise, noiseless_instance
@@ -39,3 +40,20 @@ def test_both_sweeps_return_the_record_over_k_from_one():
         np.testing.assert_array_equal(sweep.ks, np.arange(1, len(sweep.rel_errors) + 1))
         assert sweep.residuals.shape == sweep.rel_errors.shape
         assert sweep.best_error == np.min(sweep.rel_errors)
+
+
+def test_residuals_keep_their_digits_at_tiny_scale():
+    # prescribed n = 16 at zeta = 2^-520 is the zeta = 1 problem scaled by a
+    # power of two, b and every residual with it; but the squares of those
+    # residuals go subnormal.  Scaled back, both sweeps' residuals equal the
+    # zeta = 1 run's, down to the last rows near 1e-16 ||b||.
+    runs = []
+    for zeta in (1.0, 2.0**-520):
+        prob = build_problem(ExperimentConfig(problem="prescribed", n=16, zeta=zeta))
+        inst = add_noise(prob, 1e-3, 0)
+        state = bidiag_run(prob.A, inst.b, norm_A=float(prob.svd.sigma[0]))
+        runs.append((np.linalg.norm(inst.b), tsvd_sweep(inst), lsqr_sweep(inst, state, 16)))
+    (nb, *ref), (_, *tiny) = runs
+    for r, t in zip(ref, tiny):
+        assert t.residuals[-1] > 0.0
+        np.testing.assert_allclose(t.residuals * 2.0**520, r.residuals, rtol=0.0, atol=1e-13 * nb)

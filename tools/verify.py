@@ -31,10 +31,15 @@ SKIPPED = ("config.txt",)
 
 
 def cases() -> list:
-    """Every case the benchmark can draw, then gravity and heat at n = 1024."""
+    """Every case the benchmark can draw, then gravity and heat at n = 1024,
+    then heat and deriv2 at n = 256 to full depth (kmax = n)."""
     from perfbench.workloads import case, reference_cases
 
-    return reference_cases() + [case(p, 1024, 1e-3, 0, kmax=40) for p in ("gravity", "heat")]
+    return (
+        reference_cases()
+        + [case(p, 1024, 1e-3, 0, kmax=40) for p in ("gravity", "heat")]
+        + [case(p, 256, 1e-3, 0, kmax=256) for p in ("heat", "deriv2")]
+    )
 
 
 def blas_line(info) -> str:
