@@ -62,8 +62,6 @@ class IllConditionedError(ValueError):
 
 #: Trailing blocks with at least this many columns take the bisection route.
 GK_BISECTION_MIN = 64
-#: Golub-Kahan-Lanczos steps of the estimate that prunes the bisection.
-GK_ESTIMATE_STEPS = 20
 #: The bisection first counts at the estimate -+ this many eps * max|entry|.
 GK_ESTIMATE_SLACK = 8.0
 #: ``gamma_exact`` iterates when n - k is at least this; below, a dense SVD.
@@ -161,10 +159,11 @@ def _lanczos_block(A, Q, ks, start, tol) -> list:
             w = _reorthogonalize(w, U[:, :j])
         alpha = norm(w, axis=1)
         # alpha_{j+1} <= tol ends a process with the value of B_{j+1} at
-        # alpha_{j+1} = 0; alpha_1 = 0 ends it uncertified.
+        # alpha_{j+1} = 0; alpha_1 = 0 ends it uncertified.  Its row of U
+        # is zero, so the products that finish the step stay finite.
         broke = alpha <= tol if j else alpha == 0.0
         alpha[broke] = 0.0
-        U[:, j] = w / np.where(broke, 1.0, alpha)[:, None]
+        U[:, j] = w / np.where(broke, np.inf, alpha)[:, None]
         r = deflate(U[:, j] @ A) - alpha[:, None] * v
         r = _reorthogonalize(r, V[:, : j + 1])
         beta = norm(r, axis=1)
@@ -226,12 +225,14 @@ def gamma_via_Gk(state: BidiagState, K: int) -> np.ndarray:
     the gap on that space; it equals gamma_k to within that tolerance unless
     A acts more strongly on the unreached complement.
 
-    Blocks with at least ``GK_BISECTION_MIN`` columns take bisection on the
-    Golub-Kahan tridiagonal (see :func:`_bidiagonal_norm`), pruned by one
-    lockstep estimate for all of them (see :func:`_norm_estimates`); smaller
-    ones a dense SVD.  The estimate changes how many Sturm counts a
-    bisection takes, never its result.  This route never reads A or the
-    Krylov basis.
+    Each block's head, its leading ``GK_BISECTION_MIN`` columns, gets a
+    dense SVD; for a block with fewer columns its norm is gamma_k.  A larger
+    block takes bisection on the Golub-Kahan tridiagonal (see
+    :func:`_bidiagonal_norm`), pruned by the head's norm as its estimate:
+    the head is a submatrix of G_k and the coefficients decay, so the top
+    singular vector of G_k lives mostly in the head.  The estimate changes
+    how many Sturm counts a bisection takes, never its result.  This route
+    never reads A or the Krylov basis.
     """
     if not state.terminal:
         raise ValueError("gamma_via_Gk needs a complete or broken-down factorization")
@@ -240,70 +241,12 @@ def gamma_via_Gk(state: BidiagState, K: int) -> np.ndarray:
         raise ValueError(f"no trailing block at k={K} (have {alpha.size} alphas)")
     if beta.size - 1 not in (alpha.size, alpha.size - 1):
         raise ValueError("inconsistent coefficient arrays")
-    ks = list(range(1, K + 1))
-    bisected = [k for k in ks if alpha.size - k >= GK_BISECTION_MIN]
-    estimates = dict(zip(bisected, _norm_estimates(alpha, beta[1:], bisected)))
     gammas = []
-    for k in ks:
+    for k in range(1, K + 1):
         a, b = alpha[k:], beta[k + 1 :]
-        if k in estimates:
-            gammas.append(_bidiagonal_norm(a, b, estimates[k]))
-        else:
-            gammas.append(spectral_norm(lower_bidiagonal(a, b)))
+        head = spectral_norm(lower_bidiagonal(a[:GK_BISECTION_MIN], b[:GK_BISECTION_MIN]))
+        gammas.append(head if a.size < GK_BISECTION_MIN else _bidiagonal_norm(a, b, head))
     return np.array(gammas)
-
-
-def _norm_estimates(a, b, ks) -> np.ndarray:
-    """Uncertified estimates of ||G_k|| for every k in ``ks``, with G_k the
-    trailing block of the lower bidiagonal matrix B = diag(a) + subdiag(b).
-
-    Setting the first k columns of B to zero leaves a matrix with the same
-    nonzero singular values as G_k, and all of these matrices share the
-    shape of B.  So one lockstep run of ``GK_ESTIMATE_STEPS`` Golub-Kahan-
-    Lanczos steps, without reorthogonalization, serves every k: each step is
-    a few elementwise products on (len(ks), len(b) + 1) arrays.  Each row is
-    scaled by the max|entry| of its block, as the bisection is, and the
-    estimate is the top singular value of the projected bidiagonal matrix.
-    A step whose new vector vanishes leaves it zero, which keeps the
-    projection exact.
-    """
-    if not ks:
-        return np.empty(0)
-    n, nb = a.size, b.size  # nb is n or n - 1: B is (nb + 1) x n
-    first = np.asarray(ks)[:, None]  # the first column each row keeps
-    e = np.empty(n + nb)
-    e[0::2] = np.abs(a)
-    e[1::2] = np.abs(b)
-    scale = np.maximum.accumulate(e[::-1])[::-1][2 * first]
-    scale[scale == 0.0] = 1.0
-    # Both vectors have nb + 1 entries; a zero diagonal entry pads a
-    # rectangular B, so v stays zero past its n columns.
-    keep = np.arange(nb + 1) >= first
-    da = np.where(keep, np.append(a, 0.0)[: nb + 1], 0.0) / scale
-    db = np.where(keep[:, :nb], b, 0.0) / scale
-    v = np.where(keep, np.random.default_rng(1).standard_normal(nb + 1), 0.0)
-    v[:, n:] = 0.0
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    steps = GK_ESTIMATE_STEPS
-    coef = np.zeros((len(ks), steps, 2))  # alpha_j and beta_{j+1} of the projection
-    for j in range(steps):
-        u_next = da * v  # B v - beta_j u
-        u_next[:, 1:] += db * v[:, :-1]
-        if j:
-            u_next -= coef[:, j - 1, 1:] * u
-        u = u_next
-        coef[:, j, 0] = np.sqrt(np.einsum("ij,ij->i", u, u))
-        u /= np.where(coef[:, j, :1] == 0.0, 1.0, coef[:, j, :1])
-        if j == steps - 1:
-            break
-        v_next = da * u  # B'u - alpha_j v
-        v_next -= coef[:, j, :1] * v
-        v_next[:, :-1] += db * u[:, 1:]
-        v = v_next
-        coef[:, j, 1] = np.sqrt(np.einsum("ij,ij->i", v, v))
-        v /= np.where(coef[:, j, 1:] == 0.0, 1.0, coef[:, j, 1:])
-    top = np.linalg.svd(_upper_bidiagonal(coef[:, :, 0], coef[:, :-1, 1]), compute_uv=False)
-    return top[:, 0] * scale[:, 0]
 
 
 def _bidiagonal_norm(a, b, estimate: float = math.nan) -> float:

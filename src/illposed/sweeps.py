@@ -88,18 +88,20 @@ def tsvd_sweep(instance: NoisyInstance) -> Sweep:
         raise ValueError("matrix has no components above the rank floor")
     c = fact.coefficients(instance.b)
     w = fact.V.T @ prob.x_true
-    # The residual sums square c / t, with t as in linalg.norm's rescaling:
-    # 1 unless ||b|| is so small that the squares may go subnormal.
+    nx = norm(prob.x_true)
+    # Both columns sum squares of v / t, with t as in linalg.norm's
+    # rescaling: 1 unless the norm is so small that they may go subnormal.
     t = float(np.max(np.abs(instance.b))) if norm(instance.b) < RESCALE_BELOW else 1.0
+    tx = float(np.max(np.abs(prob.x_true))) if nx < RESCALE_BELOW else 1.0
     outside = float(np.sum(((instance.b - fact.U @ c) / t) ** 2))
 
     def tails(v):
         """sum_{i>k} v_i^2 for k = 1..rank."""
         return np.append(np.cumsum(v[::-1] ** 2)[::-1], 0.0)[1 : rank + 1]
 
-    errors = np.sqrt(np.cumsum((c[:rank] / s[:rank] - w[:rank]) ** 2) + tails(w))
+    errors = tx * np.sqrt(np.cumsum(((c[:rank] / s[:rank] - w[:rank]) / tx) ** 2) + tails(w / tx))
     return Sweep(
-        rel_errors=errors / np.linalg.norm(prob.x_true),
+        rel_errors=errors / nx,
         residuals=t * np.sqrt(tails(c / t) + outside),
     )
 

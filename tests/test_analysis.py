@@ -373,9 +373,9 @@ def _bidiagonal_states(draw):
 
 _ESTIMATE_MAPS = {
     "as is": lambda t: t,
-    "zero": np.zeros_like,
-    "inf": lambda t: np.full_like(t, math.inf),
-    "nan": lambda t: np.full_like(t, math.nan),
+    "zero": lambda t: 0.0,
+    "inf": lambda t: math.inf,
+    "nan": lambda t: math.nan,
     "low": lambda t: t * (1.0 - 1e-3),
     "high": lambda t: t * (1.0 + 1e-3),
 }
@@ -394,17 +394,19 @@ def test_all_k_route_a_is_the_full_bisection_bit_for_bit(state, estimate, bisect
     a, b = np.array(state.alphas), np.array(state.betas)
     calls = []
     count = analysis._has_eigenvalue_above
-    estimates = analysis._norm_estimates
+    bisect = analysis._bidiagonal_norm
 
     def recorded(e2, x):
         calls.append((len(e2), x, count(e2, x)))
         return calls[-1][2]
 
+    def estimated(ak, bk, head):
+        return bisect(ak, bk, _ESTIMATE_MAPS[estimate](head))
+
     with mock.patch.object(analysis, "GK_BISECTION_MIN", bisection_min), \
-            mock.patch.object(analysis, "_has_eigenvalue_above", recorded), \
-            mock.patch.object(analysis, "_norm_estimates",
-                              lambda *args: _ESTIMATE_MAPS[estimate](estimates(*args))):
-        gammas = gamma_via_Gk(state, K)
+            mock.patch.object(analysis, "_has_eigenvalue_above", recorded):
+        with mock.patch.object(analysis, "_bidiagonal_norm", estimated):
+            gammas = gamma_via_Gk(state, K)
         pruned, calls[:] = calls[:], []
         assert gammas.shape == (K,)
         for k in range(1, K + 1):
@@ -426,10 +428,18 @@ def test_all_k_route_a_is_the_full_bisection_bit_for_bit(state, estimate, bisect
                 assert all(r2 == r for x2, r2 in counted if (x <= x2 if r2 else x >= x2))
 
 
+def _mild_state():
+    """picard_synthetic, mild decay alpha = 0.55, n = 256, noise 1e-3, seed 0."""
+    config = experiment.ExperimentConfig(problem="picard_synthetic", decay="mild", alpha=0.55)
+    prob = experiment.build_problem(config)
+    b = add_noise(prob, 1e-3, 0).b
+    return bidiag_run(prob.A, b, norm_A=float(prob.svd.sigma[0]))
+
+
 def test_all_k_route_a_needs_few_counts():
-    # With the lockstep estimate each gap takes a handful of Sturm counts
-    # instead of the ~50 of the full bisection.
-    _, state = _rig("complete", 300)
+    # With each block's head norm as the estimate, each gap takes a handful
+    # of Sturm counts instead of the ~50 of the full bisection, on deriv2
+    # and on a mild spectrum.
     calls = []
     count = analysis._has_eigenvalue_above
 
@@ -437,14 +447,17 @@ def test_all_k_route_a_needs_few_counts():
         calls.append(x)
         return count(e2, x)
 
-    with mock.patch.object(analysis, "_has_eigenvalue_above", counted):
-        gamma_via_Gk(state, 40)
-        pruned = len(calls)
+    for state in (_rig("complete", 300)[1], _mild_state()):
         calls.clear()
-        for k in range(1, 41):
-            analysis._bidiagonal_norm(np.array(state.alphas[k:]), np.array(state.betas[k + 1 :]))
-    assert len(calls) >= 40 * 45
-    assert pruned <= 40 * 8
+        with mock.patch.object(analysis, "_has_eigenvalue_above", counted):
+            gamma_via_Gk(state, 40)
+            pruned = len(calls)
+            calls.clear()
+            a, b = np.array(state.alphas), np.array(state.betas)
+            for k in range(1, 41):
+                analysis._bidiagonal_norm(a[k:], b[k + 1 :])
+        assert len(calls) >= 40 * 45
+        assert pruned <= 40 * 8
 
 
 def test_gamma_via_Gk_reads_only_the_coefficients():

@@ -1005,6 +1005,14 @@ def test_spectra_at_the_edges_of_float64_run_without_warnings(overrides, tmp_pat
 @given(config=_valid_configs())
 # ||b_true||^2 underflows: the run used to stop at the square of the norm.
 @example(config=ExperimentConfig(problem="prescribed", n=16, zeta=1e-165))
+# x_true ~ 1e-200: the squares of the TSVD error column underflowed to 0/0.
+@example(config=ExperimentConfig(problem="picard_synthetic", n=16, zeta=1e-100, beta=2.0, rho=1.5))
+# sigma_1 >= 1e100: route B multiplied A by a finished process's unnormalized
+# vector, and the product overflowed.
+@example(config=ExperimentConfig(problem="prescribed", n=256, noise=1e-8, seed=23, rho=10.0,
+                                 zeta=1e100))
+@example(config=ExperimentConfig(problem="picard_synthetic", decay="moderate", alpha=8.0, n=128,
+                                 kmax=64, noise=1e-8, seed=11, zeta=1e150))
 def test_valid_configs_never_end_in_a_traceback(config):
     # A valid configuration ends in artifacts or a documented error, with
     # every RuntimeWarning an error (pyproject's filterwarnings).

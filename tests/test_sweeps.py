@@ -1,12 +1,14 @@
 """The one record both regularization sweeps return."""
 
+from dataclasses import replace
+
 import numpy as np
 
 from conftest import severe
 
 from illposed.bidiag import bidiag_run
 from illposed.experiment import ExperimentConfig, build_problem
-from illposed.gallery import IllPosedProblem, make_picard_synthetic
+from illposed.gallery import IllPosedProblem, make_deriv2, make_picard_synthetic
 from illposed.linalg import svd
 from illposed.noise import add_noise, noiseless_instance
 from illposed.sweeps import Sweep, lsqr_sweep, tsvd_sweep
@@ -57,3 +59,21 @@ def test_residuals_keep_their_digits_at_tiny_scale():
     for r, t in zip(ref, tiny):
         assert t.residuals[-1] > 0.0
         np.testing.assert_allclose(t.residuals * 2.0**520, r.residuals, rtol=0.0, atol=1e-13 * nb)
+
+
+def test_tsvd_errors_keep_their_digits_at_tiny_scale():
+    # deriv2 n = 64 with x_true, b_true and b scaled by 2^-600 and A as it
+    # is: the relative errors are those of the unscaled instance, although
+    # the squares of x_true and of every error underflow.
+    prob = make_deriv2(64)
+    inst = add_noise(prob, 1e-3, 0)
+    scale = 2.0**-600
+    tiny = replace(
+        inst,
+        problem=replace(prob, x_true=prob.x_true * scale, b_true=prob.b_true * scale),
+        e=inst.e * scale,
+        b=inst.b * scale,
+    )
+    assert np.linalg.norm(tiny.problem.x_true) == 0.0
+    ref = tsvd_sweep(inst).rel_errors
+    np.testing.assert_allclose(tsvd_sweep(tiny).rel_errors, ref, rtol=1e-13, atol=0.0)
