@@ -89,9 +89,42 @@ class InvariantViolation(RuntimeError):
     """A universal inequality failed beyond slack; CLI exit code 1."""
 
 
-PROBLEMS = ("shaw", "gravity", "deriv2", "heat", "prescribed", "picard_synthetic")
-DECAYS = ("severe", "moderate", "mild")
+# Problem construction ========================================================
+#: The key that sets the rate of each decay family of a synthetic spectrum.
+_DECAY_RATE = {"severe": "rho", "moderate": "alpha", "mild": "alpha"}
+DECAYS = tuple(_DECAY_RATE)
 MAX_N = 4096
+
+
+def _spectrum(c) -> SpectrumModel:
+    rate = _DECAY_RATE[c.decay]
+    # prescribed reads no beta, so this is 0.0: None would make its bounds fit one.
+    return SpectrumModel("severe" if rate == "rho" else "moderate_or_mild", zeta=c.zeta,
+                         beta_picard=c.beta, **{rate: getattr(c, rate)})
+
+
+#: Each problem's builder of (config, effective n) and the problem-specific keys
+#: it reads; "decay" also reads the rate key of its family.
+_PROBLEM_TABLE = {
+    "shaw": (lambda c, n: make_shaw(n), ()),
+    "gravity": (lambda c, n: make_gravity(n, depth=c.depth), ("depth",)),
+    "deriv2": (lambda c, n: make_deriv2(n), ()),
+    "heat": (lambda c, n: make_heat(n, kappa=c.kappa), ("kappa",)),
+    "prescribed": (lambda c, n: make_prescribed(n, _spectrum(c), c.seed), ("decay", "zeta")),
+    "picard_synthetic": (lambda c, n: make_picard_synthetic(n, _spectrum(c), c.seed),
+                         ("decay", "zeta", "beta")),
+}
+PROBLEMS = tuple(_PROBLEM_TABLE)
+#: A problem that does not read one of these keys requires its default.
+_PROBLEM_KEYS = {k for _, keys in _PROBLEM_TABLE.values() for k in keys} | set(_DECAY_RATE.values())
+
+
+def build_problem(config: ExperimentConfig):
+    """Instantiate the configured problem (constructor errors are config errors)."""
+    try:
+        return _PROBLEM_TABLE[config.problem][0](config, config.effective_n)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
 
 
 # Configuration ===============================================================
@@ -115,11 +148,11 @@ class ExperimentConfig:
     scale: float = _key(1.0, "multiplier applied to n")
     depth: float = _key(0.25, "observation depth (gravity)")
     kappa: float = _key(1.0, "conductivity (heat)")
-    rho: float = _key(2.0, "geometric decay ratio (severe spectra)")
-    alpha: float = _key(2.0, "power-law decay exponent (moderate/mild spectra)")
-    zeta: float = _key(1.0, "spectrum scale factor")
-    beta: float = _key(0.0, "coefficient decay exponent (synthetic data)")
-    decay: str = _key("severe", f"spectrum family for synthetic problems ({', '.join(DECAYS)})")
+    rho: float = _key(2.0, "geometric decay ratio (prescribed, picard_synthetic; decay=severe)")
+    alpha: float = _key(2.0, "power-law exponent (prescribed, picard_synthetic; decay=moderate/mild)")
+    zeta: float = _key(1.0, "spectrum scale factor (prescribed, picard_synthetic)")
+    beta: float = _key(0.0, "coefficient decay exponent of the data (picard_synthetic)")
+    decay: str = _key("severe", f"spectrum family ({', '.join(DECAYS)}) of prescribed, picard_synthetic")
     reorth: bool = _key(True, "full reorthogonalization (true/false)")
 
     @property
@@ -166,31 +199,22 @@ class ExperimentConfig:
             raise ConfigError(f"panels must be a subset of abcd, got {self.panels!r}")
         if self.decay not in DECAYS:
             raise ConfigError(f"decay must be one of {', '.join(DECAYS)}")
-        for key, lo in (("depth", 0.0), ("kappa", 0.0), ("zeta", 0.0)):
-            if getattr(self, key) <= lo:
-                raise ConfigError(f"{key} must be positive")
-        if self.rho <= 1.0:
-            raise ConfigError("rho must exceed 1")
-        if self.alpha <= 0.5:
-            raise ConfigError("alpha must exceed 1/2")
-        if self.beta < 0.0:
-            raise ConfigError("beta must be nonnegative")
+        # The constructors check the range of each key they read.
+        keys = _PROBLEM_TABLE[self.problem][1]
+        reads = keys + (_DECAY_RATE[self.decay],) if "decay" in keys else keys
+        for f in fields(self):
+            if f.name in _PROBLEM_KEYS and f.name not in reads and getattr(self, f.name) != f.default:
+                raise ConfigError(
+                    f"{f.name}={getattr(self, f.name)!r} builds nothing: problem {self.problem} "
+                    f"reads {', '.join(reads) or 'no problem-specific key'}"
+                )
 
     def echo_lines(self) -> list:
         """The configuration as re-parseable key=value lines."""
-        out = []
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if v is None:
-                text = "none"
-            elif isinstance(v, bool):
-                text = "true" if v else "false"
-            elif isinstance(v, float):
-                text = repr(v)
-            else:
-                text = str(v)
-            out.append(f"{f.name}={text}")
-        return out
+        def text(v):  # str of a float is its shortest round-trip repr
+            return "none" if v is None else str(v).lower() if isinstance(v, bool) else str(v)
+
+        return [f"{f.name}={text(getattr(self, f.name))}" for f in fields(self)]
 
 
 _BOOL_WORDS = {
@@ -257,33 +281,6 @@ def load_config(path=None, overrides=None) -> ExperimentConfig:
     config = ExperimentConfig(**{k: _coerce(k, v) for k, v in merged.items()})
     config.validate()
     return config
-
-
-# Problem construction ========================================================
-def build_problem(config: ExperimentConfig):
-    """Instantiate the configured problem (constructor errors are config errors)."""
-    n = config.effective_n
-    try:
-        if config.problem == "shaw":
-            return make_shaw(n)
-        if config.problem == "gravity":
-            return make_gravity(n, depth=config.depth)
-        if config.problem == "deriv2":
-            return make_deriv2(n)
-        if config.problem == "heat":
-            return make_heat(n, kappa=config.kappa)
-        severe = config.decay == "severe"
-        spectrum = SpectrumModel(
-            kind="severe" if severe else "moderate_or_mild",
-            rho=config.rho if severe else None,
-            alpha=None if severe else config.alpha,
-            zeta=config.zeta,
-            beta_picard=config.beta,
-        )
-        maker = make_prescribed if config.problem == "prescribed" else make_picard_synthetic
-        return maker(n, spectrum, seed=config.seed)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
 
 
 # The run pipeline ============================================================

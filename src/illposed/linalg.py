@@ -33,16 +33,18 @@ def norm(x, axis=None):
     """``np.linalg.norm(x, axis=axis)``: the 2-norm of a vector, the
     Frobenius norm of a matrix, or the norms along ``axis``.
 
-    A norm below ``RESCALE_BELOW`` is recomputed as top * norm(x / top),
-    top = max|x| along ``axis``, so that entries whose squares underflow
-    keep their digits (a nonzero x then never has norm 0).
+    A norm below ``RESCALE_BELOW`` is recomputed as t * norm(x / t), t the
+    power of two with max|x| < t <= 2 max|x| along ``axis`` (1 for zeros), so
+    that entries whose squares underflow keep their digits (a nonzero x then
+    never has norm 0).  Both scalings are exact, so norm(x * 2^p) is
+    norm(x) * 2^p bit for bit while neither has subnormal entries.
     """
     r = np.linalg.norm(x, axis=axis)
     small = r < RESCALE_BELOW
     if not np.any(small):
         return r
-    top = np.max(np.abs(x), axis=axis, keepdims=True, initial=0.0)
-    scaled = np.squeeze(top, axis) * np.linalg.norm(x / np.where(top > 0.0, top, 1.0), axis=axis)
+    t = np.ldexp(1.0, np.frexp(np.max(np.abs(x), axis=axis, keepdims=True, initial=0.0))[1])
+    scaled = np.squeeze(t, axis) * np.linalg.norm(x / t, axis=axis)
     return np.where(small, scaled, r)
 
 

@@ -89,10 +89,10 @@ def tsvd_sweep(instance: NoisyInstance) -> Sweep:
     c = fact.coefficients(instance.b)
     w = fact.V.T @ prob.x_true
     nx = norm(prob.x_true)
-    # Both columns sum squares of v / t, with t as in linalg.norm's
-    # rescaling: 1 unless the norm is so small that they may go subnormal.
-    t = float(np.max(np.abs(instance.b))) if norm(instance.b) < RESCALE_BELOW else 1.0
-    tx = float(np.max(np.abs(prob.x_true))) if nx < RESCALE_BELOW else 1.0
+    # Both columns sum squares of v / t, with t as in linalg.norm's rescaling
+    # (a power of two): 1 unless the norm is so small that they may go subnormal.
+    t, tx = (np.ldexp(1.0, np.frexp(np.max(np.abs(v)))[1]) if norm(v) < RESCALE_BELOW else 1.0
+             for v in (instance.b, prob.x_true))
     outside = float(np.sum(((instance.b - fact.U @ c) / t) ** 2))
 
     def tails(v):

@@ -88,6 +88,17 @@ def base_run(tmp_path_factory):
     return result
 
 
+_SYNTHETIC = ("prescribed", "picard_synthetic")
+#: Every (problem, decay) family a config can name; a kernel reads no decay.
+_FAMILIES = [(p, "severe") for p in ("shaw", "gravity", "deriv2", "heat")] + [
+    (p, d) for p in _SYNTHETIC for d in experiment.DECAYS
+]
+#: The problems that read each problem-specific key; of rho and alpha, a
+#: spectrum reads rho under severe decay and alpha under the others.
+_READERS = {"depth": ("gravity",), "kappa": ("heat",), "rho": _SYNTHETIC, "alpha": _SYNTHETIC,
+            "zeta": _SYNTHETIC, "beta": ("picard_synthetic",), "decay": _SYNTHETIC}
+
+
 # Configuration ----------------------------------------------------------------
 def test_load_config_coerces_types(tmp_path):
     cfg = load_config(
@@ -174,10 +185,13 @@ def test_parse_config_file(tmp_path):
         parse_config_file(tmp_path / "missing.cfg")
 
 
-def test_config_echo_reparses_identically(tmp_path):
+@pytest.mark.parametrize("problem, decay", _FAMILIES)
+def test_config_echo_reparses_identically(problem, decay, tmp_path):
+    # config.txt echoes every key, the defaults of those the problem does not read too.
+    rate = {"rho": "1.5"} if decay == "severe" else {"alpha": "1.5"}
     cfg = load_config(
         None,
-        {"problem": "picard_synthetic", "decay": "moderate", "alpha": "1.5",
+        {"problem": problem, "decay": decay, **(rate if problem in _SYNTHETIC else {}),
          "n": "48", "noise": "0.001", "kmax": "none", "out": "results/x"},
     )
     path = tmp_path / "echo.cfg"
@@ -232,6 +246,75 @@ def test_build_problem_dispatch_and_errors():
     # Constructor requirements surface as configuration errors.
     with pytest.raises(ConfigError, match="even"):
         build_problem(load_config(None, {"problem": "shaw", "n": "33"}))
+
+
+#: A value other than the default of each problem-specific key, in the range
+#: of every problem that reads it.
+_KEY_VALUES = {"depth": "0.5", "kappa": "2.0", "rho": "3.0", "alpha": "1.5", "zeta": "2.0",
+               "beta": "1.0", "decay": "mild"}
+
+
+@pytest.mark.parametrize("key", list(_KEY_VALUES))
+@pytest.mark.parametrize("problem", experiment.PROBLEMS)
+def test_a_problem_specific_key_is_set_only_for_a_problem_that_reads_it(
+    problem, key, tmp_path, capsys
+):
+    # A key the problem does not read would build nothing, yet bounds could
+    # read it: prescribed's asymptotic bound columns used to follow beta.
+    decay = ["--decay", "mild"] if key == "alpha" and problem in _SYNTHETIC else []
+    out = tmp_path / "x"
+    rc = cli_main(["run", "--problem", problem, "--n", "8", "--kmax", "2", "--panels", "none",
+                   f"--{key}", _KEY_VALUES[key], *decay, "--out", str(out)])
+    err = capsys.readouterr().err
+    if problem in _READERS[key]:
+        assert rc in (0, 1), err
+    else:
+        assert rc == 2
+        assert err.startswith(f"config error: {key}=") and f" problem {problem} " in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("problem, decay, key", [
+    ("prescribed", "mild", "rho"),
+    ("picard_synthetic", "moderate", "rho"),
+    ("prescribed", "severe", "alpha"),
+    ("picard_synthetic", "severe", "alpha"),
+])
+def test_the_decay_picks_the_rate_key_a_spectrum_reads(problem, decay, key, tmp_path, capsys):
+    value = _KEY_VALUES[key]
+    rc = cli_main(["run", "--problem", problem, "--decay", decay, f"--{key}", value,
+                   "--n", "8", "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key}={value} builds nothing")
+
+
+def test_cli_beta_of_prescribed_exits_2(tmp_path):
+    # prescribed's x_true is ones(n) whatever beta is: this run used to exit 0
+    # with the data cells of beta = 0 and 14 cells of each asymptotic bound
+    # column moved by up to 87.5%.
+    out = tmp_path / "x"
+    proc = _cli("run", "--problem", "prescribed", "--n", "64", "--beta", "3", "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error: beta=3.0 builds nothing: problem prescribed ")
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--problem", "gravity", "--depth", "-1"], "depth must be positive"),
+    (["--problem", "heat", "--kappa", "0"], "kappa must be positive"),
+    (["--problem", "prescribed", "--zeta", "0"], "zeta must be positive"),
+    (["--problem", "prescribed", "--rho", "1.0"], "severe decay requires rho > 1"),
+    (["--problem", "picard_synthetic", "--decay", "mild", "--alpha", "0.5"],
+     "moderate_or_mild decay requires alpha > 1/2"),
+    (["--problem", "picard_synthetic", "--beta", "-1"],
+     "make_picard_synthetic requires spectrum.beta_picard >= 0"),
+], ids=["depth", "kappa", "zeta", "rho", "alpha", "beta"])
+def test_cli_key_outside_its_constructors_range_exits_2(args, message, tmp_path, capsys):
+    # The constructors alone check these ranges; their ValueError is a config error.
+    rc = cli_main(["run", *args, "--n", "16", "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 # The run pipeline ---------------------------------------------------------------
@@ -925,19 +1008,19 @@ def test_cli_invariant_violation_exits_1(tmp_path, monkeypatch, capsys):
 # A valid configuration never crashes -----------------------------------------
 @settings(max_examples=20, deadline=None)
 @given(
-    problem=st.sampled_from(["shaw", "gravity", "deriv2", "heat", "prescribed", "picard_synthetic"]),
-    decay=st.sampled_from(["severe", "moderate", "mild"]),
+    family=st.sampled_from(_FAMILIES),
     n=st.integers(16, 256),
     noise=st.sampled_from([1e-2, 1e-3, 1e-5]),
     seed=st.integers(0, 1000),
     reorth=st.booleans(),
 )
 # Breakdown at an alpha entry used to leave an empty trailing block.
-@example(problem="shaw", decay="severe", n=64, noise=1e-3, seed=0, reorth=True)
-@example(problem="heat", decay="severe", n=16, noise=1e-2, seed=0, reorth=True)
+@example(family=("shaw", "severe"), n=64, noise=1e-3, seed=0, reorth=True)
+@example(family=("heat", "severe"), n=16, noise=1e-2, seed=0, reorth=True)
 # Without reorthogonalization a square run used to die at its last step.
-@example(problem="deriv2", decay="severe", n=16, noise=1e-3, seed=0, reorth=False)
-def test_run_returns_or_raises_only_documented_errors(problem, decay, n, noise, seed, reorth):
+@example(family=("deriv2", "severe"), n=16, noise=1e-3, seed=0, reorth=False)
+def test_run_returns_or_raises_only_documented_errors(family, n, noise, seed, reorth):
+    problem, decay = family
     with tempfile.TemporaryDirectory() as out:
         config = ExperimentConfig(
             problem=problem, decay=decay, n=n, noise=noise, seed=seed, out=out,
@@ -954,15 +1037,28 @@ def _log_uniform(lo, hi):
     return st.floats(lo, hi).map(lambda e: 10.0**e)
 
 
+#: The values a valid configuration may give each problem-specific key
+#: but decay.
+_KEY_DRAWS = {
+    "depth": _log_uniform(-100, 100),
+    "kappa": _log_uniform(-3, 150),
+    "rho": _log_uniform(-15, 100).map(lambda r: 1.0 + r),
+    "alpha": _log_uniform(-9, 1).map(lambda a: 0.5 + a),
+    "zeta": _log_uniform(-170, 250),
+    "beta": st.floats(0.0, 50.0),
+}
+
+
 @st.composite
 def _valid_configs(draw):
-    """A configuration that passes validation, every key but ``out`` drawn,
-    n * scale <= 24."""
-    problem = draw(st.sampled_from(experiment.PROBLEMS))
+    """A configuration that passes validation, n * scale <= 24: every key but
+    ``out`` drawn, of the problem-specific keys those the problem reads."""
+    problem, decay = draw(st.sampled_from(_FAMILIES))
     n = draw(st.integers(2, 16))
     scale = draw(st.floats(1.0, 24.0 / n))
     if problem == "shaw":  # shaw has even orders only
         assume(round(n * scale) % 2 == 0)
+    unread = "alpha" if decay == "severe" else "rho"
     return ExperimentConfig(
         problem=problem,
         n=n,
@@ -971,14 +1067,10 @@ def _valid_configs(draw):
         kmax=draw(st.none() | st.integers(1, n)),
         panels=draw(st.sampled_from(["abcd", "none", "a", "b", "c", "d", "bd"])),
         scale=scale,
-        depth=draw(_log_uniform(-100, 100)),
-        kappa=draw(_log_uniform(-3, 150)),
-        rho=1.0 + draw(_log_uniform(-15, 100)),
-        alpha=0.5 + draw(_log_uniform(-9, 1)),
-        zeta=draw(_log_uniform(-170, 250)),
-        beta=draw(st.floats(0.0, 50.0)),
-        decay=draw(st.sampled_from(experiment.DECAYS)),
+        decay=decay,
         reorth=draw(st.booleans()),
+        **{key: draw(values) for key, values in _KEY_DRAWS.items()
+           if problem in _READERS[key] and key != unread},
     )
 
 
@@ -1016,6 +1108,7 @@ def test_spectra_at_the_edges_of_float64_run_without_warnings(overrides, tmp_pat
 def test_valid_configs_never_end_in_a_traceback(config):
     # A valid configuration ends in artifacts or a documented error, with
     # every RuntimeWarning an error (pyproject's filterwarnings).
+    config.validate()  # a draw that builds nothing would test nothing
     with tempfile.TemporaryDirectory() as out:
         try:
             run(replace(config, out=out))
@@ -1023,41 +1116,46 @@ def test_valid_configs_never_end_in_a_traceback(config):
             pass
 
 
-# Extreme float settings: at, near or past the limits of float64.
+# Extreme float settings, at, near or past the limits of float64, each with
+# a problem that reads the key.
+_HUGE_OR_TINY = st.floats(1e150, 1e300) | st.floats(1e-300, 1e-150)
 _EXTREME_SETTINGS = st.one_of(
-    st.none(),
-    st.tuples(st.sampled_from(["depth", "kappa", "zeta"]),
-              st.floats(1e150, 1e300) | st.floats(1e-300, 1e-150)),
-    st.tuples(st.just("scale"), st.floats(1e300, 1.7e308)),
-    st.tuples(st.just("rho"), st.floats(1.0, 1.0 + 1e-12, exclude_min=True) | st.floats(1e100, 1e300)),
+    st.tuples(st.sampled_from(experiment.PROBLEMS), st.none()),
+    st.tuples(st.just("gravity"), st.tuples(st.just("depth"), _HUGE_OR_TINY)),
+    st.tuples(st.just("heat"), st.tuples(st.just("kappa"), _HUGE_OR_TINY)),
+    st.tuples(st.sampled_from(_SYNTHETIC), st.tuples(st.just("zeta"), _HUGE_OR_TINY)),
+    st.tuples(st.sampled_from(experiment.PROBLEMS),
+              st.tuples(st.just("scale"), st.floats(1e300, 1.7e308))),
+    st.tuples(st.sampled_from(_SYNTHETIC), st.tuples(
+        st.just("rho"), st.floats(1.0, 1.0 + 1e-12, exclude_min=True) | st.floats(1e100, 1e300))),
 )
 
 
 @settings(max_examples=100, deadline=None)
 @given(
-    problem=st.sampled_from(["shaw", "gravity", "deriv2", "heat", "prescribed", "picard_synthetic"]),
+    setting=_EXTREME_SETTINGS,
     n=st.integers(2, 12),
     noise=st.sampled_from(["0.5", "1e-3", "1e-14"]),
     kmax=st.sampled_from(["1", "2", "none"]),
     reorth=st.sampled_from(["true", "false"]),
-    extreme=_EXTREME_SETTINGS,
 )
 # Panel c's two values one ulp apart used to give a log axis of zero span.
-@example(problem="prescribed", n=2, noise="1e-14", kmax="none", reorth="true", extreme=None)
-@example(problem="picard_synthetic", n=2, noise="1e-14", kmax="none", reorth="true", extreme=None)
-@example(problem="gravity", n=2, noise="1e-14", kmax="none", reorth="false", extreme=None)
+@example(setting=("prescribed", None), n=2, noise="1e-14", kmax="none", reorth="true")
+@example(setting=("picard_synthetic", None), n=2, noise="1e-14", kmax="none", reorth="true")
+@example(setting=("gravity", None), n=2, noise="1e-14", kmax="none", reorth="false")
 # depth^2, kappa^2 and n * scale used to overflow a Python float.
-@example(problem="gravity", n=8, noise="1e-3", kmax="none", reorth="true", extreme=("depth", 1e160))
-@example(problem="heat", n=8, noise="1e-3", kmax="none", reorth="true", extreme=("kappa", 1e160))
-@example(problem="deriv2", n=8, noise="1e-3", kmax="none", reorth="true", extreme=("scale", 1e308))
+@example(setting=("gravity", ("depth", 1e160)), n=8, noise="1e-3", kmax="none", reorth="true")
+@example(setting=("heat", ("kappa", 1e160)), n=8, noise="1e-3", kmax="none", reorth="true")
+@example(setting=("deriv2", ("scale", 1e308)), n=8, noise="1e-3", kmax="none", reorth="true")
 # A spectrum flat to rounding used to break down before the first step.
-@example(problem="prescribed", n=12, noise="1e-3", kmax="1", reorth="true",
-         extreme=("rho", 1.0000000000000002))
-@example(problem="picard_synthetic", n=12, noise="1e-3", kmax="none", reorth="false",
-         extreme=("rho", 1.0000000000000002))
+@example(setting=("prescribed", ("rho", 1.0000000000000002)), n=12, noise="1e-3", kmax="1",
+         reorth="true")
+@example(setting=("picard_synthetic", ("rho", 1.0000000000000002)), n=12, noise="1e-3",
+         kmax="none", reorth="false")
 # Noise 0.5 used to make ||b||^2 overflow just below the zeta bound.
-@example(problem="prescribed", n=12, noise="0.5", kmax="none", reorth="true", extreme=("zeta", 1e154))
-def test_cli_run_never_raises(problem, n, noise, kmax, reorth, extreme):
+@example(setting=("prescribed", ("zeta", 1e154)), n=12, noise="0.5", kmax="none", reorth="true")
+def test_cli_run_never_raises(setting, n, noise, kmax, reorth):
+    problem, extreme = setting
     args = ["run", "--problem", problem, "--n", str(n), "--noise", noise,
             "--kmax", kmax, "--reorth", reorth]
     if extreme is not None:

@@ -107,6 +107,20 @@ def test_norm_keeps_the_digits_of_subnormal_squares():
     assert norm(np.zeros(4)) == 0.0
 
 
+@pytest.mark.parametrize("p", [-600, -900])
+def test_norm_scales_by_a_power_of_two_exactly(p):
+    # Below RESCALE_BELOW the rescaling divides by a power of two, so scaling
+    # x by 2^p scales its norm by exactly 2^p while no entry goes subnormal.
+    rng = np.random.default_rng(-p)
+    for n in (1, 2, 3, 10, 100) * 60:
+        x = rng.standard_normal(n)
+        scaled = np.ldexp(x, p)
+        assert np.all(np.abs(scaled) >= np.finfo(float).tiny)
+        assert norm(scaled) == np.ldexp(norm(x), p)
+    rows = rng.standard_normal((50, 8))
+    np.testing.assert_array_equal(norm(np.ldexp(rows, p), axis=1), np.ldexp(norm(rows, axis=1), p))
+
+
 def test_norm_is_numpys_bit_for_bit_above_the_rescale_bound():
     rng = np.random.default_rng(5)
     for scale in (1.0, 2.0**-400, RESCALE_BELOW):

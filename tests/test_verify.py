@@ -31,6 +31,12 @@ def test_case_list_covers_the_grid_the_seeds_and_the_kernels():
     assert not missing, sorted(missing)
 
 
+def test_every_case_is_a_valid_config(tmp_path):
+    # Each benchmark and verify case sets only keys its problem reads.
+    for c in verify.cases():
+        ExperimentConfig(**c, out=str(tmp_path)).validate()
+
+
 def test_benchmark_slack_is_the_audit_slack():
     # perfbench/check.py keeps its own copy; its tolerances follow the audit's.
     assert check.AUDIT_SLACK == AUDIT_SLACK
