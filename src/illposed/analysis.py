@@ -148,7 +148,8 @@ def _lanczos_block(A, Q, ks, start, tol) -> list:
     v /= norm(v, axis=1)[:, None]
     U = np.empty((p, LANCZOS_MAX_ITER, m))
     V = np.empty((p, LANCZOS_MAX_ITER, n))
-    ab = np.zeros((p, LANCZOS_MAX_ITER, 2))  # alpha_i and beta_{i+1} of B_j
+    # B[c, :j, :j] is process c's B_j: alpha_i on the diagonal, beta_{i+1} above.
+    B = np.zeros((p, LANCZOS_MAX_ITER, LANCZOS_MAX_ITER + 1))
     beta = np.zeros(p)
     out = [None] * p
     for j in range(LANCZOS_MAX_ITER):
@@ -167,8 +168,8 @@ def _lanczos_block(A, Q, ks, start, tol) -> list:
         r = deflate(U[:, j] @ A) - alpha[:, None] * v
         r = _reorthogonalize(r, V[:, : j + 1])
         beta = norm(r, axis=1)
-        ab[:, j, 0] = alpha
-        X, s, _ = np.linalg.svd(_upper_bidiagonal(ab[:, : j + 1, 0], ab[:, :j, 1]))
+        B[:, j, j] = alpha
+        X, s, _ = np.linalg.svd(B[:, : j + 1, : j + 1])
         done = broke | (beta * np.abs(X[:, j, 0]) <= tol)
         for c in np.nonzero(done)[0]:
             out[live[c]] = None if j == 0 and broke[c] else float(s[c, 0])
@@ -177,21 +178,10 @@ def _lanczos_block(A, Q, ks, start, tol) -> list:
         if done.any():
             keep = ~done
             live, beta, r = live[keep], beta[keep], r[keep]
-            U, V, ab = (_compact(a, keep, j + 1) for a in (U, V, ab))
-        ab[:, j, 1] = beta
+            U, V, B = (_compact(a, keep, j + 1) for a in (U, V, B))
+        B[:, j, j + 1] = beta
         v = r / beta[:, None]
     return out
-
-
-def _upper_bidiagonal(d, e):
-    """Stack of square upper bidiagonal matrices, diagonals ``d[c]`` and
-    superdiagonals ``e[c]``."""
-    p, j = d.shape
-    B = np.zeros((p, j, j))
-    i = np.arange(j)
-    B[:, i, i] = d
-    B[:, i[:-1], i[1:]] = e
-    return B
 
 
 def _reorthogonalize(W, bases):

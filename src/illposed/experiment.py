@@ -46,7 +46,7 @@ from .analysis import (
     ritz_values,
     sigma_delta_norm,
 )
-from .bidiag import bidiag_run, recurrence_residuals
+from .bidiag import BREAKDOWN_REL, bidiag_run, recurrence_residuals
 from .csvio import format_value, read_csv, write_csv
 from .gallery import (
     SpectrumModel,
@@ -457,10 +457,12 @@ def run(config: ExperimentConfig) -> RunResult:
     Raises :class:`ConfigError` on an invalid configuration, an output
     directory that cannot be created, a noise level so small that the
     noise draw underflows to zero, noisy data whose ||b||^2 overflows, a
-    recurrence that breaks down before its first step or a square
-    factorization whose trailing beta_{n+1} does not vanish, all before any
-    artifact is written, and :class:`InvariantViolation` -- after all
-    artifacts are written -- when a universal inequality fails beyond slack.
+    sigma_1 so small that the breakdown tolerance 1e-14 * sigma_1 is not a
+    normal float (below about 2.2e-294), a recurrence that breaks down
+    before its first step or a square factorization whose trailing
+    beta_{n+1} does not vanish, all before any artifact is written, and
+    :class:`InvariantViolation` -- after all artifacts are written -- when
+    a universal inequality fails beyond slack.
     A later breakdown of the recurrence is not an error: the sweeps and
     analysis are truncated at the breakdown step, which the summary records.
     """
@@ -479,6 +481,12 @@ def run(config: ExperimentConfig) -> RunResult:
             raise ConfigError(f"||b||^2 of the noisy data overflows float64 (noise = {config.noise!r})")
     picard = picard_diagnostic(instance)
     sigma1 = float(problem.svd.sigma[0])
+    tiny = float(np.finfo(float).tiny)
+    if BREAKDOWN_REL * sigma1 < tiny:  # a subnormal or zero breakdown tolerance
+        raise ConfigError(
+            f"sigma_1 = {sigma1:.3e} lies below {tiny / BREAKDOWN_REL:.3e}, where the "
+            f"recurrence's breakdown tolerance {BREAKDOWN_REL:g} * sigma_1 is not a normal float"
+        )
     kmax = config.effective_kmax(problem.n)
 
     try:

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .linalg import SvdFactorization, as_matrix, as_vector, norm, svd
 
@@ -261,10 +262,9 @@ def make_heat(n: int, kappa: float = 1.0) -> IllPosedProblem:
     t = (np.arange(1, n + 1) - 0.5) * h
     c = h / (2.0 * kappa * np.sqrt(np.pi))
     kvals = c * t**-1.5 * np.exp(-1.0 / (4.0 * kappa**2 * t))
-    idx = np.arange(n)
-    lag = idx[:, None] - idx[None, :]
-    A = np.where(lag >= 0, kvals[np.clip(lag, 0, n - 1)], 0.0)
-    del lag
+    # Row i of A, kvals[i], ..., kvals[0] and then n - 1 - i zeros, is the
+    # reversed window i over the kernel values after n - 1 zeros.
+    A = sliding_window_view(np.concatenate([np.zeros(n - 1), kvals]), n)[:, ::-1].copy()
     si = 20.0 * np.arange(1, n // 2 + 1) / n
     head = np.where(
         si < 2.0,

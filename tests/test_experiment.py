@@ -874,12 +874,13 @@ def test_cli_tiny_spectrum_completes_without_violations(tmp_path):
     assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
 
 
-@pytest.mark.parametrize("n, zeta", [(16, 1e-155), (96, 1e-155), (128, 1e-150)])
+@pytest.mark.parametrize("n, zeta", [(16, 1e-155), (96, 1e-155), (128, 1e-150), (16, 5e-294)])
 def test_tiny_spectra_run_without_violations(n, zeta, tmp_path):
     # Entries below about 1e-154 have subnormal squares.  Summed unrescaled,
     # they gave n = 16 twenty false violations (interlacing, Ritz gaps),
     # n = 96 an overflow in the recurrence (renormalized by too small a
     # norm), and n = 128 a violation from the Lanczos gaps (n - k >= 72).
+    # sigma_1 = 2.5e-294 lies just above the floor of the breakdown tolerance.
     config = ExperimentConfig(problem="prescribed", n=n, zeta=zeta, out=str(tmp_path))
     assert run(config).summary["invariant_violations"] == 0
 
@@ -930,6 +931,28 @@ def test_cli_data_whose_square_underflows_completes(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "invariant_violations=0" in proc.stdout.splitlines()
     assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["--problem", "heat", "--n", "16", "--kappa", "0.019"],
+    ["--problem", "heat", "--n", "16", "--kappa", "0.0189"],
+    ["--problem", "heat", "--n", "32", "--kappa", "0.0187"],
+    ["--problem", "heat", "--n", "64", "--kappa", "0.0187"],
+    ["--problem", "prescribed", "--n", "16", "--zeta", "1e-308"],
+    ["--problem", "prescribed", "--n", "16", "--zeta", "1e-310"],
+])
+def test_cli_sigma_1_below_the_breakdown_tolerance_floor_exits_2(args, tmp_path):
+    # Below sigma_1 ~ 2.2e-294 the breakdown tolerance 1e-14 * sigma_1 is
+    # subnormal or zero.  heat (sigma_1 down to 1.9e-316) used to divide a
+    # zero vector by its zero norm and stop in a traceback; prescribed at
+    # 1e-308 reported false orthogonality violations, and at 1e-310 a
+    # completion check "expected below 0.000e+00".
+    out = tmp_path / "floor"
+    proc = _cli("run", *args, "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert re.match(r"config error: sigma_1 = \S+ lies below 2\.225e-294", proc.stderr)
+    assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+    assert os.listdir(out) == []
 
 
 @pytest.mark.parametrize("problem", ["prescribed", "picard_synthetic"])
