@@ -17,7 +17,7 @@ import numpy as np
 
 from .bidiag import BidiagState, lower_bidiagonal
 from .gallery import SpectrumModel
-from .linalg import SvdFactorization, norm, spectral_norm
+from .linalg import SvdFactorization, norm, power_of_two_above, spectral_norm
 from .noise import PicardDiagnostic
 
 __all__ = [
@@ -443,7 +443,9 @@ def lagrange_factor(sigma, k: int):
     for j = 1..k, with the k = 1 value defined as 1.  Returns the array of
     factors and their maximum, all nan when two of sigma_1..sigma_k coincide
     within 1e-14 relative (the factors are undefined on repeated singular
-    values).  Raises ``ValueError`` for k outside 1..len(sigma).
+    values).  They are scale-free: where sigma's squares are normal floats,
+    sigma * 2^p gives their bits for every p whose squares do not overflow.
+    Raises ``ValueError`` for k outside 1..len(sigma).
     """
     sigma = np.asarray(sigma, dtype=float)
     if not 1 <= k <= sigma.size:
@@ -453,8 +455,8 @@ def lagrange_factor(sigma, k: int):
     s = sigma[:k]
     if np.any(s[:-1] - s[1:] <= 1e-14 * sigma[0]):
         return np.full(k, math.nan), math.nan
-    if s[-1] ** 2 < _TINY:  # squares go subnormal; the factors are scale-free
-        s = s / s[0]
+    if s[-1] ** 2 < _TINY:  # squares go subnormal: rescale exactly
+        s = s / power_of_two_above(s)
     s2 = s**2
     denom = np.abs(s2[None, :] - s2[:, None])
     np.fill_diagonal(denom, 1.0)  # the j = i term is excluded from the product
@@ -575,23 +577,18 @@ def bound_report(
         raise ValueError(f"coefficient u_j'b vanishes at j={zero[0] + 1}")
     ratio = float(np.max(picard.coef[k:]) / np.min(head))
     beta = spectrum.beta_picard if spectrum.beta_picard is not None else picard.beta_fit
-    if k <= k0 and beta is not None and math.isfinite(beta):
-        ratio_asym = float((s[k] / s[k - 1]) ** (1.0 + beta))
-    elif k <= k0:
-        ratio_asym = math.nan
-    else:
+    if k > k0:
         ratio_asym = 1.0
+    else:  # beta_fit is nan where the fit is undefined
+        ratio_asym = float((s[k] / s[k - 1]) ** (1.0 + beta)) if math.isfinite(beta) else math.nan
     xi = xi_factor(delta_norm)
+    r = np.array([ratio, ratio_asym])  # each bound below, at the realized then the model ratio
 
     if spectrum.kind == "severe":
         crowd = 1.0 if k <= k0 else math.sqrt(k - k0 + 1.0)
-        decay = s[k] / s[k - 1]
-        delta_b = decay * ratio
-        delta_b_asym = decay * ratio_asym
-        sd_b = s[k] * ratio * crowd
-        sd_b_asym = s[k] * ratio_asym * crowd
-        eta = xi * ratio * crowd
-        eta_asym = xi * ratio_asym * crowd
+        delta_b = (s[k] / s[k - 1]) * r
+        sd_b = s[k] * r * crowd
+        eta = xi * r * crowd
         natural_cond = spectrum.rho >= 1.0 + math.sqrt(2.0)
     else:
         alpha = spectrum.alpha
@@ -607,29 +604,25 @@ def bound_report(
             poly_split = math.sqrt(
                 k * k0 / (4.0 * alpha**2 - 1.0) + k * (k - k0 + 1.0) / (2.0 * alpha - 1.0)
             )
-        delta_b = ratio * poly_plain * lagrange_max
-        delta_b_asym = ratio_asym * poly_plain * lagrange_max
-        sd_b = s[k - 1] * ratio * poly_split * lagrange_max
-        sd_b_asym = s[k - 1] * ratio_asym * poly_split * lagrange_max
-        eta = xi * (s[k - 1] / s[k]) * ratio * poly_split * lagrange_max
-        eta_asym = xi * (s[k - 1] / s[k]) * ratio_asym * poly_split * lagrange_max
-        natural_cond = 1.0 + math.sqrt(1.0 + eta**2) < ((k + 1.0) / k) ** alpha
+        delta_b = r * poly_plain * lagrange_max
+        sd_b = s[k - 1] * r * poly_split * lagrange_max
+        eta = xi * (s[k - 1] / s[k]) * r * poly_split * lagrange_max
+        natural_cond = 1.0 + math.sqrt(1.0 + eta[0] ** 2) < ((k + 1.0) / k) ** alpha
 
-    near_cond = math.sqrt(1.0 + eta**2) < 0.5 * (s[k - 1] / s[k]) + 0.5
     return BoundReport(
         regime=spectrum.kind,
         k0_used=int(k0),
         ratio_realized=ratio,
         ratio_asymptotic=ratio_asym,
         xi_k=xi,
-        eta_k=eta,
-        eta_k_asymptotic=eta_asym,
-        epsilon_k_bound=eta * s[k],
-        delta_bound=delta_b,
-        delta_bound_asymptotic=delta_b_asym,
-        sigma_delta_bound=sd_b,
-        sigma_delta_bound_asymptotic=sd_b_asym,
-        near_best_condition=bool(near_cond),
+        eta_k=eta[0],
+        eta_k_asymptotic=eta[1],
+        epsilon_k_bound=eta[0] * s[k],
+        delta_bound=delta_b[0],
+        delta_bound_asymptotic=delta_b[1],
+        sigma_delta_bound=sd_b[0],
+        sigma_delta_bound_asymptotic=sd_b[1],
+        near_best_condition=bool(math.sqrt(1.0 + eta[0] ** 2) < 0.5 * (s[k - 1] / s[k]) + 0.5),
         natural_order_condition=bool(natural_cond),
     )
 

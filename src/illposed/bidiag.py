@@ -184,13 +184,18 @@ def bidiag_start(A, b, reorth: bool = True, norm_A: float | None = None) -> Bidi
     ``norm_A`` (the spectral norm) sets the breakdown tolerance
     ``1e-14 * ||A||``; it is computed on the spot when not supplied.
     When b = 0 or A' b vanishes numerically, the state records ``beta_1``
-    or ``alpha_1`` as its breakdown and is terminal.
+    or ``alpha_1`` as its breakdown and is terminal.  Raises ``ValueError``
+    for a b of the wrong length, or an ||A|| below 2.2e-294 (subnormal atol).
     """
     A = as_matrix(A)
     b = as_vector(b)
     if b.shape[0] != A.shape[0]:
         raise ValueError(f"b has length {b.shape[0]}, expected {A.shape[0]}")
     nA = spectral_norm(A) if norm_A is None else float(norm_A)
+    if BREAKDOWN_REL * nA < (tiny := np.finfo(float).tiny):  # a zero vector could pass
+        raise ValueError(f"sigma_1 = {nA:.3e} lies below {tiny / BREAKDOWN_REL:.3e}, where the "
+                         f"recurrence's breakdown tolerance {BREAKDOWN_REL:g} * sigma_1 "
+                         "is not a normal float")
     state = BidiagState(A, atol=BREAKDOWN_REL * nA, reorth=reorth)
     beta1 = float(norm(b))
     if beta1 == 0.0:

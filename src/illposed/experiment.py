@@ -46,7 +46,7 @@ from .analysis import (
     ritz_values,
     sigma_delta_norm,
 )
-from .bidiag import BREAKDOWN_REL, bidiag_run, recurrence_residuals
+from .bidiag import bidiag_run, recurrence_residuals
 from .csvio import format_value, read_csv, write_csv
 from .gallery import (
     SpectrumModel,
@@ -454,15 +454,15 @@ def _write_lines(path, lines) -> None:
 def run(config: ExperimentConfig) -> RunResult:
     """Execute one configured experiment and write its artifact directory.
 
-    Raises :class:`ConfigError` on an invalid configuration, an output
-    directory that cannot be created, a noise level so small that the
-    noise draw underflows to zero, noisy data whose ||b||^2 overflows, a
-    sigma_1 so small that the breakdown tolerance 1e-14 * sigma_1 is not a
-    normal float (below about 2.2e-294), a recurrence that breaks down
-    before its first step or a square factorization whose trailing
-    beta_{n+1} does not vanish, all before any artifact is written, and
-    :class:`InvariantViolation` -- after all artifacts are written -- when
-    a universal inequality fails beyond slack.
+    Raises :class:`ConfigError`, before any artifact is written, on an
+    invalid configuration, an output directory that cannot be created, data
+    that ``add_noise`` refuses (a draw that underflows to zero, a noisy
+    ||b||^2 that overflows), a sigma_1 that ``bidiag_start`` refuses (below
+    about 2.2e-294, where the breakdown tolerance 1e-14 * sigma_1 is not a
+    normal float), a recurrence that breaks down before its first step or a
+    square factorization whose trailing beta_{n+1} does not vanish; and
+    :class:`InvariantViolation`, after all artifacts are written, when a
+    universal inequality fails beyond slack.
     A later breakdown of the recurrence is not an error: the sweeps and
     analysis are truncated at the breakdown step, which the summary records.
     """
@@ -473,24 +473,12 @@ def run(config: ExperimentConfig) -> RunResult:
     except OSError as err:
         raise ConfigError(f"cannot create output directory {outdir}: {err}") from err
     problem = build_problem(config)
-    instance = add_noise(problem, config.noise, config.seed)
-    if instance.eta == 0.0:
-        raise ConfigError(f"noise = {config.noise!r} underflows to a zero noise draw")
-    with np.errstate(over="ignore"):  # an overflow is reported here
-        if not np.isfinite(np.linalg.norm(instance.b)):
-            raise ConfigError(f"||b||^2 of the noisy data overflows float64 (noise = {config.noise!r})")
-    picard = picard_diagnostic(instance)
     sigma1 = float(problem.svd.sigma[0])
-    tiny = float(np.finfo(float).tiny)
-    if BREAKDOWN_REL * sigma1 < tiny:  # a subnormal or zero breakdown tolerance
-        raise ConfigError(
-            f"sigma_1 = {sigma1:.3e} lies below {tiny / BREAKDOWN_REL:.3e}, where the "
-            f"recurrence's breakdown tolerance {BREAKDOWN_REL:g} * sigma_1 is not a normal float"
-        )
-    kmax = config.effective_kmax(problem.n)
-
     try:
+        instance = add_noise(problem, config.noise, config.seed)
         state = bidiag_run(problem.A, instance.b, steps=None, reorth=config.reorth, norm_A=sigma1)
+    except ValueError as err:  # the data or sigma_1 a producer cannot take
+        raise ConfigError(str(err)) from err
     except RuntimeError as err:  # the square completion check in bidiag._finish
         raise ConfigError(
             f"the square factorization cannot complete at sigma_1 = {sigma1:.3e}: {err}"
@@ -501,6 +489,8 @@ def run(config: ExperimentConfig) -> RunResult:
             "(b or A' b vanishes, or A A' maps b onto itself, as for a spectrum flat "
             "to rounding)"
         )
+    picard = picard_diagnostic(instance)
+    kmax = config.effective_kmax(problem.n)
     tsvd = tsvd_sweep(instance)
     lsqr = lsqr_sweep(instance, state, kmax)
     records, model, source = _analysis_records(problem, picard, state, kmax)

@@ -18,6 +18,7 @@ __all__ = [
     "as_matrix",
     "as_vector",
     "norm",
+    "power_of_two_above",
     "svd",
     "spectral_norm",
 ]
@@ -29,23 +30,28 @@ __all__ = [
 RESCALE_BELOW = 2.0**-460
 
 
+def power_of_two_above(x, axis=None, keepdims=False):
+    """The power of two t with max|x| < t <= 2 max|x| along ``axis`` (1 for
+    zeros): x / t is exact, and t(x * 2^p) = t(x) * 2^p, so a computation on
+    x / t gives the same bits at every power-of-two scale of x."""
+    return np.ldexp(1.0, np.frexp(np.max(np.abs(x), axis=axis, keepdims=keepdims, initial=0.0))[1])
+
+
 def norm(x, axis=None):
     """``np.linalg.norm(x, axis=axis)``: the 2-norm of a vector, the
     Frobenius norm of a matrix, or the norms along ``axis``.
 
-    A norm below ``RESCALE_BELOW`` is recomputed as t * norm(x / t), t the
-    power of two with max|x| < t <= 2 max|x| along ``axis`` (1 for zeros), so
-    that entries whose squares underflow keep their digits (a nonzero x then
-    never has norm 0).  Both scalings are exact, so norm(x * 2^p) is
+    A norm below ``RESCALE_BELOW`` is recomputed as t * norm(x / t), t =
+    ``power_of_two_above(x)`` along ``axis``: entries whose squares underflow
+    keep their digits (a nonzero x never has norm 0), and norm(x * 2^p) is
     norm(x) * 2^p bit for bit while neither has subnormal entries.
     """
     r = np.linalg.norm(x, axis=axis)
     small = r < RESCALE_BELOW
     if not np.any(small):
         return r
-    t = np.ldexp(1.0, np.frexp(np.max(np.abs(x), axis=axis, keepdims=True, initial=0.0))[1])
-    scaled = np.squeeze(t, axis) * np.linalg.norm(x / t, axis=axis)
-    return np.where(small, scaled, r)
+    t = power_of_two_above(x, axis, keepdims=True)
+    return np.where(small, np.squeeze(t, axis) * np.linalg.norm(x / t, axis=axis), r)
 
 
 def as_matrix(A, name="A") -> np.ndarray:

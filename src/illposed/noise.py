@@ -57,7 +57,8 @@ def add_noise(problem: IllPosedProblem, epsilon: float, seed: int) -> NoisyInsta
     ``epsilon`` exactly (up to roundoff), which pins the noise floor
     ``eta`` deterministically for a given seed.
 
-    Raises ``ValueError`` unless ``0 < epsilon < 1``.
+    Raises ``ValueError`` unless ``0 < epsilon < 1``, and for a draw that
+    underflows to zero (``eta = 0``) or noisy data whose ||b||^2 overflows.
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
@@ -69,6 +70,11 @@ def add_noise(problem: IllPosedProblem, epsilon: float, seed: int) -> NoisyInsta
     e = g * (epsilon * float(norm(problem.b_true)) / ng)
     b = problem.b_true + e
     eta = float(norm(e)) / np.sqrt(problem.m)
+    if eta == 0.0:
+        raise ValueError(f"noise = {epsilon!r} underflows to a zero noise draw")
+    with np.errstate(over="ignore"):  # an overflow is reported here
+        if not np.isfinite(np.linalg.norm(b)):
+            raise ValueError(f"||b||^2 of the noisy data overflows float64 (noise = {epsilon!r})")
     return NoisyInstance(
         problem=problem, epsilon=float(epsilon), seed=int(seed), e=e, b=b, eta=eta
     )

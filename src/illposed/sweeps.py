@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bidiag import BidiagState
-from .linalg import RESCALE_BELOW, norm
+from .linalg import RESCALE_BELOW, norm, power_of_two_above
 from .noise import NoisyInstance
 
 __all__ = [
@@ -89,9 +89,8 @@ def tsvd_sweep(instance: NoisyInstance) -> Sweep:
     c = fact.coefficients(instance.b)
     w = fact.V.T @ prob.x_true
     nx = norm(prob.x_true)
-    # Both columns sum squares of v / t, with t as in linalg.norm's rescaling
-    # (a power of two): 1 unless the norm is so small that they may go subnormal.
-    t, tx = (np.ldexp(1.0, np.frexp(np.max(np.abs(v)))[1]) if norm(v) < RESCALE_BELOW else 1.0
+    # Both columns sum squares of v / t, t = 1 unless linalg.norm rescales v.
+    t, tx = (power_of_two_above(v) if norm(v) < RESCALE_BELOW else 1.0
              for v in (instance.b, prob.x_true))
     outside = float(np.sum(((instance.b - fact.U @ c) / t) ** 2))
 

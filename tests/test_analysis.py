@@ -729,6 +729,18 @@ def test_lagrange_factor_blows_up_on_mild_decay():
     assert mx > 10.0
 
 
+@pytest.mark.parametrize("p", [-600, -1000])
+def test_lagrange_factor_keeps_its_bits_under_power_of_two_scaling(p):
+    # At 2^p every square is subnormal, so the factors are formed from a
+    # rescaled spectrum; a power-of-two rescale returns sigma's own bits.
+    sigma = 0.9 ** np.arange(1, 31)
+    for k in range(1, 31):
+        factors, mx = lagrange_factor(sigma, k)
+        scaled, scaled_mx = lagrange_factor(np.ldexp(sigma, p), k)
+        np.testing.assert_array_equal(scaled, factors)
+        assert scaled_mx == mx
+
+
 def test_lagrange_factor_rejects_ties_and_bad_k():
     # Tied values leave the factors undefined: nan, not an error.
     factors, mx = lagrange_factor(np.array([1.0, 1.0, 0.5]), 2)
@@ -784,6 +796,10 @@ def test_bound_report_severe_identities(severe3_rig):
         assert rep.sigma_delta_bound == pytest.approx(s[k] * ratio * crowd, rel=1e-13)
         assert rep.eta_k == pytest.approx(rep.xi_k * ratio * crowd, rel=1e-13)
         assert rep.epsilon_k_bound == pytest.approx(rep.eta_k * s[k], rel=1e-13)
+        asym = rep.ratio_asymptotic
+        assert rep.delta_bound_asymptotic == pytest.approx((s[k] / s[k - 1]) * asym, rel=1e-13)
+        assert rep.sigma_delta_bound_asymptotic == pytest.approx(s[k] * asym * crowd, rel=1e-13)
+        assert rep.eta_k_asymptotic == pytest.approx(rep.xi_k * asym * crowd, rel=1e-13)
         assert rep.natural_order_condition  # rho = 3 >= 1 + sqrt(2)
 
 
@@ -849,6 +865,15 @@ def test_bound_report_moderate_identities(moderate_rig):
             rep.xi_k * (s[k - 1] / s[k]) * ratio * split * lag, rel=1e-12
         )
         assert rep.epsilon_k_bound == pytest.approx(rep.eta_k * s[k], rel=1e-12)
+        asym = rep.ratio_asymptotic
+        assert math.isfinite(asym)
+        assert rep.delta_bound_asymptotic == pytest.approx(asym * plain * lag, rel=1e-12)
+        assert rep.sigma_delta_bound_asymptotic == pytest.approx(
+            s[k - 1] * asym * split * lag, rel=1e-12
+        )
+        assert rep.eta_k_asymptotic == pytest.approx(
+            rep.xi_k * (s[k - 1] / s[k]) * asym * split * lag, rel=1e-12
+        )
         assert rep.near_best_condition == (
             math.sqrt(1.0 + rep.eta_k**2) < 0.5 * (s[k - 1] / s[k]) + 0.5
         )

@@ -230,6 +230,12 @@ def test_b_length_validated():
         bidiag_start(np.eye(3), np.ones(4))
 
 
+def test_breakdown_tolerance_below_the_normal_floats_is_refused():
+    # 1e-14 * 1e-300 is subnormal: a zero vector could pass as unbroken.
+    with pytest.raises(ValueError, match=r"sigma_1 = \S+ lies below 2\.225e-294"):
+        bidiag_run(np.eye(3), np.ones(3), norm_A=1e-300)
+
+
 def test_lower_bidiagonal_shapes():
     B = lower_bidiagonal([1.0, 2.0], [3.0, 4.0])
     np.testing.assert_array_equal(B, [[1, 0], [3, 2], [0, 4]])

@@ -10,7 +10,7 @@ from conftest import severe
 
 from illposed.csvio import read_csv
 from illposed.experiment import write_picard_csv
-from illposed.gallery import make_picard_synthetic, make_prescribed, make_shaw
+from illposed.gallery import make_deriv2, make_picard_synthetic, make_prescribed, make_shaw
 from illposed.noise import (
     FLOOR_FACTOR,
     WINDOW_HALF,
@@ -74,6 +74,20 @@ def test_add_noise_validates_epsilon():
     for eps in (0.0, 1.0, -0.1, 1.5):
         with pytest.raises(ValueError, match="epsilon"):
             add_noise(prob, eps, 0)
+
+
+def test_add_noise_refuses_a_draw_that_underflows_to_zero():
+    # deriv2's ||b_true|| is small enough that 5e-324 times it rounds to 0.
+    with pytest.raises(ValueError, match="underflows to a zero noise draw"):
+        add_noise(make_deriv2(16), 5e-324, 0)
+
+
+def test_add_noise_refuses_noisy_data_whose_square_overflows():
+    # ||b_true||^2 is finite at zeta = 1e154, but noise 0.5 lifts ||b||^2 past float64.
+    prob = make_prescribed(12, severe(2.0, beta=0.0, zeta=1e154), seed=0)
+    assert np.isfinite(np.linalg.norm(prob.b_true))
+    with pytest.raises(ValueError, match=r"\|\|b\|\|\^2 of the noisy data overflows"):
+        add_noise(prob, 0.5, 0)
 
 
 def test_noiseless_instance():
