@@ -240,11 +240,11 @@ def _finish(state: BidiagState) -> BidiagState:
     beta, w = state._reorthogonalize(A @ Q.view()[:, k] - state.alphas[-1] * P.view()[:, k], P)
     n = state.n
     if state.m == state.n and state.reorth:
-        limit = FINAL_BETA_REL * (state.atol / BREAKDOWN_REL)
-        if beta > limit:
-            raise RuntimeError(
-                f"square factorization ended with beta_{n + 1} = {beta:.3e}, "
-                f"expected below {limit:.3e}"
+        sigma1 = state.atol / BREAKDOWN_REL
+        if beta > (limit := FINAL_BETA_REL * sigma1):
+            raise ValueError(
+                f"the square factorization cannot complete at sigma_1 = {sigma1:.3e}: square "
+                f"factorization ended with beta_{n + 1} = {beta:.3e}, expected below {limit:.3e}"
             )
         state.betas.append(0.0)
     else:
@@ -264,10 +264,11 @@ def bidiag_run(
     half-step for beta_{n+1}, which gives the full factorization P' A Q = B.
     For a square matrix the dimension count forces beta_{n+1} = 0; under
     full reorthogonalization the computed value must vanish within
-    ``1e-12 * ||A||`` and is recorded as zero.  A breakdown, at the start
-    or in a step, truncates the run and is recorded in ``state.breakdown``;
-    a completed or broken-down state is terminal, so the trailing-block
-    norms are available.
+    ``1e-12 * ||A||`` and is recorded as zero; a larger one raises
+    ``ValueError``, as do the b and ``norm_A`` that :func:`bidiag_start` refuses.
+    A breakdown, at the start or in a step, truncates the run and is recorded
+    in ``state.breakdown``; a completed or broken-down state is terminal, so
+    the trailing-block norms are available.
     """
     state = bidiag_start(A, b, reorth=reorth, norm_A=norm_A)
     target = state.n - 1 if steps is None else min(steps, state.n - 1)

@@ -1,6 +1,7 @@
-"""Versioned CSV serialization: one writer and one reader for every artifact table.
+"""Artifact files: one writer of every file a run leaves, and versioned CSV.
 
-Each file is a table of named columns under a schema comment line
+:func:`write_lines` writes each file as ASCII, every line ended by a line
+feed.  A CSV is a table of named columns under a schema comment line
 ``# schema=illposed.v1 kind=...`` and a header row.  Floats are written with
 ``repr`` (shortest round-trip form), so rerunning an identical configuration
 reproduces the files byte for byte.
@@ -13,6 +14,7 @@ import numpy as np
 __all__ = [
     "SCHEMA_VERSION",
     "format_value",
+    "write_lines",
     "write_csv",
     "read_csv",
 ]
@@ -43,6 +45,12 @@ def format_value(v) -> str:
     return "nan" if v is None else repr(float(v))
 
 
+def write_lines(path, lines) -> None:
+    """Write ``lines`` to ``path`` as ASCII, each ended by a line feed."""
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def write_csv(path, kind, columns) -> None:
     """Write ``columns`` (name -> cells, in file order) under a schema line.
 
@@ -58,8 +66,7 @@ def write_csv(path, kind, columns) -> None:
         raise ValueError(f"columns differ in length: {dict(zip(columns, map(len, cells)))}")
     lines = [f"# schema={SCHEMA_VERSION} kind={kind}", ",".join(columns)]
     lines.extend(map(",".join, zip(*cells)))
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def read_csv(path):

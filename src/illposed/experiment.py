@@ -47,7 +47,7 @@ from .analysis import (
     sigma_delta_norm,
 )
 from .bidiag import bidiag_run, recurrence_residuals
-from .csvio import format_value, read_csv, write_csv
+from .csvio import format_value, read_csv, write_csv, write_lines
 from .gallery import (
     SpectrumModel,
     fit_spectrum_model,
@@ -120,11 +120,9 @@ _PROBLEM_KEYS = {k for _, keys in _PROBLEM_TABLE.values() for k in keys} | set(_
 
 
 def build_problem(config: ExperimentConfig):
-    """Instantiate the configured problem (constructor errors are config errors)."""
-    try:
-        return _PROBLEM_TABLE[config.problem][0](config, config.effective_n)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    """Instantiate the configured problem; the constructor's ``ValueError``
+    (shaw's odd n, gravity's depth, ...) propagates."""
+    return _PROBLEM_TABLE[config.problem][0](config, config.effective_n)
 
 
 # Configuration ===============================================================
@@ -446,23 +444,18 @@ def summary_lines(summary) -> list:
     return [f"{key}={format_value(value)}" for key, value in summary.items()]
 
 
-def _write_lines(path, lines) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def run(config: ExperimentConfig) -> RunResult:
     """Execute one configured experiment and write its artifact directory.
 
     Raises :class:`ConfigError`, before any artifact is written, on an
-    invalid configuration, an output directory that cannot be created, data
-    that ``add_noise`` refuses (a draw that underflows to zero, a noisy
-    ||b||^2 that overflows), a sigma_1 that ``bidiag_start`` refuses (below
-    about 2.2e-294, where the breakdown tolerance 1e-14 * sigma_1 is not a
-    normal float), a recurrence that breaks down before its first step or a
-    square factorization whose trailing beta_{n+1} does not vanish; and
-    :class:`InvariantViolation`, after all artifacts are written, when a
-    universal inequality fails beyond slack.
+    invalid configuration, an output directory that cannot be created, or a
+    ``ValueError`` of ``build_problem`` (shaw's odd n, ...), ``add_noise`` (a
+    draw that underflows to zero, a noisy ||b||^2 that overflows),
+    ``bidiag_run`` (a sigma_1 below about 2.2e-294, where the breakdown
+    tolerance 1e-14 * sigma_1 is not a normal float; a square factorization
+    whose beta_{n+1} does not vanish) or ``lsqr_sweep`` (a recurrence that
+    breaks down before its first step); and :class:`InvariantViolation`, after
+    all artifacts are written, when a universal inequality fails beyond slack.
     A later breakdown of the recurrence is not an error: the sweeps and
     analysis are truncated at the breakdown step, which the summary records.
     """
@@ -472,27 +465,16 @@ def run(config: ExperimentConfig) -> RunResult:
         os.makedirs(outdir, exist_ok=True)
     except OSError as err:
         raise ConfigError(f"cannot create output directory {outdir}: {err}") from err
-    problem = build_problem(config)
-    sigma1 = float(problem.svd.sigma[0])
+    kmax = config.effective_kmax(config.effective_n)
     try:
+        problem = build_problem(config)
         instance = add_noise(problem, config.noise, config.seed)
-        state = bidiag_run(problem.A, instance.b, steps=None, reorth=config.reorth, norm_A=sigma1)
-    except ValueError as err:  # the data or sigma_1 a producer cannot take
+        state = bidiag_run(problem.A, instance.b, reorth=config.reorth, norm_A=problem.svd.sigma[0])
+        lsqr = lsqr_sweep(instance, state, kmax)
+    except ValueError as err:  # a producer refuses the configured problem or data
         raise ConfigError(str(err)) from err
-    except RuntimeError as err:  # the square completion check in bidiag._finish
-        raise ConfigError(
-            f"the square factorization cannot complete at sigma_1 = {sigma1:.3e}: {err}"
-        ) from err
-    if state.max_k < 1:  # beta_1, alpha_1 or beta_2 vanished
-        raise ConfigError(
-            f"the recurrence broke down at {state.breakdown} before its first step "
-            "(b or A' b vanishes, or A A' maps b onto itself, as for a spectrum flat "
-            "to rounding)"
-        )
     picard = picard_diagnostic(instance)
-    kmax = config.effective_kmax(problem.n)
     tsvd = tsvd_sweep(instance)
-    lsqr = lsqr_sweep(instance, state, kmax)
     records, model, source = _analysis_records(problem, picard, state, kmax)
     violations = _check_invariants(
         records, problem.svd.sigma, state, lsqr, tsvd, config.reorth
@@ -501,7 +483,7 @@ def run(config: ExperimentConfig) -> RunResult:
     def path(name):
         return os.path.join(outdir, name)
 
-    _write_lines(path("config.txt"), config.echo_lines())
+    write_lines(path("config.txt"), config.echo_lines())
     write_picard_csv(picard, path("picard.csv"))
     write_bidiag_csv(state, path("bidiag.csv"))
     write_tsvd_csv(tsvd, path("tsvd.csv"))
@@ -512,7 +494,7 @@ def run(config: ExperimentConfig) -> RunResult:
         config, problem, instance, picard, state, tsvd, lsqr,
         records, model, source, violations,
     )
-    _write_lines(path("summary.txt"), summary_lines(summary))
+    write_lines(path("summary.txt"), summary_lines(summary))
     render_panels(outdir, config.panel_set(), records, problem.svd.sigma, lsqr, tsvd)
 
     if violations:
@@ -652,8 +634,7 @@ def render_panels(outdir, panels, records, sigma, lsqr, tsvd) -> list:
         d.add_vline(tsvd.best_k, "k0")
     names = [f"panel_{letter}.svg" for letter in charts]
     for name, panel in zip(names, charts.values()):
-        with open(os.path.join(outdir, name), "w", encoding="ascii", newline="\n") as fh:
-            fh.write(panel.render())
+        write_lines(os.path.join(outdir, name), panel.lines())
     return names
 
 

@@ -183,6 +183,10 @@ class Chart:
             self._vlines.append((x, label))
 
     def render(self) -> str:
+        return "\n".join(self.lines()) + "\n"
+
+    def lines(self) -> list:
+        """The SVG document, one element per line."""
         xaxis, yaxis = self.xaxis, self.yaxis
         xaxis.finish()
         yaxis.finish()
@@ -236,4 +240,4 @@ class Chart:
             legend.append(_text(lx + 28, ly + 18 * idx + 8, 11, label))
         out.extend(legend)
         out.append("</svg>")
-        return "\n".join(out) + "\n"
+        return out

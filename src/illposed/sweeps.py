@@ -117,14 +117,18 @@ def lsqr_sweep(instance: NoisyInstance, state: BidiagState, kmax: int) -> Sweep:
     singular value of B_k: past its numerical rank a row is still the
     recurrence's Krylov iterate.  Each residual ||A x_k - b|| is computed
     directly.  A factorization that broke down earlier truncates the sweep
-    at its last step, ``state.max_k``.
+    at its last step, ``state.max_k``.  Raises ``ValueError`` for a kmax
+    below 1 and for a state without a first step, naming its breakdown.
     """
     prob = instance.problem
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
+    if state.max_k < 1:  # beta_1, alpha_1 or beta_2 vanished, or steps=0
+        raise ValueError("the recurrence stopped before its first step" if state.breakdown is None
+                         else f"the recurrence broke down at {state.breakdown} before its first "
+                         "step (b or A' b vanishes, or A A' maps b onto itself, as for a spectrum "
+                         "flat to rounding)")
     K = min(kmax, state.max_k)
-    if K < 1:
-        raise ValueError("factorization broke down before the first iterate")
     Q = state.Q_k(K)
     nx = float(norm(prob.x_true))
     rel_errors = np.empty(K)

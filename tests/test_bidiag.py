@@ -97,6 +97,16 @@ def test_complete_square_forces_zero_trailing_beta():
     assert len(state.alphas) == 12 and len(state.betas) == 13
 
 
+def test_square_completion_above_its_limit_is_refused(monkeypatch):
+    # With a limit of zero no computed beta_{n+1} vanishes within it: the
+    # run refuses the input as a ValueError that names sigma_1 and the entry.
+    monkeypatch.setattr(bidiag, "FINAL_BETA_REL", 0.0)
+    prob = make_shaw(12)
+    with pytest.raises(ValueError, match=r"cannot complete at sigma_1 = \S+: "
+                                         r"square factorization ended with beta_13 = "):
+        bidiag_run(prob.A, prob.b_true + 1e-3)
+
+
 def test_complete_square_without_reorthogonalization_keeps_computed_beta():
     # The plain recurrence loses orthogonality, so beta_{n+1} of a square
     # factorization need not vanish: it is recorded, and no (n+1)-th left

@@ -235,7 +235,7 @@ def test_package_docstring_flow_runs_as_documented():
     exec(compile(code, "illposed/__init__.py", "exec"), {})
 
 
-def test_build_problem_dispatch_and_errors():
+def test_build_problem_dispatch_and_errors(tmp_path):
     cfg = load_config(None, {"problem": "picard_synthetic", "decay": "moderate",
                              "alpha": "1.5", "n": "16"})
     prob = build_problem(cfg)
@@ -243,9 +243,14 @@ def test_build_problem_dispatch_and_errors():
     assert prob.spectrum.alpha == 1.5
     cfg_severe = load_config(None, {"problem": "prescribed", "rho": "3.0", "n": "16"})
     assert build_problem(cfg_severe).spectrum.rho == 3.0
-    # Constructor requirements surface as configuration errors.
+    # A constructor's requirement is its ValueError; run() maps it to a
+    # configuration error before writing anything.
+    odd = load_config(None, {"problem": "shaw", "n": "33"})
+    with pytest.raises(ValueError, match="even"):
+        build_problem(odd)
     with pytest.raises(ConfigError, match="even"):
-        build_problem(load_config(None, {"problem": "shaw", "n": "33"}))
+        run(replace(odd, out=str(tmp_path)))
+    assert os.listdir(tmp_path) == []
 
 
 #: A value other than the default of each problem-specific key, in the range
@@ -888,10 +893,8 @@ def test_tiny_spectra_run_without_violations(n, zeta, tmp_path):
 def test_run_maps_a_failed_square_completion_to_a_config_error(tmp_path, monkeypatch):
     import illposed.bidiag as bidiag
 
-    def incomplete(state):
-        raise RuntimeError("square factorization ended with beta_9 = 1.000e+00")
-
-    monkeypatch.setattr(bidiag, "_finish", incomplete)
+    # With a limit of zero, _finish refuses every computed beta_{n+1}.
+    monkeypatch.setattr(bidiag, "FINAL_BETA_REL", 0.0)
     out = tmp_path / "x"
     with pytest.raises(ConfigError, match=r"cannot complete at sigma_1 = .*: square .* beta_9"):
         run(ExperimentConfig(problem="deriv2", n=8, out=str(out)))

@@ -100,11 +100,21 @@ def _sweep(inst, kmax):
 
 def test_sweep_refuses_a_state_without_a_step():
     # A factorization stopped before its first step has no B_1 (kmax < 1 is
-    # refused in test_sweep_respects_kmax).
+    # refused in test_sweep_respects_kmax).  Stopped by steps=0, it has no
+    # breakdown to name.
     inst = _diag_instance()
     state = bidiag_run(inst.problem.A, inst.b, steps=0)
-    assert state.max_k == 0
-    with pytest.raises(ValueError, match="before the first iterate"):
+    assert state.max_k == 0 and state.breakdown is None
+    with pytest.raises(ValueError, match="the recurrence stopped before its first step"):
+        lsqr_sweep(inst, state, 1)
+
+
+def test_sweep_names_the_breakdown_before_the_first_step():
+    # A' b = 0: the state records alpha_1, and the sweep names it.
+    inst = _diag_instance()
+    state = bidiag_run(np.zeros_like(inst.problem.A), inst.b, norm_A=1.0)
+    assert state.breakdown == "alpha_1"
+    with pytest.raises(ValueError, match="alpha_1 before its first step"):
         lsqr_sweep(inst, state, 1)
 
 

@@ -54,7 +54,8 @@ def test_tracer_sees_every_check_and_bound_of_a_run(tmp_path):
     for name in ("near_best_predicate", "natural_order_check", "cauchy_interlace_check",
                  "mirsky_gap_check", "bound_report", "lagrange_factor"):
         assert name in spans, name
-    for name in ("tsvd_sweep", "lsqr_sweep"):
+    # The producers run() calls inside its one refusal path are spans too.
+    for name in ("build_problem", "add_noise", "bidiag_run", "tsvd_sweep", "lsqr_sweep"):
         assert len(spans[name]) == 1, name
     (panels,) = spans["render_panels"]
     svgs = sorted(tmp_path.glob("panel_*.svg"))
