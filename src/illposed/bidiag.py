@@ -91,12 +91,14 @@ class BidiagState:
     holds steps+1 columns in each basis, and ``B(k)`` is available for every
     ``k <= max_k = steps``.  Completing the factorization appends the final
     subdiagonal entry beta_{n+1} (recorded as exactly zero when m = n under
-    full reorthogonalization).
+    full reorthogonalization).  ``norm_A`` is ||A||: it sets the breakdown
+    tolerance ``atol = 1e-14 * ||A||`` and the square test of beta_{n+1}.
     """
 
-    def __init__(self, A, atol, reorth):
+    def __init__(self, A, norm_A, reorth):
         self.A = A
-        self.atol = float(atol)
+        self.norm_A = float(norm_A)
+        self.atol = BREAKDOWN_REL * self.norm_A
         self.reorth = bool(reorth)
         m, n = A.shape
         self._P = _GrowingBasis(m)
@@ -191,12 +193,11 @@ def bidiag_start(A, b, reorth: bool = True, norm_A: float | None = None) -> Bidi
     b = as_vector(b)
     if b.shape[0] != A.shape[0]:
         raise ValueError(f"b has length {b.shape[0]}, expected {A.shape[0]}")
-    nA = spectral_norm(A) if norm_A is None else float(norm_A)
-    if BREAKDOWN_REL * nA < (tiny := np.finfo(float).tiny):  # a zero vector could pass
-        raise ValueError(f"sigma_1 = {nA:.3e} lies below {tiny / BREAKDOWN_REL:.3e}, where the "
-                         f"recurrence's breakdown tolerance {BREAKDOWN_REL:g} * sigma_1 "
+    state = BidiagState(A, spectral_norm(A) if norm_A is None else norm_A, reorth)
+    if state.atol < (tiny := np.finfo(float).tiny):  # a zero vector could pass
+        raise ValueError(f"sigma_1 = {state.norm_A:.3e} lies below {tiny / BREAKDOWN_REL:.3e}, "
+                         f"where the recurrence's breakdown tolerance {BREAKDOWN_REL:g} * sigma_1 "
                          "is not a normal float")
-    state = BidiagState(A, atol=BREAKDOWN_REL * nA, reorth=reorth)
     beta1 = float(norm(b))
     if beta1 == 0.0:
         state.breakdown = "beta_1"
@@ -240,10 +241,9 @@ def _finish(state: BidiagState) -> BidiagState:
     beta, w = state._reorthogonalize(A @ Q.view()[:, k] - state.alphas[-1] * P.view()[:, k], P)
     n = state.n
     if state.m == state.n and state.reorth:
-        sigma1 = state.atol / BREAKDOWN_REL
-        if beta > (limit := FINAL_BETA_REL * sigma1):
+        if beta > (limit := FINAL_BETA_REL * state.norm_A):
             raise ValueError(
-                f"the square factorization cannot complete at sigma_1 = {sigma1:.3e}: square "
+                f"the square factorization cannot complete at sigma_1 = {state.norm_A:.3e}: square "
                 f"factorization ended with beta_{n + 1} = {beta:.3e}, expected below {limit:.3e}"
             )
         state.betas.append(0.0)

@@ -294,22 +294,18 @@ class RunResult:
     outdir: str
 
 
-def _spectrum_for_bounds(problem):
-    """The decay model the bound evaluators use: given, else fitted."""
-    if problem.spectrum is not None:
-        return problem.spectrum, "given"
-    try:
-        return fit_spectrum_model(problem.svd.sigma), "fitted"
-    except ValueError:
-        return None, "none"
-
-
 def _analysis_records(problem, picard, state, kmax):
     """Per-step diagnostics with their bounds for k = 1..kmax, the decay
-    model and its source."""
+    model the bounds use (the problem's, else one fitted to its spectrum)
+    and its source."""
     fact = problem.svd
     sigma = fact.sigma
-    model, source = _spectrum_for_bounds(problem)
+    model, source = problem.spectrum, "given"
+    if model is None:
+        try:
+            model, source = fit_spectrum_model(sigma), "fitted"
+        except ValueError:
+            source = "none"
     # alpha_{k+1}, the first entry of the trailing block, exists for k <= steps.
     K = min(kmax, state.steps)
     proxy = dict(decay_diagnostic(state, K))
@@ -351,7 +347,7 @@ def _analysis_records(problem, picard, state, kmax):
     return records, model, source
 
 
-def _check_invariants(records, sigma, state, lsqr, tsvd, reorth):
+def _check_invariants(records, sigma, state, lsqr, tsvd):
     """Audit the universal inequalities to ``AUDIT_SLACK`` (times sigma_1, or
     sigma_1^2, on sigma's scale); returns human-readable violations."""
     sigma1 = float(sigma[0])
@@ -386,7 +382,7 @@ def _check_invariants(records, sigma, state, lsqr, tsvd, reorth):
             f"semi-convergence index {lsqr.best_k} exceeds realized "
             f"transition index {tsvd.best_k} by more than one"
         )
-    if reorth and records:
+    if state.reorth and records:
         resid = recurrence_residuals(state, records[-1].k)
         for key in ("ortho_P", "ortho_Q"):
             if resid[key] > AUDIT_SLACK:
@@ -401,9 +397,9 @@ def _first_failure(records, attr):
     return next((rec.k for rec in records if not getattr(rec, attr)), "none")
 
 
-def _summary_dict(config, problem, instance, picard, state, tsvd, lsqr,
+def _summary_dict(config, instance, picard, state, tsvd, lsqr,
                   records, model, source, violations) -> dict:
-    breakdown = state.breakdown
+    problem, breakdown = instance.problem, state.breakdown
     if model is None:
         model_text = "none"
     elif model.kind == "severe":
@@ -418,7 +414,7 @@ def _summary_dict(config, problem, instance, picard, state, tsvd, lsqr,
         "seed": instance.seed,
         "generator": instance.generator,
         "eta": instance.eta,
-        "reorth": config.reorth,
+        "reorth": state.reorth,
         "kmax": config.effective_kmax(problem.n),
         "analysis_rows": len(records),
         "breakdown": breakdown if breakdown is not None else "none",
@@ -476,9 +472,7 @@ def run(config: ExperimentConfig) -> RunResult:
     picard = picard_diagnostic(instance)
     tsvd = tsvd_sweep(instance)
     records, model, source = _analysis_records(problem, picard, state, kmax)
-    violations = _check_invariants(
-        records, problem.svd.sigma, state, lsqr, tsvd, config.reorth
-    )
+    violations = _check_invariants(records, problem.svd.sigma, state, lsqr, tsvd)
 
     def path(name):
         return os.path.join(outdir, name)
@@ -491,8 +485,7 @@ def run(config: ExperimentConfig) -> RunResult:
     write_analysis_csv(records, path("analysis.csv"))
     write_ritz_csv(records, path("ritz.csv"))
     summary = _summary_dict(
-        config, problem, instance, picard, state, tsvd, lsqr,
-        records, model, source, violations,
+        config, instance, picard, state, tsvd, lsqr, records, model, source, violations
     )
     write_lines(path("summary.txt"), summary_lines(summary))
     render_panels(outdir, config.panel_set(), records, problem.svd.sigma, lsqr, tsvd)

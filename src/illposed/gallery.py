@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .linalg import SvdFactorization, as_matrix, as_vector, norm, svd
+from .linalg import SvdFactorization, as_matrix, as_vector, norm, power_of_two_above, svd
 
 __all__ = [
     "SpectrumModel",
@@ -350,6 +350,9 @@ def fit_spectrum_model(sigma) -> SpectrumModel:
     (power-law decay) over the window above ``1e-13 * sigma_1`` (a computed
     sigma_k is off by about eps * sigma_1, so below it few digits remain) and
     returns whichever admissible model fits with smaller squared residual.
+    It regresses log(sigma_k / t), t = ``power_of_two_above(sigma_1)``, and
+    scales zeta back by t, so the fit of sigma * 2^p is the fit of sigma
+    with zeta * 2^p, bit for bit.
 
     Raises ``ValueError`` when fewer than 3 values sit above the floor or
     neither fitted model is admissible (rho > 1, alpha > 1/2).
@@ -359,7 +362,8 @@ def fit_spectrum_model(sigma) -> SpectrumModel:
         raise ValueError("spectrum must start positive")
     keep = s > 1e-13 * s[0]
     j = np.arange(1, s.size + 1, dtype=float)[keep]
-    y = np.log(s[keep])
+    t = power_of_two_above(s[0])
+    y = np.log(s[keep] / t)
     if j.size < 3:
         raise ValueError("fewer than 3 spectrum values above the fit floor")
     candidates = []
@@ -367,13 +371,13 @@ def fit_spectrum_model(sigma) -> SpectrumModel:
     sse = float(np.sum((y - (slope * j + icept)) ** 2))
     rho = float(np.exp(-slope))
     if rho > 1.0:
-        candidates.append((sse, SpectrumModel(kind="severe", rho=rho, zeta=float(np.exp(icept)))))
+        candidates.append((sse, SpectrumModel(kind="severe", rho=rho, zeta=float(np.exp(icept) * t))))
     slope, icept = np.polyfit(np.log(j), y, 1)
     sse = float(np.sum((y - (slope * np.log(j) + icept)) ** 2))
     alpha = -float(slope)
     if alpha > 0.5:
         candidates.append(
-            (sse, SpectrumModel(kind="moderate_or_mild", alpha=alpha, zeta=float(np.exp(icept))))
+            (sse, SpectrumModel(kind="moderate_or_mild", alpha=alpha, zeta=float(np.exp(icept) * t)))
         )
     if not candidates:
         raise ValueError("no admissible decay model fits this spectrum")

@@ -16,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .gallery import IllPosedProblem
-from .linalg import norm
+from .linalg import norm, power_of_two_above
 
 __all__ = [
     "NoisyInstance",
@@ -148,14 +148,16 @@ def picard_diagnostic(instance: NoisyInstance) -> PicardDiagnostic:
 
     beta_fit = float("nan")
     if k0 >= 2:
-        s_head = fact.sigma[:k0]
-        c_head = coef_true[:k0]
-        good = (s_head > 0.0) & (c_head > 0.0)
+        s, c = fact.sigma[:k0], coef_true[:k0]
+        good = (s > 0.0) & (c > 0.0)
         if int(good.sum()) >= 2:
+            # Logs of values over a power of two: beta keeps its bits when
+            # sigma and b_true scale by 2^p.
+            s, c = (x[good] / power_of_two_above(x[good]) for x in (s, c))
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # a rank-deficient fit (tied sigma_i) warns
                 try:
-                    slope = np.polyfit(np.log(s_head[good]), np.log(c_head[good]), 1)[0]
+                    slope = np.polyfit(np.log(s), np.log(c), 1)[0]
                     beta_fit = float(slope - 1.0)
                 except Warning:
                     pass

@@ -348,7 +348,7 @@ def test_uncertified_process_falls_back_while_the_others_certify(monkeypatch):
 # Route A for all k at once: the pruned bisection against the full one. -------
 def _coefficient_state(alphas, betas):
     """A terminal state that holds only recurrence coefficients."""
-    state = BidiagState(np.zeros((1, 1)), atol=0.0, reorth=True)
+    state = BidiagState(np.zeros((1, 1)), norm_A=0.0, reorth=True)
     state.alphas, state.betas, state.completed = list(alphas), list(betas), True
     return state
 

@@ -1,6 +1,9 @@
 """Unit tests for the Lanczos lower-bidiagonalization recurrence."""
 
+import ctypes
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from conftest import severe
 from illposed import bidiag
 from illposed.csvio import read_csv
 from illposed.gallery import make_deriv2, make_picard_synthetic, make_shaw
+from illposed.noise import add_noise
 from illposed.bidiag import (
     bidiag_run,
     bidiag_start,
@@ -17,6 +21,9 @@ from illposed.bidiag import (
     lower_bidiagonal,
     recurrence_residuals,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from perfbench import env  # noqa: E402
 
 
 def test_two_by_two_invariant_oracle():
@@ -270,3 +277,51 @@ def test_write_bidiag_csv(tmp_path):
     assert float(cols["alpha"][0]) == state.alphas[0]
     assert float(cols["beta_next"][0]) == state.betas[1]
     assert float(cols["beta_next"][1]) == 0.0
+
+
+def _openblas_threads():
+    """(set, get) of the loaded OpenBLAS's thread count, probed under the
+    names ``env.blas_info`` reads; None without such a library."""
+    try:
+        lib = env._openblas()
+    except OSError:
+        return None
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            set_threads = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            get_threads = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            if set_threads is not None and get_threads is not None:
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                return set_threads, get_threads
+    return None
+
+
+@pytest.mark.parametrize("name, seed", [("heat", 0), ("heat", 1), ("deriv2", 0),
+                                        ("shaw", 0), ("gravity", 0)])
+def test_recurrence_keeps_its_bits_at_one_and_two_blas_threads(name, seed, cache):
+    # At n = 256 no product of the recurrence is large enough for OpenBLAS
+    # to split it by thread count, so the bits, and heat's alpha_252
+    # breakdowns with their margins of 4.1 and 9.5, do not depend on it.
+    # (At n = 1024 some widths of V' w do: see README, Tests.)
+    threads = _openblas_threads()
+    if threads is None:
+        pytest.skip("BLAS is not an OpenBLAS with a thread-count setter")
+    set_threads, get_threads = threads
+    problem = cache.problem(name, 256)
+    instance = add_noise(problem, 1e-3, seed)
+    original = get_threads()
+    runs = []
+    try:
+        for count in (1, 2):
+            set_threads(count)
+            if get_threads() != count:
+                pytest.skip(f"this OpenBLAS does not run on {count} threads")
+            runs.append(bidiag_run(problem.A, instance.b, norm_A=problem.svd.sigma[0]))
+    finally:
+        set_threads(original)
+    one, two = runs
+    assert one.breakdown == two.breakdown
+    assert one.alphas == two.alphas and one.betas == two.betas
+    np.testing.assert_array_equal(one._P.view(), two._P.view())
+    np.testing.assert_array_equal(one._Q.view(), two._Q.view())

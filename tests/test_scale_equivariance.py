@@ -1,18 +1,18 @@
-"""Scale equivariance of a whole run: the metamorphic oracle of the synthetic problems.
+"""Scale equivariance of a whole run: the metamorphic oracle of every problem.
 
-Multiplying a spectrum by zeta = 2^p is exact in float64 as long as nothing
-overflows or goes subnormal, and so is every operation of the pipeline
-on the scaled data: products, quotients and rescaled norms shift exponents
-only.  A run at zeta = 2^p must therefore reproduce the run at zeta = 1 bit
-for bit in every scale-free cell, and multiply every dimensional cell by
-exactly 2^p.  Kernel problems are not covered: their bound model is fitted
-to the computed spectrum, and the fit is not scale-equivariant.
+Multiplying a spectrum by zeta = 2^p (a synthetic problem), or a kernel's
+matrix A by 2^p, is exact in float64 as long as nothing overflows or goes
+subnormal, and so is every operation of the pipeline on the scaled data:
+products, quotients and rescaled norms shift exponents only.  A run at scale
+2^p must therefore reproduce the run at scale 1 bit for bit in every
+scale-free cell, and multiply every dimensional cell by exactly 2^p.
 """
 
 import os
 
 import pytest
 
+from illposed import gallery
 from illposed.csvio import format_value, read_csv
 from illposed.experiment import ARTIFACT_CSVS, ExperimentConfig, run
 
@@ -46,6 +46,18 @@ def _cells(outdir) -> dict:
     return cells
 
 
+def _assert_scales_exactly(cells):
+    """``cells(p)``, the cells of the run at scale 2^p, against ``cells(0)``."""
+    base = cells(0)
+    for p in EXPONENTS:
+        scaled = cells(p)
+        assert scaled.keys() == base.keys()
+        for (name, column), values in base.items():
+            if column in DIMENSIONAL[name]:
+                values = [format_value(float(v) * 2.0**p) for v in values]
+            assert scaled[name, column] == values, (p, name, column)
+
+
 @pytest.mark.parametrize("n", [16, 32, 64])
 @pytest.mark.parametrize("decay", ["severe", "moderate", "mild"])
 @pytest.mark.parametrize("problem", ["prescribed", "picard_synthetic"])
@@ -56,11 +68,20 @@ def test_a_spectrum_scaled_by_a_power_of_two_scales_the_run_exactly(problem, dec
         run(config)
         return _cells(config.out)
 
-    base = cells(0)
-    for p in EXPONENTS:
-        scaled = cells(p)
-        assert scaled.keys() == base.keys()
-        for (name, column), values in base.items():
-            if column in DIMENSIONAL[name]:
-                values = [format_value(float(v) * 2.0**p) for v in values]
-            assert scaled[name, column] == values, (p, name, column)
+    _assert_scales_exactly(cells)
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+@pytest.mark.parametrize("problem", ["shaw", "gravity", "deriv2", "heat"])
+def test_a_kernel_scaled_by_a_power_of_two_scales_the_run_exactly(problem, n, tmp_path, monkeypatch):
+    finalize = gallery._finalize  # every constructor hands its A, b_true unset, to it
+
+    def cells(p):
+        monkeypatch.setattr(gallery, "_finalize",
+                            lambda name, A, *rest: finalize(name, A * 2.0**p, *rest))
+        config = ExperimentConfig(problem=problem, n=n, noise=1e-3, seed=1, panels="none",
+                                  out=str(tmp_path / f"p{p}"))
+        run(config)
+        return _cells(config.out)
+
+    _assert_scales_exactly(cells)
