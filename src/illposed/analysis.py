@@ -17,7 +17,7 @@ import numpy as np
 
 from .bidiag import BidiagState, lower_bidiagonal
 from .gallery import SpectrumModel
-from .linalg import SvdFactorization, norm, power_of_two_above, spectral_norm
+from .linalg import SvdFactorization, norm, power_of_two_above, sigma_max, spectral_norm
 from .noise import PicardDiagnostic
 
 __all__ = [
@@ -96,7 +96,7 @@ def gamma_exact(A, Q) -> np.ndarray:
         gamma = certified.get(k)
         if gamma is None:
             Qk = Q[:, :k]
-            gamma = spectral_norm(A - (A @ Qk) @ Qk.T)
+            gamma = sigma_max(A - (A @ Qk) @ Qk.T)
         gammas.append(gamma)
     return np.array(gammas)
 
@@ -231,10 +231,13 @@ def gamma_via_Gk(state: BidiagState, K: int) -> np.ndarray:
         raise ValueError(f"no trailing block at k={K} (have {alpha.size} alphas)")
     if beta.size - 1 not in (alpha.size, alpha.size - 1):
         raise ValueError("inconsistent coefficient arrays")
+    # Every head is a block of the lower bidiagonal of the first K + 64
+    # coefficients; LAPACK reads a block as it reads the same matrix built alone.
+    L = lower_bidiagonal(alpha[: K + GK_BISECTION_MIN], beta[1 : K + GK_BISECTION_MIN + 1])
     gammas = []
     for k in range(1, K + 1):
         a, b = alpha[k:], beta[k + 1 :]
-        head = spectral_norm(lower_bidiagonal(a[:GK_BISECTION_MIN], b[:GK_BISECTION_MIN]))
+        head = sigma_max(L[k : k + GK_BISECTION_MIN + 1, k : k + GK_BISECTION_MIN])
         gammas.append(head if a.size < GK_BISECTION_MIN else _bidiagonal_norm(a, b, head))
     return np.array(gammas)
 
@@ -308,9 +311,10 @@ def _has_eigenvalue_above(e2, x) -> bool:
 
 
 # Ritz values ================================================================
-def ritz_values(state: BidiagState, k: int) -> np.ndarray:
-    """Singular values of B_k in descending order (the k Ritz values)."""
-    return np.linalg.svd(state.B(k), compute_uv=False)
+def ritz_values(B, k: int) -> np.ndarray:
+    """Singular values of B_k in descending order (the k Ritz values), read
+    as the leading (k+1) x k block of a B_K = ``state.B(K)`` with K >= k."""
+    return np.linalg.svd(B[: k + 1, :k], compute_uv=False)
 
 
 def natural_order_check(theta, sigma) -> bool:
@@ -350,7 +354,7 @@ def _bracketed(theta, sigma, lower) -> bool:
     value counts as on its bound, so a non-strict bound is tested the same
     way as a strict one."""
     slack = AUDIT_SLACK * sigma[0]
-    return bool(np.all((lower - slack < theta) & (theta < sigma[: theta.size] + slack)))
+    return bool(((lower - slack < theta) & (theta < sigma[: theta.size] + slack)).all())
 
 
 # Subspace distance ==========================================================
@@ -364,7 +368,7 @@ def delta_norm_via_angles(VQ, k: int):
     is ||(I - Q_k Q_k') V_k||), and the tangent sin/sqrt(1 - sin^2), which
     is ``inf`` once sin saturates within 1e-12 of 1.
     """
-    sin_theta = min(spectral_norm(VQ[k:, :k]), 1.0)
+    sin_theta = min(sigma_max(VQ[k:, :k]), 1.0)
     if sin_theta >= SIN_SATURATION:
         return sin_theta, math.inf
     return sin_theta, sin_theta / math.sqrt((1.0 - sin_theta) * (1.0 + sin_theta))
@@ -453,18 +457,18 @@ def lagrange_factor(sigma, k: int):
     if k == 1:
         return np.ones(1), 1.0
     s = sigma[:k]
-    if np.any(s[:-1] - s[1:] <= 1e-14 * sigma[0]):
+    if (s[:-1] - s[1:] <= 1e-14 * sigma[0]).any():
         return np.full(k, math.nan), math.nan
     if s[-1] ** 2 < _TINY:  # squares go subnormal: rescale exactly
         s = s / power_of_two_above(s)
     s2 = s**2
     denom = np.abs(s2[None, :] - s2[:, None])
-    np.fill_diagonal(denom, 1.0)  # the j = i term is excluded from the product
+    denom.flat[:: k + 1] = 1.0  # the j = i term is excluded from the product
     ratio = s2[:, None] / denom
-    np.fill_diagonal(ratio, 1.0)
+    ratio.flat[:: k + 1] = 1.0
     with np.errstate(over="ignore"):  # past float64 at deep k: the factor reads inf
-        factors = np.prod(ratio, axis=0)
-    return factors, float(np.max(factors))
+        factors = ratio.prod(axis=0)
+    return factors, float(factors.max())
 
 
 # Predicates and bounds ======================================================
@@ -572,10 +576,9 @@ def bound_report(
     if s[k] == 0.0:
         raise ValueError(f"sigma_{k + 1} = 0: the gap ratio sigma_{k} / sigma_{k + 1} is unbounded")
     head = picard.coef[:k]
-    zero = np.nonzero(head == 0.0)[0]
-    if zero.size:
-        raise ValueError(f"coefficient u_j'b vanishes at j={zero[0] + 1}")
-    ratio = float(np.max(picard.coef[k:]) / np.min(head))
+    if not head.all():
+        raise ValueError(f"coefficient u_j'b vanishes at j={np.nonzero(head == 0.0)[0][0] + 1}")
+    ratio = float(picard.coef[k:].max() / head.min())
     beta = spectrum.beta_picard if spectrum.beta_picard is not None else picard.beta_fit
     if k > k0:
         ratio_asym = 1.0

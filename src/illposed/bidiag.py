@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector, norm, spectral_norm
+from .linalg import as_matrix, as_vector, norm, sigma_max, spectral_norm
 
 __all__ = [
     "BidiagState",
@@ -291,7 +291,7 @@ def recurrence_residuals(state: BidiagState, k: int) -> dict:
     P = state.P_k(min(k + 1, state._P.count))
     Q = state.Q_k(k)
     return {
-        "ortho_P": spectral_norm(P.T @ P - np.eye(P.shape[1])),
-        "ortho_Q": spectral_norm(Q.T @ Q - np.eye(k)),
-        "forward": spectral_norm(state.A @ Q - P @ B[: P.shape[1]]),
+        "ortho_P": sigma_max(P.T @ P - np.eye(P.shape[1])),
+        "ortho_Q": sigma_max(Q.T @ Q - np.eye(k)),
+        "forward": sigma_max(state.A @ Q - P @ B[: P.shape[1]]),
     }

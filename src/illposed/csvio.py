@@ -54,19 +54,26 @@ def write_lines(path, lines) -> None:
 def write_csv(path, kind, columns) -> None:
     """Write ``columns`` (name -> cells, in file order) under a schema line.
 
-    Every cell goes through :func:`format_value`, an array's as the Python
-    values of ``tolist()``.  Raises ``ValueError`` when the columns differ in
-    length.
+    Each cell is written as :func:`format_value` writes it, an array's as
+    its ``tolist()`` value; a float64 or integer array and a range skip the
+    per-cell type test and take ``repr``.  Raises ``ValueError`` when the
+    columns differ in length.
     """
-    cells = [
-        list(map(format_value, col.tolist() if isinstance(col, np.ndarray) else col))
-        for col in columns.values()
-    ]
+    cells = [_column_cells(col) for col in columns.values()]
     if len({len(c) for c in cells}) > 1:
         raise ValueError(f"columns differ in length: {dict(zip(columns, map(len, cells)))}")
     lines = [f"# schema={SCHEMA_VERSION} kind={kind}", ",".join(columns)]
     lines.extend(map(",".join, zip(*cells)))
     write_lines(path, lines)
+
+
+def _column_cells(col) -> list:
+    if isinstance(col, np.ndarray):
+        whole = col.dtype == np.float64 or col.dtype.kind in "iu"
+        col = col.tolist()
+    else:
+        whole = isinstance(col, range)
+    return list(map(repr if whole else format_value, col))  # repr(int) is str(int)
 
 
 def read_csv(path):

@@ -315,9 +315,10 @@ def _analysis_records(problem, picard, state, kmax):
         gammas = gamma_exact(problem.A, QK)
         gammas_gk = gamma_via_Gk(state, K)
         VQ = fact.V.T @ QK
+        BK = state.B(K)
     for k in range(1, K + 1):
         gamma = float(gammas[k - 1])
-        theta = ritz_values(state, k)
+        theta = ritz_values(BK, k)
         sin_theta, delta = delta_norm_via_angles(VQ, k)
         sd = sigma_delta_norm(VQ, sigma, k)
         lag = lagrange_factor(sigma, k)[1]
@@ -529,6 +530,8 @@ _BOUND_COLUMNS = [f.name for f in fields(BoundReport)]
 ANALYSIS_COLUMNS = _RECORD_COLUMNS + _BOUND_COLUMNS
 #: Bound columns of a step without bounds.
 _NO_BOUNDS = dict.fromkeys(_BOUND_COLUMNS, math.nan) | {"regime": "none", "k0_used": -1}
+#: Columns whose every cell is a float, handed to ``write_csv`` as arrays.
+_FLOAT_COLUMNS = {f.name for f in fields(AnalysisRecord) + fields(BoundReport) if f.type == "float"}
 
 
 def write_picard_csv(diag, path) -> None:
@@ -543,9 +546,9 @@ def write_picard_csv(diag, path) -> None:
 def write_bidiag_csv(state, path) -> None:
     """Export the recurrence coefficients as CSV (kind ``bidiag``)."""
     K = len(state.alphas)
-    beta_next = state.betas[1 : K + 1]
-    beta_next += [float("nan")] * (K - len(beta_next))
-    columns = {"index": range(1, K + 1), "alpha": state.alphas, "beta_next": beta_next}
+    beta_next = np.full(K, math.nan)
+    beta_next[: len(state.betas) - 1] = state.betas[1 : K + 1]
+    columns = {"index": range(1, K + 1), "alpha": np.array(state.alphas), "beta_next": beta_next}
     write_csv(path, "bidiag", columns)
 
 
@@ -570,14 +573,18 @@ def write_analysis_csv(records, path) -> None:
         {**(_NO_BOUNDS if rec.bounds is None else vars(rec.bounds)), **vars(rec)}
         for rec in records
     ]
-    write_csv(path, "analysis", {name: [s[name] for s in steps] for name in ANALYSIS_COLUMNS})
+    columns = {name: [s[name] for s in steps] for name in ANALYSIS_COLUMNS}
+    for name in _FLOAT_COLUMNS:
+        columns[name] = np.array(columns[name], dtype=float)
+    write_csv(path, "analysis", columns)
 
 
 def write_ritz_csv(records, path) -> None:
     """Export Ritz values in long format (columns k, i, theta)."""
+    sizes = [rec.ritz.size for rec in records]
     write_csv(path, "ritz", {
-        "k": [rec.k for rec in records for _ in rec.ritz],
-        "i": [i for rec in records for i in range(1, len(rec.ritz) + 1)],
+        "k": np.repeat([rec.k for rec in records], sizes),
+        "i": np.concatenate([np.empty(0, dtype=int), *map(np.arange, sizes)]) + 1,
         "theta": np.concatenate([np.empty(0), *(rec.ritz for rec in records)]),
     })
 

@@ -5,6 +5,11 @@ laboratory relies on: descending singular values, a fixed sign convention
 for singular vectors, and loud failures on non-finite input.  Every routine
 is a pure function of its arguments; identical inputs give bit-identical
 outputs on a fixed platform.
+
+Non-finite entries are refused where inputs enter a run: in the problem
+constructors (``gallery._finalize``), ``bidiag_start``, :func:`svd` and
+:func:`spectral_norm`.  :func:`sigma_max` and :func:`norm` check nothing, so
+the matrices a run builds from validated inputs are not scanned again.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ __all__ = [
     "as_vector",
     "norm",
     "power_of_two_above",
+    "sigma_max",
     "svd",
     "spectral_norm",
 ]
@@ -47,6 +53,8 @@ def norm(x, axis=None):
     norm(x) * 2^p bit for bit while neither has subnormal entries.
     """
     r = np.linalg.norm(x, axis=axis)
+    if axis is None and r >= RESCALE_BELOW:
+        return r
     small = r < RESCALE_BELOW
     if not np.any(small):
         return r
@@ -136,8 +144,12 @@ def svd(A) -> SvdFactorization:
 
 
 def spectral_norm(A) -> float:
-    """Largest singular value of ``A`` (0.0 for an empty matrix)."""
-    A = as_matrix(A)
-    if A.size == 0:
-        return 0.0
-    return float(np.linalg.svd(A, compute_uv=False)[0])
+    """Largest singular value of ``A`` (0.0 for an empty matrix); raises
+    ``ValueError`` on non-finite entries."""
+    return sigma_max(as_matrix(A))
+
+
+def sigma_max(M) -> float:
+    """Largest singular value of a finite 2-D float64 array (0.0 when empty),
+    unchecked: for the matrices a run builds from its validated inputs."""
+    return float(np.linalg.svd(M, compute_uv=False)[0]) if M.size else 0.0

@@ -94,7 +94,7 @@ def test_criterion_1_universal_inequalities(cache):
             g = gam[k]
             a_next = state.alphas[k]
             b_next = state.betas[k + 1]
-            theta = ritz_values(state, k)
+            theta = ritz_values(state.B(k), k)
             tag = f"{name} eps={eps} seed={seed} k={k}"
             checked += 1
             if sigma[k] > g + slack:
@@ -302,7 +302,7 @@ def test_criterion_5_semi_convergence_ordering(cache):
             ordering_viol.append(f"{tag}: k*={kstar} > best_k={k0r}+1")
         first_fail = None
         for k in range(1, min(kstar + 1, run.state.max_k) + 1):
-            if not natural_order_check(ritz_values(run.state, k), sigma):
+            if not natural_order_check(ritz_values(run.state.B(k), k), sigma):
                 first_fail = k
                 break
         if first_fail is not None and first_fail <= kstar:
@@ -350,7 +350,7 @@ def test_criterion_6_desk_scale_tracking(cache):
                     f"{name}: near-best fails at k={k} (gamma={g:.4f} outside "
                     f"[{sigma[k]:.4f}, {0.5 * (sigma[k - 1] + sigma[k]):.4f}))"
                 )
-            if not natural_order_check(ritz_values(run.state, k), sigma):
+            if not natural_order_check(ritz_values(run.state.B(k), k), sigma):
                 failures.append(f"{name}: natural order fails at k={k}")
         err_lsqr = run.lsqr.rel_errors[kstar - 1]
         err_tsvd = run.tsvd.rel_errors[k0r - 1]
@@ -378,7 +378,7 @@ def test_criterion_7_mild_decay_breakdown(cache):
     # arrive strictly before the best TSVD index.
     run = cache.bundle("prescribed", 200, 1e-3, 7, spectrum=poly(0.6))
     sigma = run.sigma
-    nat = [natural_order_check(ritz_values(run.state, k), sigma) for k in range(1, 6)]
+    nat = [natural_order_check(ritz_values(run.state.B(k), k), sigma) for k in range(1, 6)]
     gks = gamma_via_Gk(run.state, 5)
     near = [near_best_predicate(gks[k - 1], sigma, k) for k in range(1, 6)]
     kstar = run.lsqr.best_k

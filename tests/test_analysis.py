@@ -473,7 +473,7 @@ def test_gamma_via_Gk_reads_only_the_coefficients():
 # Ritz values -----------------------------------------------------------------
 def test_ritz_first_step_closed_form(severe4_small_rig):
     _, _, state = severe4_small_rig
-    theta = ritz_values(state, 1)
+    theta = ritz_values(state.B(1), 1)
     assert theta.shape == (1,)
     assert theta[0] == pytest.approx(
         math.hypot(state.alphas[0], state.betas[1]), rel=1e-14
@@ -486,7 +486,7 @@ def test_ritz_full_factorization_recovers_spectrum():
     state = bidiag_run(prob.A, inst.b, norm_A=float(prob.svd.sigma[0]))
     assert state.breakdown is None
     np.testing.assert_allclose(
-        ritz_values(state, 12), prob.svd.sigma, atol=1e-9 * prob.svd.sigma[0]
+        ritz_values(state.B(12), 12), prob.svd.sigma, atol=1e-9 * prob.svd.sigma[0]
     )
 
 
@@ -760,6 +760,85 @@ def test_lagrange_factor_past_float64_reads_inf_without_a_warning():
     assert np.isinf(factors).any() and np.isfinite(factors).any()
 
 
+# Whole-K forms against their per-k originals, bit for bit -------------------
+#: shaw runs (n, noise, breakdown) at seed 0: one completes, one breaks down
+#: at an alpha entry, one at a beta entry.
+_PIN_RUNS = [(16, 1e-3, None), (32, 1e-2, "alpha_21"), (128, 1e-2, "beta_22")]
+
+
+@pytest.fixture(scope="module", params=_PIN_RUNS, ids=lambda r: f"n{r[0]}-{r[2]}")
+def pin_run(request):
+    n, noise, breakdown = request.param
+    prob = make_shaw(n)
+    state = bidiag_run(prob.A, add_noise(prob, noise, 0).b, norm_A=prob.svd.sigma[0])
+    assert state.breakdown == breakdown
+    return prob, state, min(40, state.steps)
+
+
+def test_ritz_values_of_one_B_K_are_the_per_k_svds_bit_for_bit(pin_run):
+    _, state, K = pin_run
+    BK = state.B(K)
+    for k in range(1, K + 1):
+        want = np.linalg.svd(state.B(k), compute_uv=False)
+        assert ritz_values(BK, k).tobytes() == want.tobytes(), k
+
+
+def test_route_a_heads_are_the_per_k_heads_bit_for_bit(pin_run):
+    # The heads are blocks of one lower bidiagonal; the per-k original built
+    # each alone.  With 8 head columns the larger blocks are bisected, and
+    # their heads are the estimates the bisection receives.
+    _, state, K = pin_run
+    a, b = np.array(state.alphas), np.array(state.betas)
+    bisect = analysis._bidiagonal_norm
+    for m in (analysis.GK_BISECTION_MIN, 8):
+        per_k = {k: spectral_norm(lower_bidiagonal(a[k:][:m], b[k + 1 :][:m]))
+                 for k in range(1, K + 1)}
+        estimates = []
+
+        def recorded(ak, bk, head):
+            estimates.append(head)
+            return bisect(ak, bk, head)
+
+        with mock.patch.object(analysis, "_bidiagonal_norm", recorded), \
+                mock.patch.object(analysis, "GK_BISECTION_MIN", m):
+            gammas = gamma_via_Gk(state, K)
+        dense = [k for k in per_k if a.size - k < m]
+        assert [gammas[k - 1] for k in dense] == [per_k[k] for k in dense]
+        assert estimates == [per_k[k] for k in per_k if k not in dense]
+
+
+def _lagrange_per_k(sigma, k):
+    """``lagrange_factor`` as first written: fill_diagonal, np.prod, np.max."""
+    if k == 1:
+        return np.ones(1), 1.0
+    s = sigma[:k]
+    if np.any(s[:-1] - s[1:] <= 1e-14 * sigma[0]):
+        return np.full(k, math.nan), math.nan
+    if s[-1] ** 2 < np.finfo(float).tiny:
+        s = s / np.ldexp(1.0, np.frexp(np.max(np.abs(s)))[1])
+    s2 = s**2
+    denom = np.abs(s2[None, :] - s2[:, None])
+    np.fill_diagonal(denom, 1.0)
+    ratio = s2[:, None] / denom
+    np.fill_diagonal(ratio, 1.0)
+    with np.errstate(over="ignore"):
+        factors = np.prod(ratio, axis=0)
+    return factors, float(np.max(factors))
+
+
+def test_lagrange_factor_keeps_the_bits_of_its_per_k_original(pin_run):
+    prob, _, _ = pin_run
+    tied = np.array([3.0, 2.0 * (1 + 1e-15), 2.0, 1.0])
+    subnormal_squares = 0.5 ** np.arange(520, 560, 2.0)  # every square below tiny
+    mild = np.arange(1, 1025.0) ** -0.6  # the factors overflow at deep k
+    for sigma in (prob.svd.sigma, tied, subnormal_squares, mild[:900]):
+        for k in (*range(1, min(sigma.size, 60) + 1), sigma.size):
+            factors, mx = lagrange_factor(sigma, k)
+            want, want_mx = _lagrange_per_k(sigma, k)
+            assert factors.tobytes() == want.tobytes(), k
+            assert np.float64(mx).tobytes() == np.float64(want_mx).tobytes(), k
+
+
 # Predicates and bounds -------------------------------------------------------
 def test_near_best_predicate_endpoints():
     sigma = np.array([2.0, 1.0])
@@ -820,7 +899,7 @@ def test_bound_report_severe_realized_audit(severe3_rig):
         assert gk <= 2.0 * math.sqrt(1.0 + rep.eta_k**2) * s[k]
         assert rep.near_best_condition
         assert near_best_predicate(gk, s, k)
-        assert natural_order_check(ritz_values(state, k), s)
+        assert natural_order_check(ritz_values(state.B(k), k), s)
 
 
 def test_bound_report_severe_natural_order_threshold(severe3_rig):

@@ -113,6 +113,8 @@ def _column(n):
         cells(st.integers()),
         cells(st.booleans()),
         cells(st.integers(-(2**63), 2**63 - 1)).map(lambda v: np.array(v, dtype=np.int64)),
+        cells(st.integers(0, 2**32 - 1)).map(lambda v: np.array(v, dtype=np.uint32)),
+        st.integers(-(2**40), 2**40).map(lambda start: range(start, start + n)),
         cells(st.booleans()).map(lambda v: np.array(v, dtype=bool)),
         cells(_FLOATS).map(lambda v: np.array(v, dtype=np.float64)),
         cells(st.none() | _FLOATS),

@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from illposed.linalg import RESCALE_BELOW, as_matrix, as_vector, norm, spectral_norm, svd
+from illposed.linalg import (
+    RESCALE_BELOW,
+    as_matrix,
+    as_vector,
+    norm,
+    sigma_max,
+    spectral_norm,
+    svd,
+)
 
 
 def test_as_matrix_validates():
@@ -94,6 +102,34 @@ def test_spectral_norm_against_svd():
     A = rng.standard_normal((6, 5))
     assert spectral_norm(A) == pytest.approx(np.linalg.norm(A, 2), rel=1e-13)
     assert spectral_norm(np.diag([2.0, 7.0, 1.0])) == pytest.approx(7.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_public_entry_points_refuse_non_finite_entries_before_lapack(bad, capfd):
+    # Unchecked, LAPACK given an inf prints "** On entry to DLASCL parameter
+    # number 4 had an illegal value" and returns nan; the public entry points
+    # refuse the matrix before LAPACK sees it.
+    A = np.eye(3)
+    A[1, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        spectral_norm(A)
+    with pytest.raises(ValueError, match="non-finite"):
+        svd(A)
+    # norm validates nothing: a non-finite entry reads as a non-finite norm.
+    want = np.nan if np.isnan(bad) else np.inf
+    np.testing.assert_equal([norm(np.array([1.0, bad])), norm(A)], [want, want])
+    assert capfd.readouterr() == ("", "")
+
+
+def test_sigma_max_is_the_checked_spectral_norm_bit_for_bit():
+    # numpy hands LAPACK its own copy of a matrix, so a strided block of a
+    # larger array gives the bits of the same matrix built alone.
+    rng = np.random.default_rng(5)
+    for shape in [(3, 2), (7, 4), (41, 40), (66, 65)]:
+        A = rng.standard_normal(shape)
+        assert sigma_max(A) == spectral_norm(A) == np.linalg.svd(A, compute_uv=False)[0]
+        assert sigma_max(A[1:, 1:]) == spectral_norm(A[1:, 1:].copy())
+    assert sigma_max(np.zeros((0, 3))) == spectral_norm(np.zeros((0, 3))) == 0.0
 
 
 def test_norm_keeps_the_digits_of_subnormal_squares():

@@ -11,6 +11,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
 
 from illposed.analysis import AUDIT_SLACK  # noqa: E402
+from illposed.csvio import read_csv  # noqa: E402
 from illposed.experiment import ExperimentConfig, run  # noqa: E402
 from perfbench import check, env  # noqa: E402
 from perfbench.tracer import Tracer  # noqa: E402
@@ -47,13 +48,20 @@ def test_tracer_sees_every_check_and_bound_of_a_run(tmp_path):
     # each predicate, bound evaluator and writer must be called through them,
     # and its byte counts read the writers' arguments and results.
     with Tracer() as tracer:
-        run(ExperimentConfig(problem="deriv2", n=24, out=str(tmp_path)))
+        result = run(ExperimentConfig(problem="deriv2", n=24, out=str(tmp_path)))
     spans = {}
     for span in tracer.spans:
         spans.setdefault(span.name.removeprefix("illposed.experiment."), []).append(span)
-    for name in ("near_best_predicate", "natural_order_check", "cauchy_interlace_check",
-                 "mirsky_gap_check", "bound_report", "lagrange_factor"):
-        assert name in spans, name
+    # Every per-step check and bound is one span per analysed step, and the
+    # recurrence one bidiag_step span per step.
+    K = len(result.records)
+    assert K == 23
+    for name in ("ritz_values", "delta_norm_via_angles", "sigma_delta_norm", "lagrange_factor",
+                 "bound_report", "near_best_predicate", "natural_order_check",
+                 "cauchy_interlace_check", "mirsky_gap_check"):
+        assert len(spans.get(name, [])) == K, name
+    steps = len(read_csv(tmp_path / "bidiag.csv")[1]["alpha"]) - 1
+    assert len(spans["illposed.bidiag.bidiag_step"]) == steps == 23
     # The producers run() calls inside its one refusal path are spans too.
     for name in ("build_problem", "add_noise", "bidiag_run", "tsvd_sweep", "lsqr_sweep"):
         assert len(spans[name]) == 1, name
