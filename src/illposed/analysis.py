@@ -313,7 +313,10 @@ def _has_eigenvalue_above(e2, x) -> bool:
 # Ritz values ================================================================
 def ritz_values(B, k: int) -> np.ndarray:
     """Singular values of B_k in descending order (the k Ritz values), read
-    as the leading (k+1) x k block of a B_K = ``state.B(K)`` with K >= k."""
+    as the leading (k+1) x k block of a B_K = ``state.B(K)`` with K >= k.
+    Raises ``ValueError`` unless 1 <= k <= K."""
+    if not 1 <= k <= B.shape[1]:
+        raise ValueError(f"B_{k} not available (B has {B.shape[1]} columns)")
     return np.linalg.svd(B[: k + 1, :k], compute_uv=False)
 
 

@@ -530,8 +530,6 @@ _BOUND_COLUMNS = [f.name for f in fields(BoundReport)]
 ANALYSIS_COLUMNS = _RECORD_COLUMNS + _BOUND_COLUMNS
 #: Bound columns of a step without bounds.
 _NO_BOUNDS = dict.fromkeys(_BOUND_COLUMNS, math.nan) | {"regime": "none", "k0_used": -1}
-#: Columns whose every cell is a float, handed to ``write_csv`` as arrays.
-_FLOAT_COLUMNS = {f.name for f in fields(AnalysisRecord) + fields(BoundReport) if f.type == "float"}
 
 
 def write_picard_csv(diag, path) -> None:
@@ -573,10 +571,7 @@ def write_analysis_csv(records, path) -> None:
         {**(_NO_BOUNDS if rec.bounds is None else vars(rec.bounds)), **vars(rec)}
         for rec in records
     ]
-    columns = {name: [s[name] for s in steps] for name in ANALYSIS_COLUMNS}
-    for name in _FLOAT_COLUMNS:
-        columns[name] = np.array(columns[name], dtype=float)
-    write_csv(path, "analysis", columns)
+    write_csv(path, "analysis", {name: [s[name] for s in steps] for name in ANALYSIS_COLUMNS})
 
 
 def write_ritz_csv(records, path) -> None:

@@ -783,6 +783,14 @@ def test_ritz_values_of_one_B_K_are_the_per_k_svds_bit_for_bit(pin_run):
         assert ritz_values(BK, k).tobytes() == want.tobytes(), k
 
 
+@pytest.mark.parametrize("k", [0, 6])
+def test_ritz_values_refuses_a_k_outside_B(k):
+    prob = make_shaw(16)
+    state = bidiag_run(prob.A, add_noise(prob, 1e-3, 0).b, norm_A=prob.svd.sigma[0])
+    with pytest.raises(ValueError, match="not available"):
+        ritz_values(state.B(5), k)
+
+
 def test_route_a_heads_are_the_per_k_heads_bit_for_bit(pin_run):
     # The heads are blocks of one lower bidiagonal; the per-k original built
     # each alone.  With 8 head columns the larger blocks are bisected, and

@@ -1,14 +1,13 @@
 """Time two checkouts' ``illposed`` against each other in one process.
 
-    python3 tools/abtime.py A_ROOT B_ROOT [--workload small-sweep] [--seed 0]
-                            [--rounds 5] [--n 32,64] [--cases N] [--control]
+    python3 tools/abtime.py A_ROOT B_ROOT [--seed 0] [--rounds 5] [--control]
 
 Loads the package under ``A_ROOT/src`` and the one under ``B_ROOT/src`` side
-by side (as ``illposed_a`` and ``illposed_b``) and runs the cases of one
-``perfbench.workloads`` workload (read only) through each package's
-``experiment.run()``.  Every round runs each case once per side, the side
-that goes first alternating from case to case and round to round, so both
-sides see the same host load.  It prints the fastest time of each case per
+by side (as ``illposed_a`` and ``illposed_b``) and runs the cases of the
+benchmark's small-sweep draw ``perfbench.workloads.sweep_draw(seed)`` (read
+only) through each package's ``experiment.run()``.  Every round runs each
+case once per side, the side that goes first alternating from case to case
+and round to round, so both sides see the same host load.  It prints the fastest time of each case per
 side, then the median over cases of the per-case ratio B/A and the ratio of
 the summed fastest times, each overall and per n.  ``--control`` loads A a
 second time in B's place: its ratios show what noise alone reads.
@@ -93,11 +92,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("a", help="root of checkout A (the baseline)")
     parser.add_argument("b", help="root of checkout B")
-    parser.add_argument("--workload", default="small-sweep")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--rounds", type=int, default=5)
-    parser.add_argument("--n", default="", help="comma-separated sizes to keep (default all)")
-    parser.add_argument("--cases", type=int, default=0, help="keep the first N cases (0: all)")
     parser.add_argument("--control", action="store_true", help="run A against itself")
     args = parser.parse_args(argv)
 
@@ -105,16 +101,11 @@ def main(argv=None) -> int:
     from perfbench import env
 
     env.limit_blas_threads()  # before numpy is imported, as in the benchmark
-    from perfbench.workloads import WORKLOADS
+    from perfbench.workloads import sweep_draw
 
-    cases = WORKLOADS[args.workload](args.seed)
-    if args.n:
-        keep = {int(n) for n in args.n.split(",")}
-        cases = [c for c in cases if c["n"] in keep]
-    if args.cases:
-        cases = cases[: args.cases]
-    if not cases or args.rounds < 1:
-        parser.error("no cases or no rounds to run")
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
+    cases = sweep_draw(args.seed)
     sides = [load(args.a, "illposed_a"), load(args.a if args.control else args.b, "illposed_b")]
     outdir = Path(tempfile.mkdtemp(prefix="abtime-"))
     try:
@@ -123,7 +114,7 @@ def main(argv=None) -> int:
         times = alternate(sides, cases, args.rounds, outdir)
     finally:
         shutil.rmtree(outdir, ignore_errors=True)
-    print(f"a {args.a} b {args.a if args.control else args.b} workload {args.workload} "
+    print(f"a {args.a} b {args.a if args.control else args.b} workload small-sweep "
           f"seed {args.seed} rounds {args.rounds}")
     print("\n".join(report(cases, times)))
     return 0
