@@ -447,7 +447,7 @@ def lagrange_factor(sigma, k: int):
     """Lagrange factors |L_j^{(k)}(0)| of the squared singular values.
 
     ``|L_j^{(k)}(0)| = prod_{i<=k, i!=j} sigma_i^2 / |sigma_j^2 - sigma_i^2|``
-    for j = 1..k, with the k = 1 value defined as 1.  Returns the array of
+    for j = 1..k; at k = 1 it is the empty product, 1.  Returns the array of
     factors and their maximum, all nan when two of sigma_1..sigma_k coincide
     within 1e-14 relative (the factors are undefined on repeated singular
     values).  They are scale-free: where sigma's squares are normal floats,
@@ -457,8 +457,6 @@ def lagrange_factor(sigma, k: int):
     sigma = np.asarray(sigma, dtype=float)
     if not 1 <= k <= sigma.size:
         raise ValueError(f"k={k} outside 1..{sigma.size}")
-    if k == 1:
-        return np.ones(1), 1.0
     s = sigma[:k]
     if (s[:-1] - s[1:] <= 1e-14 * sigma[0]).any():
         return np.full(k, math.nan), math.nan

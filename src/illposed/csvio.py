@@ -29,9 +29,6 @@ def format_value(v) -> str:
     shortest representation that round-trips, including ``nan``/``inf``.
     numpy scalars are formatted as the Python value they hold.
     """
-    # Most cells are floats; repr spells the non-finite ones nan, inf, -inf.
-    if type(v) is float:
-        return repr(v)
     if isinstance(v, np.generic):
         v = v.item()
     if isinstance(v, bool):

@@ -132,10 +132,10 @@ def svd(A) -> SvdFactorization:
         raise ValueError(f"svd expects a tall or square matrix, got {m}x{n}")
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
     V = Vt.T
-    # Make the largest-magnitude entry of each right singular vector positive.
+    # Make the largest-magnitude entry of each right singular vector positive;
+    # a unit column's is at least 1/sqrt(n), so its sign is never 0.
     lead = np.argmax(np.abs(V), axis=0)
     signs = np.sign(V[lead, np.arange(n)])
-    signs[signs == 0.0] = 1.0
     # In place, so U stays C- and V F-contiguous: downstream BLAS calls, and
     # with them the artifact bits, depend on that layout.
     U *= signs

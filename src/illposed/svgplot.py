@@ -135,14 +135,12 @@ class _Axis:
                 self.lo, self.hi = max(self.lo - pad, -_MAX), min(self.hi + pad, _MAX)
         self._origin = scale(self.lo)
         self._span = scale(self.hi) - self._origin
-        self._scale = None if scale is float else scale
+        self._scale = scale
 
     def pixels(self, values) -> list:
         """Pixel coordinates of admitted values on the finished axis."""
         origin, span, scale = self._origin, self._span, self._scale
         start, length, flip = self._start, self._length, self._flip
-        if scale is None:
-            return [start + ((v - origin) / span - flip) * length for v in values]
         return [start + ((scale(v) - origin) / span - flip) * length for v in values]
 
     def ticks(self):
@@ -228,11 +226,11 @@ class Chart:
             segments = [list(zip(xaxis.pixels(xs), yaxis.pixels(ys))) for xs, ys in runs]
             if not scatter:
                 for seg in segments:
-                    if len(seg) == 1:
-                        out += _circles(seg, color)
-                    else:
+                    if len(seg) > 1:
                         path = " ".join(f"{x:.2f},{y:.2f}" for x, y in seg)
                         out.append(f'<polyline points="{path}" fill="none" {_stroke(color, 1.5, dash)}/>')
+                    elif not marker:  # a lone point's circle; a marker series draws it below
+                        out += _circles(seg, color)
             if marker:
                 for seg in segments:
                     out += _circles(seg, color)

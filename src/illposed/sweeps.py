@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bidiag import BidiagState
-from .linalg import RESCALE_BELOW, norm, power_of_two_above
+from .linalg import norm, power_of_two_above
 from .noise import NoisyInstance
 
 __all__ = [
@@ -89,9 +89,8 @@ def tsvd_sweep(instance: NoisyInstance) -> Sweep:
     c = fact.coefficients(instance.b)
     w = fact.V.T @ prob.x_true
     nx = norm(prob.x_true)
-    # Both columns sum squares of v / t, t = 1 unless linalg.norm rescales v.
-    t, tx = (power_of_two_above(v) if norm(v) < RESCALE_BELOW else 1.0
-             for v in (instance.b, prob.x_true))
+    # Both columns sum squares of v / t, exact and the same bits at every 2^p.
+    t, tx = power_of_two_above(instance.b), power_of_two_above(prob.x_true)
     outside = float(np.sum(((instance.b - fact.U @ c) / t) ** 2))
 
     def tails(v):

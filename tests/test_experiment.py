@@ -438,6 +438,24 @@ def test_rerun_reproduces_artifacts_byte_for_byte(base_run, tmp_path):
         assert a == b, f"{name} differs between identical runs"
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("problem", ["prescribed", "picard_synthetic"])
+def test_mild_and_moderate_decay_build_the_same_run(problem, seed, tmp_path):
+    # Both power-law families read alpha alone, so a config that names one
+    # repeats the config that names the other (ROADMAP item 14).
+    outs = []
+    for decay in ("mild", "moderate"):
+        outs.append(tmp_path / decay)
+        run(ExperimentConfig(problem=problem, decay=decay, n=16, noise=1e-3, seed=seed,
+                             out=str(outs[-1])))
+    names = sorted(os.listdir(outs[0]))
+    assert names == sorted(os.listdir(outs[1]))
+    assert "panel_a.svg" in names and "analysis.csv" in names
+    for name in names:
+        if name != "config.txt":
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 def test_run_respects_panel_subset(tmp_path):
     outdir = tmp_path / "subset"
     run(small_config(outdir, panels="ad"))

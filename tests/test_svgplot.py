@@ -93,12 +93,20 @@ def test_log_axis_down_to_the_smallest_subnormal(ys):
     assert ">1e-323<" in svg
 
 
-def test_single_point_series_renders_marker():
+@pytest.mark.parametrize("marker", [False, True], ids=["plain", "marker"])
+@pytest.mark.parametrize(
+    "ys, polylines, circles",
+    [([5.0], 0, (1, 1)), ([1.0, math.nan, 2.0, 3.0], 1, (1, 3))],
+    ids=["one-point", "one-point-run"],
+)
+def test_single_point_series_renders_marker(ys, polylines, circles, marker):
+    # One circle per drawn point: a lone point of a plain series gets a
+    # circle, and a marker series draws each of its points once.
     c = Chart("t", "x", "y")
-    c.add_series("s", [2], [5.0])
+    c.add_series("s", range(1, len(ys) + 1), ys, marker=marker)
     svg = c.render()
-    assert "<polyline" not in svg
-    assert svg.count('r="2.5"') == 1
+    assert svg.count("<polyline") == polylines
+    assert svg.count("<circle") == svg.count('r="2.5"') == circles[marker]
 
 
 def test_empty_chart_still_renders():

@@ -3,6 +3,7 @@
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from conftest import severe
 
@@ -77,3 +78,25 @@ def test_tsvd_errors_keep_their_digits_at_tiny_scale():
     assert np.linalg.norm(tiny.problem.x_true) == 0.0
     ref = tsvd_sweep(inst).rel_errors
     np.testing.assert_allclose(tsvd_sweep(tiny).rel_errors, ref, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("p", [-700, -300, 300])
+def test_tsvd_sweep_is_scale_free(p):
+    # deriv2 n = 64 with x_true, b_true, e, b and eta scaled by 2^p and A and
+    # its SVD as they are: the relative errors keep their bits and the
+    # residuals scale by exactly 2^p, also at p = -700, where the squares of
+    # b and x_true underflow.
+    prob = make_deriv2(64)
+    inst = add_noise(prob, 1e-3, 0)
+    scale = 2.0**p
+    scaled = replace(
+        inst,
+        problem=replace(prob, x_true=prob.x_true * scale, b_true=prob.b_true * scale),
+        e=inst.e * scale,
+        b=inst.b * scale,
+        eta=inst.eta * scale,
+    )
+    assert (np.linalg.norm(scaled.b) == 0.0) == (p == -700)
+    ref, got = tsvd_sweep(inst), tsvd_sweep(scaled)
+    np.testing.assert_array_equal(got.rel_errors, ref.rel_errors)
+    np.testing.assert_array_equal(got.residuals, ref.residuals * scale)
