@@ -133,8 +133,8 @@ def _key(default, text):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Effective settings of one run: each field is a config-file key and an
-    ``illposed run`` flag, read as the type it is annotated with."""
+    """Settings of one run; each field is a config-file key and an ``illposed run`` flag.
+    Construction reads each value as its field's type and checks all: a bad one is a ConfigError."""
 
     problem: str = _key("shaw", f"test problem ({', '.join(PROBLEMS)})")
     n: int = _key(256, "problem size")
@@ -164,7 +164,9 @@ class ExperimentConfig:
     def panel_set(self) -> str:
         return "" if self.panels in ("", "none") else self.panels
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            object.__setattr__(self, f.name, _coerce(f, getattr(self, f.name)))
         if self.problem not in PROBLEMS:
             raise ConfigError(
                 f"unknown problem {self.problem!r}; choose from {', '.join(PROBLEMS)}"
@@ -175,9 +177,6 @@ class ExperimentConfig:
             raise ConfigError(
                 f"out must be printable ASCII without surrounding whitespace, got {self.out!r}"
             )
-        for f in fields(self):
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
-                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         if self.scale <= 0.0:
             raise ConfigError("scale must be positive")
         try:
@@ -192,8 +191,7 @@ class ExperimentConfig:
             raise ConfigError("seed must be nonnegative")
         if self.kmax is not None and not 1 <= self.kmax <= n:
             raise ConfigError(f"kmax = {self.kmax} outside 1..{n}")
-        bad = set(self.panel_set()) - set("abcd")
-        if bad:
+        if not set(self.panel_set()) <= set("abcd"):
             raise ConfigError(f"panels must be a subset of abcd, got {self.panels!r}")
         if self.decay not in DECAYS:
             raise ConfigError(f"decay must be one of {', '.join(DECAYS)}")
@@ -221,27 +219,31 @@ _BOOL_WORDS = {
 }
 
 
-def _coerce(key: str, value):
-    """Turn one raw config value, read as its text, into its field type."""
-    kind = next((f.type for f in fields(ExperimentConfig) if f.name == key), None)
-    if kind is None:
-        raise ConfigError(f"unknown config key {key!r}")
-    v = str(value).strip()
+def _coerce(f, value):
+    """Read one value of the config field ``f``, or its text, as the type
+    ``f`` is annotated with; a ``str`` field takes text only."""
+    if f.type == "str":
+        if isinstance(value, str):
+            return value
+        raise ConfigError(f"{f.name} must be text, got {value!r}")
+    v = str(value)
     try:
-        if kind == "int":
+        if f.type == "int":
             return int(v)
-        if kind == "float":
-            return float(v)
-        if kind == "int | None":
+        if f.type == "int | None":
             return None if v.lower() in ("none", "") else int(v)
-        if kind == "bool":
-            word = v.lower()
-            if word not in _BOOL_WORDS:
+        if f.type == "bool":
+            if v.lower() not in _BOOL_WORDS:
                 raise ValueError(f"not a boolean: {v!r}")
-            return _BOOL_WORDS[word]
+            return _BOOL_WORDS[v.lower()]
+        if f.type != "float":
+            raise TypeError(f"no reader for config field {f.name} annotated {f.type!r}")
+        x = float(v)
     except ValueError as err:
-        raise ConfigError(f"bad value for {key}: {err}") from err
-    return v
+        raise ConfigError(f"bad value for {f.name}: {err}") from err
+    if not math.isfinite(x):
+        raise ConfigError(f"{f.name} must be finite, got {x!r}")
+    return x
 
 
 def parse_config_file(path) -> dict:
@@ -269,16 +271,14 @@ def parse_config_file(path) -> dict:
 
 
 def load_config(path=None, overrides=None) -> ExperimentConfig:
-    """Build a validated config from an optional file plus overrides."""
-    merged = {}
-    if path is not None:
-        merged.update(parse_config_file(path))
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            merged[key] = value
-    config = ExperimentConfig(**{k: _coerce(k, v) for k, v in merged.items()})
-    config.validate()
-    return config
+    """Build a config from an optional file plus the non-None overrides."""
+    merged = {} if path is None else parse_config_file(path)
+    merged |= {key: value.strip() if isinstance(value, str) else value
+               for key, value in (overrides or {}).items() if value is not None}
+    unknown = merged.keys() - {f.name for f in fields(ExperimentConfig)}
+    if unknown:
+        raise ConfigError(f"unknown config key {min(unknown)!r}")
+    return ExperimentConfig(**merged)
 
 
 # The run pipeline ============================================================
@@ -445,7 +445,7 @@ def run(config: ExperimentConfig) -> RunResult:
     """Execute one configured experiment and write its artifact directory.
 
     Raises :class:`ConfigError`, before any artifact is written, on an
-    invalid configuration, an output directory that cannot be created, or a
+    output directory that cannot be created, or a
     ``ValueError`` of ``build_problem`` (shaw's odd n, ...), ``add_noise`` (a
     draw that underflows to zero, a noisy ||b||^2 that overflows),
     ``bidiag_run`` (a sigma_1 below about 2.2e-294, where the breakdown
@@ -456,7 +456,6 @@ def run(config: ExperimentConfig) -> RunResult:
     A later breakdown of the recurrence is not an error: the sweeps and
     analysis are truncated at the breakdown step, which the summary records.
     """
-    config.validate()
     outdir = config.out
     try:
         os.makedirs(outdir, exist_ok=True)

@@ -8,7 +8,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
-from dataclasses import fields, replace
+from dataclasses import field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -169,6 +169,56 @@ def test_load_config_reads_a_non_string_value_from_its_text():
     cfg = load_config(None, {"n": 32, "noise": 0.01, "scale": 1, "reorth": False})
     assert (cfg.n, cfg.noise, cfg.scale, cfg.reorth) == (32, 0.01, 1.0, False)
     assert isinstance(cfg.scale, float)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("seed", 1.5), ("seed", -0.0), ("n", 32.5), ("n", 16.0), ("n", True), ("kmax", 3.5),
+     ("kmax", True), ("panels", None), ("out", None)],
+)
+def test_a_library_config_refuses_what_the_cli_refuses(key, value):
+    # ExperimentConfig(...) reads its values as a --flag or a config file is
+    # read: a float or a bool is not an int setting, and a text setting takes
+    # text only.
+    with pytest.raises(ConfigError, match=key):
+        ExperimentConfig(**{"problem": "deriv2", "n": 32, key: value})
+
+
+@pytest.mark.parametrize(
+    "key, text, want",
+    [("noise", "0.001", 0.001), ("scale", "1", 1.0), ("depth", "1", 1.0), ("n", "16", 16),
+     ("reorth", "false", False)],
+)
+def test_a_library_config_reads_text_as_its_field_type(key, text, want):
+    value = getattr(ExperimentConfig(problem="gravity", **{key: text}), key)  # gravity reads depth
+    assert value == want and type(value) is type(want)
+
+
+def test_a_reorth_false_text_runs_without_reorthogonalization(tmp_path):
+    # The text "false" used to reach the recurrence as a true value: the run
+    # reorthogonalized while config.txt said reorth=false.
+    config = ExperimentConfig(problem="deriv2", n=16, reorth="false", out=str(tmp_path))
+    try:
+        run(config)
+    except InvariantViolation:  # the artifacts are written first
+        pass
+    assert read_summary(tmp_path)["reorth"] == "0"
+    assert "reorth=false" in (tmp_path / "config.txt").read_text(encoding="ascii").splitlines()
+
+
+def test_every_config_field_has_a_reader():
+    # The reader matches annotation strings, which this module's postponed
+    # annotations give; any other annotation, a type object included, must
+    # fail loudly rather than keep its value unread.
+    kinds = {f.type for f in fields(ExperimentConfig)}
+    assert kinds <= {"str", "int", "float", "int | None", "bool"}
+    for f in fields(ExperimentConfig):
+        assert experiment._coerce(f, f.default) == f.default, f.name
+    for annotation in ("tuple", "float | None", float):
+        odd = field()
+        odd.name, odd.type = "odd", annotation
+        with pytest.raises(TypeError, match="no reader for config field odd"):
+            experiment._coerce(odd, "1.5")
 
 
 def test_parse_config_file(tmp_path):
@@ -1151,13 +1201,18 @@ def test_spectra_at_the_edges_of_float64_run_without_warnings(overrides, tmp_pat
                                  kmax=64, noise=1e-8, seed=11, zeta=1e150))
 def test_valid_configs_never_end_in_a_traceback(config):
     # A valid configuration ends in artifacts or a documented error, with
-    # every RuntimeWarning an error (pyproject's filterwarnings).
-    config.validate()  # a draw that builds nothing would test nothing
+    # every RuntimeWarning an error (pyproject's filterwarnings); the
+    # config.txt of a run reads back as its config.  A draw that builds
+    # nothing fails in _valid_configs, where its config is constructed.
     with tempfile.TemporaryDirectory() as out:
+        config = replace(config, out=out)
         try:
-            run(replace(config, out=out))
-        except (ConfigError, InvariantViolation):
+            run(config)
+        except ConfigError:  # refused before any artifact is written
+            return
+        except InvariantViolation:
             pass
+        assert load_config(os.path.join(out, "config.txt")) == config
 
 
 # Extreme float settings, at, near or past the limits of float64, each with
